@@ -15,9 +15,8 @@ import enum
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
-from .diagram import GramMatrix, inertia
+from .diagram import GramMatrix, eliminate, inertia
 from .errors import DisconnectedGraph, FieldNotQ, RankDeficient, TooLarge
 from .surd import MultiSurd, prime_factors, squarefree_decompose
 
@@ -169,35 +168,21 @@ def _spanning_tree(adj: dict[int, list[int]], rng: random.Random | None = None) 
 
 
 def _det(mat: list[list[MultiSurd]]) -> MultiSurd:
-    """Determinant by fraction-producing Gaussian elimination, exact."""
-    n = len(mat)
-    A = [row[:] for row in mat]
-    det = MultiSurd(1)
-    for c in range(n):
-        p = next((r for r in range(c, n) if not A[r][c].is_zero()), None)
-        if p is None:
-            return MultiSurd(0)
-        if p != c:
-            A[c], A[p] = A[p], A[c]
-            det = -det
-        det = det * A[c][c]
-        inv = A[c][c].inverse()
-        for r in range(c + 1, n):
-            if A[r][c].is_zero():
-                continue
-            f = A[r][c] * inv
-            for k in range(c, n):
-                A[r][k] = A[r][k] - f * A[c][k]
-    return det
+    """Determinant of a symmetric surd matrix, exact."""
+    _, eliminated, product = eliminate(mat)
+    return product if len(eliminated) == len(mat) else MultiSurd(0)
 
 
 def rational_form(G: GramMatrix, rng: random.Random | None = None) -> QuadraticFormQ:
     """Rescale normals along a spanning tree so all pairings land in K.
 
-    Scaling factors multiply along tree edges by the doubled Gram entry;
-    the rescaled matrix of pairings then has every entry in the field of
-    definition (checked exactly).  The returned form is the first
-    lexicographic (n+1)-facet principal submatrix with nonzero determinant.
+    Scaling factors multiply along tree edges by the doubled Gram entry, so
+    every rescaled pairing is a product of cyclic products and lies in the
+    field of definition.  The rescaled form has rank n + 1 (Vinberg); the
+    returned form is its principal submatrix on the facets that one exact
+    elimination pivots on, which is nonsingular.  Any two such bases of
+    the span differ by a change of basis over K, so the discriminant class
+    and the conjugate signatures do not depend on the choice.
     """
     adj = nonorthogonality_graph(G)
     _check_connected(adj)
@@ -215,22 +200,11 @@ def rational_form(G: GramMatrix, rng: random.Random | None = None) -> QuadraticF
         scale(v)
     F = [[lam[i] * lam[j] * G[i, j] for j in range(N)] for i in range(N)]
 
-    gens = field_of_definition(enumerate_cycles(G))
-    for i in range(N):
-        for j in range(N):
-            for r in F[i][j].radicands():
-                if not _field_contains(r, gens):
-                    raise RankDeficient(
-                        f"rescaled entry ({i},{j}) leaves the field of definition"
-                    )
-
-    n = G.dimension
-    for subset in combinations(range(N), n + 1):
-        sub = [[F[i][j] for j in subset] for i in subset]
-        if not _det(sub).is_zero():
-            return QuadraticFormQ(sub, subset)
-    raise RankDeficient("no nonsingular principal submatrix of size n+1; "
-                        "inconsistent with a Lorentzian Gram matrix")
+    basis = sorted(eliminate(F)[1])
+    if len(basis) != G.dimension + 1:
+        raise RankDeficient(f"rescaled form has rank {len(basis)}, expected "
+                            f"{G.dimension + 1} for a Lorentzian Gram matrix")
+    return QuadraticFormQ([[F[i][j] for j in basis] for i in basis], tuple(basis))
 
 
 def _field_contains(radicand: int, gens: frozenset[int]) -> bool:
@@ -357,7 +331,11 @@ def classify(G: GramMatrix) -> ArithmeticityReport:
 
     quasi = True
     automorphisms = _field_automorphism_signs(gens)
-    form = rational_form(G) if automorphisms else None
+    odd_over_q = not gens and G.dimension % 2 == 1
+    form = rational_form(G) if automorphisms or odd_over_q else None
+    if form is not None and any(not _field_contains(r, gens)
+                                for row in form.matrix for e in row for r in e.radicands()):
+        raise RankDeficient("rescaled form leaves the field of definition")
     for aut in automorphisms:
         conj = [[e.conjugate_by_primes(aut["primes"]) for e in row] for row in form.matrix]
         pos, neg, zero = inertia(conj)
@@ -383,9 +361,7 @@ def classify(G: GramMatrix) -> ArithmeticityReport:
     else:
         cls = Classification.PROPERLY_QUASI_ARITHMETIC
 
-    delta = None
-    if not gens and G.dimension % 2 == 1:
-        delta = discriminant_delta(rational_form(G), G.dimension)
+    delta = discriminant_delta(form, G.dimension) if odd_over_q else None
 
     return ArithmeticityReport(
         field_generators=gens,

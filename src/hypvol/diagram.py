@@ -89,9 +89,6 @@ class GramMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> MultiSurd:
         return self.entries[ij[0]][ij[1]]
 
-    def submatrix(self, idx: list[int]) -> list[list[MultiSurd]]:
-        return [[self.entries[i][j] for j in idx] for i in idx]
-
     def evaluate(self, prec: int = 128) -> mpmath.matrix:
         """High-precision float image of the matrix."""
         with mp.workprec(prec):
@@ -203,68 +200,67 @@ def gram_matrix(diagram: CoxeterDiagram) -> GramMatrix:
     return GramMatrix(diagram.dimension, G)
 
 
-def inertia(entries: list[list[MultiSurd]]) -> tuple[int, int, int]:
-    """Exact inertia (pos, neg, zero) of a symmetric surd matrix.
+def eliminate(entries: list[list[MultiSurd]]) -> tuple[tuple[int, int, int], list[int], MultiSurd]:
+    """Symmetric elimination of a symmetric surd matrix, exact.
 
-    Symmetric elimination over the multi-quadratic field: nonzero diagonal
-    pivots contribute their sign; when the whole diagonal vanishes a nonzero
-    off-diagonal entry is pivoted as a hyperbolic pair contributing (1, 1);
-    the all-zero matrix contributes only to the null part.
+    Pivots on the first nonzero diagonal entry of the remaining block; when
+    the whole remaining diagonal vanishes, a nonzero off-diagonal entry a is
+    pivoted as the hyperbolic block [[0, a], [a, 0]], which contributes
+    (1, 1) to the inertia and -a^2 to the pivot product.  Returns the
+    inertia (pos, neg, zero), the eliminated indices in pivot order, and
+    the product of the pivots.  The eliminated indices number the rank,
+    and their principal submatrix is nonsingular with the pivot product as
+    its determinant.
     """
-    A = {(i, j): entries[i][j] for i in range(len(entries)) for j in range(len(entries))}
-    active = list(range(len(entries)))
-    pos = neg = zero = 0
+    A = [row[:] for row in entries]
+    active = list(range(len(A)))
+    pos = neg = 0
+    eliminated: list[int] = []
+    product = MultiSurd(1)
     while active:
-        pivot = None
-        for i in active:
-            s = A[(i, i)].sign()
-            if s:
-                pivot = (i, s)
-                break
-        if pivot is not None:
-            i, s = pivot
-            if s > 0:
+        i = next((i for i in active if not A[i][i].is_zero()), None)
+        if i is not None:
+            pivot = A[i][i]
+            if pivot.sign() > 0:
                 pos += 1
             else:
                 neg += 1
             active.remove(i)
-            inv = A[(i, i)].inverse()
+            eliminated.append(i)
+            product = product * pivot
+            inv = pivot.inverse()
             for u in active:
-                if A[(u, i)].is_zero():
+                if A[u][i].is_zero():
                     continue
-                factor = A[(u, i)] * inv
+                factor = A[u][i] * inv
                 for v in active:
-                    A[(u, v)] = A[(u, v)] - factor * A[(i, v)]
-            for u in active:
-                A[(u, i)] = A[(i, u)] = MultiSurd(0)
+                    A[u][v] = A[u][v] - factor * A[i][v]
             continue
-        off = None
-        for a_idx, i in enumerate(active):
-            for j in active[a_idx + 1:]:
-                if not A[(i, j)].is_zero():
-                    off = (i, j)
-                    break
-            if off:
-                break
+        off = next(((i, j) for k, i in enumerate(active) for j in active[k + 1:]
+                    if not A[i][j].is_zero()), None)
         if off is None:
-            zero += len(active)
             break
         i, j = off
         pos += 1
         neg += 1
         active.remove(i)
         active.remove(j)
-        # Schur complement of the hyperbolic block [[0, a], [a, 0]]
-        a_inv = A[(i, j)].inverse()
+        eliminated += [i, j]
+        product = -(product * A[i][j] * A[i][j])
+        # Schur complement of the hyperbolic block
+        a_inv = A[i][j].inverse()
         for u in active:
-            bi, bj = A[(u, i)], A[(u, j)]
+            bi, bj = A[u][i], A[u][j]
             if bi.is_zero() and bj.is_zero():
                 continue
             for v in active:
-                A[(u, v)] = A[(u, v)] - (bi * A[(j, v)] + bj * A[(i, v)]) * a_inv
-        for u in active:
-            A[(u, i)] = A[(i, u)] = A[(u, j)] = A[(j, u)] = MultiSurd(0)
-    return pos, neg, zero
+                A[u][v] = A[u][v] - (bi * A[j][v] + bj * A[i][v]) * a_inv
+    return (pos, neg, len(active)), eliminated, product
+
+
+def inertia(entries: list[list[MultiSurd]]) -> tuple[int, int, int]:
+    """Exact inertia (pos, neg, zero) of a symmetric surd matrix."""
+    return eliminate(entries)[0]
 
 
 def signature(G: GramMatrix) -> tuple[int, int, int]:

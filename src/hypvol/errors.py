@@ -30,7 +30,7 @@ class TooLarge(HypvolError):
 
 
 class RankDeficient(HypvolError):
-    """No nonsingular principal submatrix of the expected size exists."""
+    """The rescaled Gram form does not have rank n + 1 over the field of definition."""
 
 
 class FieldNotQ(HypvolError):
@@ -51,10 +51,6 @@ class EvenDimension(HypvolError):
 
 class NotLorentzian(HypvolError):
     """Gram matrix does not have signature (n, 1) plus a zero part."""
-
-
-class DegenerateIntersection(HypvolError):
-    """A facet subset meets in more than a line; skipped during enumeration."""
 
 
 class NoVertices(HypvolError):

@@ -8,7 +8,6 @@ the timelike coordinate first.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -64,15 +63,6 @@ class PolytopeRealization:
 
     def is_compact(self) -> bool:
         return not self.ideal_vertices
-
-    def debug_dump(self) -> str:
-        """JSON dump of the V- and H-representations for inspection."""
-        return json.dumps({
-            "dimension": self.dimension,
-            "normals": [[mpmath.nstr(c, 20) for c in e] for e in self.normals],
-            "finite_vertices": [[mpmath.nstr(c, 20) for c in v] for v in self.finite_vertices],
-            "ideal_vertices": [[mpmath.nstr(c, 20) for c in v] for v in self.ideal_vertices],
-        }, indent=2)
 
 
 @dataclass
@@ -141,11 +131,12 @@ def realize(G, prec: int = DEFAULT_PREC, dimension: int | None = None) -> Polyto
         return PolytopeRealization(n, normals, prec, tol)
 
 
-def _nullspace_vector(rows: list[list[mpmath.mpf]], prec: int) -> list[mpmath.mpf] | None:
-    """One unit vector spanning the nullspace of an n x (n+1) system.
+def _row_reduce(rows: list[list[mpmath.mpf]], prec: int) -> tuple[list[list[mpmath.mpf]], list[int]]:
+    """Reduced row echelon form by Gaussian elimination with partial pivoting.
 
-    Gaussian elimination with partial pivoting; returns None when the
-    nullspace has dimension greater than one (degenerate intersection).
+    Entries below 2^(-2 prec / 3) in magnitude count as zero.  Returns the
+    reduced rows, each pivot row scaled to a unit pivot, and the pivot
+    columns in order; their count is the numerical rank.
     """
     m = len(rows)
     w = len(rows[0])
@@ -171,6 +162,18 @@ def _nullspace_vector(rows: list[list[mpmath.mpf]], prec: int) -> list[mpmath.mp
         r += 1
         if r == m:
             break
+    return A, piv_cols
+
+
+def _nullspace_vector(rows: list[list[mpmath.mpf]], prec: int) -> list[mpmath.mpf] | None:
+    """One unit vector spanning the nullspace of an n x (n+1) system.
+
+    Returns None when the nullspace has dimension greater than one
+    (degenerate intersection).  Negating rows leaves the result unchanged
+    bit for bit, since every pivot choice and rounding is sign-symmetric.
+    """
+    A, piv_cols = _row_reduce(rows, prec)
+    w = len(rows[0])
     free = [c for c in range(w) if c not in piv_cols]
     if len(free) != 1:
         return None
@@ -183,19 +186,24 @@ def _nullspace_vector(rows: list[list[mpmath.mpf]], prec: int) -> list[mpmath.mp
     return [c / norm for c in x]
 
 
-def _enumerate_oriented(realization: PolytopeRealization, flip: bool):
+def _enumerate_candidates(realization: PolytopeRealization):
+    """Finite and ideal vertices for both time orientations in one pass.
+
+    Flipping every normal negates the rows of each facet n-subset, which
+    leaves its line unchanged and negates every Minkowski pairing with the
+    normals, so one solve per subset serves both orientations.  Returns
+    the candidates of the unflipped and of the flipped normals, and the
+    number of degenerate subsets.
+    """
     n = realization.dimension
-    N = realization.facet_count
-    prec = realization.prec
-    sgn = -1 if flip else 1
-    normals = [[sgn * c for c in e] for e in realization.normals]
+    normals = realization.normals
     band = realization.tolerance
-    finite, ideal = [], []
+    found = ([], []), ([], [])  # (finite, ideal) per orientation
     degenerate = 0
-    for subset in combinations(range(N), n):
+    for subset in combinations(range(realization.facet_count), n):
         # <e_i, x> = 0 in the Minkowski form: negate the timelike column
         rows = [[-normals[i][0]] + normals[i][1:] for i in subset]
-        x = _nullspace_vector(rows, prec)
+        x = _nullspace_vector(rows, realization.prec)
         if x is None:
             degenerate += 1
             log.debug("degenerate intersection at facets %s", subset)
@@ -205,15 +213,19 @@ def _enumerate_oriented(realization: PolytopeRealization, flip: bool):
             continue
         if x[0] < 0:
             x = [-c for c in x]
-        if max(_mink(x, e) for e in normals) > band:
-            continue
         if q < -band:
             scale = 1 / mp.sqrt(-q)
-            finite.append([c * scale for c in x])
+            kind, point = 0, [c * scale for c in x]
         elif q <= band:
-            ideal.append([c / x[0] for c in x])
-        # spacelike lines (q > band) are outside the hyperboloid model
-    return _dedup(finite, band), _dedup(ideal, band), degenerate, normals
+            kind, point = 1, [c / x[0] for c in x]
+        else:
+            continue  # spacelike lines are outside the hyperboloid model
+        pairings = [_mink(x, e) for e in normals]
+        if max(pairings) <= band:
+            found[0][kind].append(point)
+        if min(pairings) >= -band:
+            found[1][kind].append(point)
+    return found[0], found[1], degenerate
 
 
 def _dedup(vectors, tol):
@@ -234,10 +246,13 @@ def enumerate_vertices(realization: PolytopeRealization) -> PolytopeRealization:
     flipped globally and kept that way.
     """
     with mp.workprec(realization.prec):
-        finite, ideal, degenerate, normals = _enumerate_oriented(realization, flip=False)
+        kept, flipped, degenerate = _enumerate_candidates(realization)
+        finite, ideal = kept
         if not finite and not ideal:
-            finite, ideal, degenerate, normals = _enumerate_oriented(realization, flip=True)
-            realization.normals = normals
+            finite, ideal = flipped
+            realization.normals = [[-c for c in e] for e in realization.normals]
+        band = realization.tolerance
+        finite, ideal = _dedup(finite, band), _dedup(ideal, band)
         if degenerate:
             log.info("skipped %d degenerate facet intersections", degenerate)
         if not finite and not ideal:
@@ -298,31 +313,7 @@ def _affine_dim(ids: list[int], verts, prec: int) -> int:
         return 0
     base = verts[ids[0]]
     rows = [[verts[k][i] - base[i] for i in range(len(base))] for k in ids[1:]]
-    return _rank(rows, prec)
-
-
-def _rank(rows: list[list[mpmath.mpf]], prec: int) -> int:
-    A = [row[:] for row in rows]
-    m, w = len(A), len(A[0])
-    drop = mp.mpf(2) ** (-(prec * 2) // 3)
-    rank = 0
-    for c in range(w):
-        p, best = None, drop
-        for i in range(rank, m):
-            if abs(A[i][c]) > best:
-                p, best = i, abs(A[i][c])
-        if p is None:
-            continue
-        A[rank], A[p] = A[p], A[rank]
-        inv = 1 / A[rank][c]
-        for i in range(rank + 1, m):
-            f = A[i][c] * inv
-            if abs(f) > 0:
-                A[i] = [x - f * y for x, y in zip(A[i], A[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    return len(_row_reduce(rows, prec)[1])
 
 
 def _fan_triangulation(n, verts, incidence, prec) -> list[list[int]]:

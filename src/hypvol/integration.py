@@ -189,22 +189,21 @@ def simplex_volume(
     budget: float = 1e-7,
     *,
     ideal_index: int | None = None,
-    auto_ideal: bool = True,
     seed: int = DEFAULT_SEED,
     max_log2_samples: int = _MAX_LOG2,
 ) -> VolumeEstimate:
     """Hyperbolic volume of one Klein simplex to roughly the given budget.
 
     ``points`` is an (n+1) x n array-like; at most one vertex may be ideal
-    (on the unit sphere).  Per-replicate sample counts double until the
-    replicate-spread error estimate fits the absolute budget or the sample
-    cap is reached.
+    (on the unit sphere), and ``ideal_index=None`` detects it.
+    Per-replicate sample counts double until the replicate-spread error
+    estimate fits the absolute budget or the sample cap is reached.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[1]
     if pts.shape[0] != n + 1:
         raise ValueError("need n+1 points in dimension n")
-    if ideal_index is None and auto_ideal:
+    if ideal_index is None:
         norms = np.linalg.norm(pts, axis=1)
         on_sphere = np.where(np.abs(norms - 1.0) <= _IDEAL_NORM_TOL)[0]
         if len(on_sphere) > 1:
@@ -258,7 +257,7 @@ def polytope_volume(
     first = []
     for k, (pts, ideal_idx) in enumerate(pieces):
         first.append(
-            simplex_volume(pts, budget=math.inf, ideal_index=ideal_idx, auto_ideal=False,
+            simplex_volume(pts, budget=math.inf, ideal_index=ideal_idx,
                            seed=seed + 7919 * k, max_log2_samples=_MIN_LOG2)
         )
     rough_total = sum(e.value for e in first) or 1.0
@@ -271,7 +270,6 @@ def polytope_volume(
             pts,
             budget=budget_total * share,
             ideal_index=ideal_idx,
-            auto_ideal=False,
             seed=seed + 7919 * k,
             max_log2_samples=max_log2_samples,
         )

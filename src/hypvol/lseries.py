@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, log2
+from math import comb, factorial, log2
 
 import mpmath
 from mpmath import mp
@@ -131,7 +131,7 @@ def _hurwitz_mpf(s: int, a: Fraction, target: float) -> tuple[mpmath.mpf, float]
     pochhammer = 1
     for i in range(2 * J + 1):
         pochhammer *= s + i
-    coeff = 2.0 * float(b_next) / _factorial(2 * J + 2) * pochhammer
+    coeff = 2.0 * float(b_next) / factorial(2 * J + 2) * pochhammer
 
     M = 16
     while coeff * float(M + a) ** (-(s + 2 * J + 1)) > target / 2:
@@ -151,18 +151,10 @@ def _hurwitz_mpf(s: int, a: Fraction, target: float) -> tuple[mpmath.mpf, float]
     rising = mp.mpf(s)
     for j in range(1, J + 1):
         b = bernoulli_fraction(2 * j)
-        total += mp.mpf(b.numerator) / b.denominator / _factorial(2 * j) * rising * term_pow
+        total += mp.mpf(b.numerator) / b.denominator / factorial(2 * j) * rising * term_pow
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         term_pow /= x * x
     return total, bound
-
-
-@lru_cache(maxsize=None)
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def hurwitz_zeta(s: int, a: Fraction | int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:

@@ -176,7 +176,8 @@ def recognize_rational(
     the window; it answers only if exactly one such candidate exists.
     These multipliers typically come out of index and covolume formulas as
     products of small primes, which is what makes the window search
-    meaningful; an ambiguous window stays unrecognized.
+    meaningful; an ambiguous window stays unrecognized, with no fraction
+    and an infinite residual.
     """
     x = _to_fraction(x)
     err = _to_fraction(err)
@@ -206,7 +207,7 @@ def recognize_rational(
             residual=float(abs(x - best)),
             confidence=float(nxt_gap / float(err)) if err else math.inf,
             method="continued-fraction",
-            q_factorization=_factorize(best.denominator),
+            q_factorization=prime_factors(best.denominator),
         )
 
     cands = _smooth_candidates(x, err, smooth_primes, smooth_qmax, smooth_max_numerator)
@@ -219,28 +220,10 @@ def recognize_rational(
             residual=float(abs(x - cand)),
             confidence=1.0,
             method="smooth-denominator",
-            q_factorization=_factorize(cand.denominator),
+            q_factorization=prime_factors(cand.denominator),
         )
 
-    return RationalRecognition(
-        status="unrecognized",
-        numerator=best.numerator if best else None,
-        denominator=best.denominator if best else None,
-        residual=float(abs(x - best)) if best else math.inf,
-        confidence=0.0,
-        method="none",
-    )
-
-
-def _factorize(q: int) -> dict[int, int]:
-    out = {}
-    for p in prime_factors(q):
-        e = 0
-        while q % p == 0:
-            q //= p
-            e += 1
-        out[p] = e
-    return out
+    return RationalRecognition("unrecognized", None, None, math.inf, 0.0, "none")
 
 
 @dataclass

@@ -48,32 +48,18 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s * n, f
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n > 0 by trial division."""
-    out = []
+def prime_factors(n: int) -> dict[int, int]:
+    """Prime factorization {p: exponent} of n > 0 by trial division, primes ascending."""
+    out = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+        while n % d == 0:
+            n //= d
+            out[d] = out.get(d, 0) + 1
         d += 1 if d == 2 else 2
     if n > 1:
-        out.append(n)
+        out[n] = out.get(n, 0) + 1
     return out
-
-
-@dataclass(frozen=True)
-class SurdMonomial:
-    """A single term coeff * sqrt(radicand), radicand squarefree and >= 1."""
-
-    coeff: Fraction
-    radicand: int
-
-    def __post_init__(self):
-        s, f = squarefree_decompose(self.radicand)
-        if f != 1:
-            raise ValueError(f"radicand {self.radicand} is not squarefree")
 
 
 @dataclass(frozen=True)
@@ -89,10 +75,6 @@ class Interval:
 
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
-
-    @property
-    def width(self) -> mpmath.mpf:
-        return self.hi - self.lo
 
 
 class MultiSurd:
@@ -130,13 +112,6 @@ class MultiSurd:
         """coeff * sqrt(d) for a positive integer d (d need not be squarefree)."""
         return cls({d: Fraction(coeff)})
 
-    @classmethod
-    def from_monomials(cls, monomials: Iterable[SurdMonomial]) -> "MultiSurd":
-        acc: dict[int, Fraction] = {}
-        for m in monomials:
-            acc[m.radicand] = acc.get(m.radicand, Fraction(0)) + m.coeff
-        return cls(acc)
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -157,10 +132,6 @@ class MultiSurd:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
         return self._terms.get(1, Fraction(0))
-
-    def coefficient(self, radicand: int) -> Fraction:
-        s, f = squarefree_decompose(radicand)
-        return self._terms.get(s, Fraction(0)) / f if f != 1 else self._terms.get(s, Fraction(0))
 
     # -- ring operations ---------------------------------------------------
 
@@ -355,19 +326,6 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return MultiSurd(x)
     return NotImplemented
-
-
-ZERO = MultiSurd(0)
-ONE = MultiSurd(1)
-
-
-def sign(x: MultiSurd) -> int:
-    """Exact sign of a MultiSurd; module-level convenience wrapper."""
-    return x.sign()
-
-
-def mul(a: MultiSurd, b: MultiSurd) -> MultiSurd:
-    return a * b
 
 
 def galois_conjugate(x: MultiSurd, flips: Iterable[int]) -> MultiSurd:

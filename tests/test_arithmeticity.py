@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypvol import arithmeticity
 from hypvol.arithmeticity import (
     Classification,
     QuadraticFormQ,
@@ -14,7 +15,7 @@ from hypvol.arithmeticity import (
     _det,
 )
 from hypvol.diagram import GramMatrix, gram_matrix, parse_diagram
-from hypvol.errors import DisconnectedGraph, FieldNotQ, TooLarge
+from hypvol.errors import DisconnectedGraph, FieldNotQ, RankDeficient, TooLarge
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
 from hypvol.surd import MultiSurd, parse_surd
 
@@ -122,6 +123,15 @@ def test_rational_form_keeps_rational_entries_rational():
             assert e.is_rational()
 
 
+def test_rational_form_requires_rank_n_plus_1():
+    # the Lorentzian 5D Gram matrix has rank 6, so only dimension 5 fits it
+    G = gram_matrix(parse_diagram(POLYTOPE_5D))
+    assert len(rational_form(G).basis_facets) == 6
+    for n in (4, 6):
+        with pytest.raises(RankDeficient):
+            rational_form(GramMatrix(n, G.entries))
+
+
 def test_discriminant_delta_hyperbolic_form():
     diag = [[MultiSurd(1 if i == j else 0) for j in range(6)] for i in range(6)]
     diag[5][5] = MultiSurd(-1)
@@ -151,6 +161,19 @@ def test_classify_5d():
     assert rep.field_is_rational
     assert rep.delta == 13
     assert any("13/2" in w for w in rep.witnesses)
+
+
+def test_classify_enumerates_cycles_once(monkeypatch):
+    calls = []
+
+    def counted(G):
+        calls.append(G)
+        return enumerate_cycles(G)
+
+    monkeypatch.setattr(arithmeticity, "enumerate_cycles", counted)
+    rep = arithmeticity.classify(gram_matrix(parse_diagram(POLYTOPE_5D)))
+    assert rep.delta == 13
+    assert len(calls) == 1
 
 
 def test_classify_7d():

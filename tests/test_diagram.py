@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hypvol.arithmeticity import _det
 from hypvol.diagram import (
     CoxeterDiagram,
     Dashed,
@@ -11,6 +13,7 @@ from hypvol.diagram import (
     GramMatrix,
     Infinity,
     assert_lorentzian,
+    eliminate,
     gram_matrix,
     inertia,
     parse_diagram,
@@ -132,6 +135,54 @@ def test_signature_diag_plus_minus():
 def test_inertia_hyperbolic_pair():
     a = MultiSurd.sqrt(2)
     assert inertia([[MultiSurd(0), a], [a, MultiSurd(0)]]) == (1, 1, 0)
+
+
+# elements of Q(sqrt 2, sqrt 5): integer combinations of 1, sqrt 2, sqrt 5, sqrt 10
+field_elements = st.one_of(
+    st.just(MultiSurd(0)),
+    st.builds(lambda cs: MultiSurd(dict(zip((1, 2, 5, 10), cs))),
+              st.lists(st.integers(-3, 3), min_size=4, max_size=4)),
+)
+
+
+@st.composite
+def symmetric_surd_matrices(draw):
+    """Symmetric 2x2 to 5x5 matrices; some with a zero diagonal, so the
+    hyperbolic 2x2 pivot runs, and some with a repeated row, so they are
+    singular."""
+    size = draw(st.integers(2, 5))
+    zero_diagonal = draw(st.booleans())
+    M = [[MultiSurd(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + int(zero_diagonal), size):
+            M[i][j] = M[j][i] = draw(field_elements)
+    if draw(st.booleans()):
+        M[-1] = M[0][:]
+        for i in range(size):
+            M[i][-1] = M[i][0]
+    return M
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_surd_matrices())
+def test_elimination_kernel_against_floats(M):
+    (pos, neg, zero), eliminated, product = eliminate(M)
+    A = np.array([[float(e) for e in row] for row in M])
+    assert pos + neg + zero == len(M)
+    assert len(eliminated) == len(set(eliminated)) == pos + neg
+    hadamard = np.prod([max(1.0, np.linalg.norm(row)) for row in A])
+    assert abs(float(_det(M)) - np.linalg.det(A)) <= 1e-9 * hadamard
+    # the eliminated principal submatrix is nonsingular, with the pivot
+    # product as its determinant
+    assert not product.is_zero()
+    sub = A[np.ix_(eliminated, eliminated)]
+    assert abs(float(product) - np.linalg.det(sub)) <= 1e-9 * hadamard
+    eig = np.linalg.eigvalsh(A)
+    if np.all((np.abs(eig) < 1e-9) | (np.abs(eig) > 1e-6)):
+        # eigenvalues well separated from zero: compare signs and rank
+        nonzero = np.abs(eig) > 1e-6
+        assert (pos, neg, zero) == (int((eig > 1e-6).sum()), int((eig < -1e-6).sum()),
+                                    int((~nonzero).sum()))
 
 
 def test_signature_5d_with_float_oracle():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import mpmath
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from hypvol import geometry
 from hypvol.diagram import gram_matrix, parse_diagram
 from hypvol.errors import NotLorentzian, NoVertices
 from hypvol.geometry import enumerate_vertices, realize, to_klein, _mink
@@ -161,8 +161,15 @@ def test_klein_7d_counts():
     assert len(kp.simplices) > 0
 
 
-def test_debug_dump_is_json():
-    r = realized_polytope(IDEAL_TRIANGLE)
-    data = json.loads(r.debug_dump())
-    assert data["dimension"] == 2
-    assert len(data["ideal_vertices"]) == 3
+def test_vertex_enumeration_solves_each_subset_once(monkeypatch):
+    calls = []
+    solve = geometry._nullspace_vector
+
+    def counted(rows, prec):
+        calls.append(rows)
+        return solve(rows, prec)
+
+    monkeypatch.setattr(geometry, "_nullspace_vector", counted)
+    r = realized_polytope(POLYTOPE_5D)
+    assert (len(r.finite_vertices), len(r.ideal_vertices)) == (12, 1)
+    assert len(calls) == math.comb(8, 5)

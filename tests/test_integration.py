@@ -108,7 +108,7 @@ def test_cusp_estimate_detects_misclassified_vertex():
     # bound cannot shrink and the input is declared misclassified
     pts = np.array([[1.0, 0.0], [1.5, 0.5], [1.2, -0.3]])
     with pytest.raises(NonConvergent):
-        simplex_volume(pts, ideal_index=0, auto_ideal=False)
+        simplex_volume(pts, ideal_index=0)
 
 
 def test_seeded_determinism():

@@ -70,6 +70,7 @@ def test_recognize_pi_guard():
     # rejected, and no small smooth denominator fits either
     rec = recognize_rational(math.pi, 1e-3)
     assert rec.status == "unrecognized"
+    assert rec.numerator is None
 
 
 def test_recognize_exact_rational_input():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from hypvol.surd import (
     Interval,
     MultiSurd,
-    SurdMonomial,
     galois_conjugate,
     parse_surd,
     squarefree_decompose,
@@ -39,12 +38,6 @@ def test_canonicalization_folds_square_factors():
     assert MultiSurd.sqrt(8) == MultiSurd.sqrt(2, 2)
     assert MultiSurd.sqrt(9) == MultiSurd(3)
     assert MultiSurd({2: 1, 8: Fraction(-1, 2)}).is_zero()
-
-
-def test_monomial_requires_squarefree():
-    SurdMonomial(Fraction(1, 4), 26)
-    with pytest.raises(ValueError):
-        SurdMonomial(Fraction(1), 8)
 
 
 def test_mul_gcd_reduction():
