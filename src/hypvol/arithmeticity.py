@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .diagram import GramMatrix, eliminate, inertia
 from .errors import DisconnectedGraph, FieldNotQ, RankDeficient, TooLarge
-from .surd import MultiSurd, prime_factors, squarefree_decompose
+from .surd import MultiSurd, prime_characters, prime_factors, solve_gf2, squarefree_decompose
 
 MAX_FACETS_FOR_CYCLES = 12
 
@@ -63,6 +63,12 @@ class ArithmeticityReport:
     @property
     def field_is_rational(self) -> bool:
         return not self.field_generators
+
+    @property
+    def field_name(self) -> str:
+        """``Q``, or ``Q(sqrt a, sqrt b, ...)`` over the generators."""
+        roots = ", ".join(f"sqrt {g}" for g in sorted(self.field_generators))
+        return f"Q({roots})" if roots else "Q"
 
 
 def nonorthogonality_graph(G: GramMatrix) -> dict[int, list[int]]:
@@ -211,32 +217,14 @@ def _field_contains(radicand: int, gens: frozenset[int]) -> bool:
     """Is sqrt(radicand) in the multiquadratic field generated by gens?
 
     Square classes form a GF(2) vector space with primes as coordinates;
-    membership is a span test on prime-support masks.
+    sqrt(radicand) lies in the field iff its prime support is a sum of
+    generator supports: one equation per prime, one unknown per generator.
     """
-    primes = sorted({p for r in set(gens) | {radicand} for p in prime_factors(r)})
-    index = {p: i for i, p in enumerate(primes)}
-
-    def mask(r):
-        m = 0
-        for p in prime_factors(r):
-            m |= 1 << index[p]
-        return m
-
-    basis: dict[int, int] = {}  # leading bit -> vector
-
-    def reduce(v):
-        while v:
-            top = v.bit_length() - 1
-            if top not in basis:
-                return v
-            v ^= basis[top]
-        return 0
-
-    for r in sorted(gens):
-        v = reduce(mask(r))
-        if v:
-            basis[v.bit_length() - 1] = v
-    return reduce(mask(radicand)) == 0
+    gens = sorted(gens)
+    primes = {p for r in (radicand, *gens) for p in prime_factors(r)}
+    rows = [(sum(1 << i for i, g in enumerate(gens) if g % p == 0), int(radicand % p == 0))
+            for p in primes]
+    return solve_gf2(rows) is not None
 
 
 def squarefree_class(x: Fraction) -> int:
@@ -272,11 +260,7 @@ def _is_algebraic_integer(x: MultiSurd) -> bool:
     """
     if x.is_rational():
         return x.as_rational().denominator == 1
-    primes = sorted({p for r in x.radicands() for p in prime_factors(r)})
-    conjugates = []
-    for mask in range(1 << len(primes)):
-        neg = frozenset(p for i, p in enumerate(primes) if mask >> i & 1)
-        conjugates.append(x.conjugate_by_primes(neg))
+    conjugates = [x.conjugate_by_primes(neg) for neg in prime_characters(x.radicands())]
     # poly coefficients in MultiSurd arithmetic, constant term first
     poly = [MultiSurd(1)]
     for c in conjugates:
@@ -291,30 +275,19 @@ def _is_algebraic_integer(x: MultiSurd) -> bool:
     return True
 
 
-def _field_automorphism_signs(gens: frozenset[int]) -> list[dict[int, int]]:
-    """Nontrivial automorphisms of the multiquadratic field, as sign maps.
+def _field_automorphisms(gens: frozenset[int]) -> list[tuple[frozenset[int], list[int]]]:
+    """Nontrivial automorphisms of the multiquadratic field generated by gens.
 
-    Each automorphism is represented by the sign it gives every radicand in
-    the square-class group generated by ``gens``; duplicates arising from
-    prime patterns acting identically on the group are removed.
+    Each is a prime character paired with the generators whose square roots
+    it negates; characters negating the same generators act alike on the
+    field, and only the first of them is kept.
     """
-    if not gens:
-        return []
-    primes = sorted({p for g in gens for p in prime_factors(g)})
-    seen = set()
-    out = []
-    for mask in range(1, 1 << len(primes)):
-        neg = frozenset(p for i, p in enumerate(primes) if mask >> i & 1)
-        action = {}
-        for g in sorted(gens):
-            parity = sum(1 for p in neg if g % p == 0)
-            action[g] = -1 if parity % 2 else 1
-        key = tuple(sorted(action.items()))
-        if all(v == 1 for v in action.values()) or key in seen:
-            continue
-        seen.add(key)
-        out.append({"primes": neg, "action": action})
-    return out
+    out: dict[tuple[int, ...], frozenset[int]] = {}
+    for neg in prime_characters(gens):
+        flips = tuple(g for g in sorted(gens) if sum(g % p == 0 for p in neg) % 2)
+        if flips:
+            out.setdefault(flips, neg)
+    return [(neg, list(flips)) for flips, neg in out.items()]
 
 
 def classify(G: GramMatrix) -> ArithmeticityReport:
@@ -330,19 +303,18 @@ def classify(G: GramMatrix) -> ArithmeticityReport:
     witnesses: list[str] = []
 
     quasi = True
-    automorphisms = _field_automorphism_signs(gens)
+    automorphisms = _field_automorphisms(gens)
     odd_over_q = not gens and G.dimension % 2 == 1
     form = rational_form(G) if automorphisms or odd_over_q else None
     if form is not None and any(not _field_contains(r, gens)
                                 for row in form.matrix for e in row for r in e.radicands()):
         raise RankDeficient("rescaled form leaves the field of definition")
-    for aut in automorphisms:
-        conj = [[e.conjugate_by_primes(aut["primes"]) for e in row] for row in form.matrix]
+    for primes, flips in automorphisms:
+        conj = [[e.conjugate_by_primes(primes) for e in row] for row in form.matrix]
         pos, neg, zero = inertia(conj)
         size = len(conj)
         if not (zero == 0 and (pos == size or neg == size)):
             quasi = False
-            flips = sorted(g for g, s in aut["action"].items() if s < 0)
             witnesses.append(
                 f"conjugate flipping sqrt of {flips} has signature "
                 f"({pos},{neg},{zero}), not definite"

@@ -31,7 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--max-samples", type=int, default=2**18,
                     help="per-replicate sample cap for one simplex")
     an.add_argument("--assume-volume", default=None,
-                    help="externally computed volume (skips the integrator)")
+                    help="externally computed volume (skips the integrator); "
+                         "needs --assume-err")
     an.add_argument("--assume-err", type=float, default=None,
                     help="absolute error of the assumed volume")
     fmt = an.add_mutually_exclusive_group()
@@ -51,8 +52,9 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_STAGE_ERROR
-    if args.assume_volume is None and args.assume_err is not None:
-        print("error: --assume-err requires --assume-volume", file=sys.stderr)
+    if (args.assume_volume is None) != (args.assume_err is None):
+        print("error: --assume-volume and --assume-err must be given together",
+              file=sys.stderr)
         return EXIT_STAGE_ERROR
 
     max_log2 = max(7, int(args.max_samples).bit_length() - 1)

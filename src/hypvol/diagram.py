@@ -118,6 +118,8 @@ def parse_diagram(text: str) -> CoxeterDiagram:
             continue
         parts = line.split()
         kind = parts[0]
+        if kind in ("n", "facets") and len(parts) > 2:
+            raise DiagramSyntaxError(f"line {lineno}: trailing tokens {parts[2:]}")
         if kind == "n":
             dim = _parse_int(parts, 1, lineno, "dimension")
         elif kind == "facets":
@@ -155,7 +157,9 @@ def _parse_int(parts, k, lineno, what):
 
 
 def _parse_label(parts: list[str], lineno: int) -> EdgeLabel:
-    head = parts[0]
+    head, *rest = parts
+    if rest and head != "dashed":
+        raise DiagramSyntaxError(f"line {lineno}: trailing tokens {rest}")
     if head == "inf":
         return Infinity()
     if head == "dashed":

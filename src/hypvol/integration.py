@@ -11,6 +11,11 @@ cut into geometric shells toward the cusp (ratio 1/2); shell contributions
 shrink like 2^(-k(n-1)/2) and the remaining tail is bounded in closed form,
 so the reported error is the replicate spread plus a rigorous tail bound.
 
+One loop in ``simplex_volume`` builds 8 scrambled Sobol engines per piece
+and extends their sequences each round, adding only the new points to each
+replicate's running sum.  Scrambled Sobol sequences are nested (Owen 1995),
+so an extended sequence equals a fresh draw of the same size.
+
 Simplices with several ideal vertices are split on ideal-ideal edge
 midpoints first, so every integrated piece has at most one cusp.
 """
@@ -97,39 +102,38 @@ def _density(x: np.ndarray, n: int) -> np.ndarray:
     return (1.0 - np.einsum("ij,ij->i", x, x)) ** (-(n + 1) / 2)
 
 
-def _compact_estimate(points, n, log2_pts, seed):
+def _compact_integrand(points, n):
+    """Per-point volume integrand of a simplex without ideal vertices.
+
+    Returns (integrand, tail), with tail 0, or None for a flat simplex.
+    """
     v0 = points[0]
     Y = points[1:] - v0
     det = abs(np.linalg.det(Y))
     if det == 0.0:
-        return np.zeros(_REPLICATES), 0.0, 0
-    vals = np.empty(_REPLICATES)
-    for r in range(_REPLICATES):
-        sob = qmc.Sobol(n, scramble=True, seed=seed + r)
-        U = sob.random_base2(log2_pts)
-        t = _uniform_simplex(U)
-        f = _density(v0 + t @ Y, n)
-        vals[r] = det * f.mean() / math.factorial(n)
-    return vals, 0.0, _REPLICATES << log2_pts
+        return None
+    scale = det / math.factorial(n)
+    return (lambda U: scale * _density(v0 + _uniform_simplex(U) @ Y, n)), 0.0
 
 
-def _cusp_estimate(points, ideal_index, n, log2_pts, seed, tail_target):
-    """Telescoping shells toward the ideal vertex.
+def _cusp_integrand(points, ideal_index, n, tail_target):
+    """Telescoping shells toward the ideal vertex, summed per point.
 
-    Band k is shell 0 scaled by 2^-k toward the cusp, so one batch of band
-    points serves every shell.  1 - |x|^2 is evaluated from the anchored
-    expansion around the cusp to avoid cancellation deep in the shells.
+    Band k is shell 0 scaled by 2^-k toward the cusp, so one band point
+    serves every shell.  1 - |x|^2 is evaluated from the anchored expansion
+    around the cusp to avoid cancellation deep in the shells.  Returns
+    (integrand, tail) with tail half the rigorous bound on the shells left
+    out, or None for a flat simplex.
     """
     v = points[ideal_index]
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > _IDEAL_NORM_TOL:
         raise NonConvergent(f"designated ideal vertex is off the sphere by {norm - 1.0:.2e}")
     v = v / norm
-    base = np.array([points[k] for k in range(len(points)) if k != ideal_index])
-    Y = base - v
+    Y = np.delete(points, ideal_index, axis=0) - v
     det = abs(np.linalg.det(Y))
     if det == 0.0:
-        return np.zeros(_REPLICATES), 0.0, 0
+        return None
     a = -2.0 * (Y @ v)
     a_min = a.min()
     b_max = (Y * Y).sum(axis=1).max()
@@ -143,7 +147,8 @@ def _cusp_estimate(points, ideal_index, n, log2_pts, seed, tail_target):
         c = 0.5 ** k * a_min - 0.25 ** k * b_max
         if c <= 0:
             return math.inf
-        return det * 0.5 ** (k * n) * c ** (-(n + 1) / 2) * 2.0 / ((n - 1) * math.factorial(n - 1))
+        return float(det * 0.5 ** (k * n) * c ** (-(n + 1) / 2) * 2.0
+                     / ((n - 1) * math.factorial(n - 1)))
 
     anchor = 1
     while 0.5 ** anchor * a_min - 0.25 ** anchor * b_max <= 0:
@@ -158,30 +163,23 @@ def _cusp_estimate(points, ideal_index, n, log2_pts, seed, tail_target):
         shells += 1
         if shells > 600:
             raise NonConvergent("cusp tail bound refuses to drop below target")
-    tail = tail_bound(shells)
+    scale = det * 0.5 / math.factorial(n - 1)
 
-    vals = np.empty(_REPLICATES)
-    for r in range(_REPLICATES):
-        sob = qmc.Sobol(n, scramble=True, seed=seed + r)
-        U = sob.random_base2(log2_pts)
+    def integrand(U):
         T = 0.5 * (1.0 + U[:, 0])
-        if n == 1:
-            sigma = np.ones((len(U), 1))
-        else:
-            parts = _uniform_simplex(U[:, 1:])
-            sigma = np.hstack([parts, 1.0 - parts.sum(axis=1, keepdims=True)])
+        parts = _uniform_simplex(U[:, 1:])
+        sigma = np.hstack([parts, 1.0 - parts.sum(axis=1, keepdims=True)])
         t = T[:, None] * sigma
         at = t @ a
-        dd = np.einsum("ij,ij->i", t @ Y, t @ Y)
-        weight = T ** (n - 1)
-        total = 0.0
+        tY = t @ Y
+        dd = np.einsum("ij,ij->i", tY, tY)
+        total = np.zeros(len(U))
         for k in range(shells):
-            scale = 0.5 ** k
-            one_minus = scale * at - scale * scale * dd
-            f = one_minus ** (-(n + 1) / 2)
-            total += det * scale ** n * 0.5 / math.factorial(n - 1) * float(np.mean(weight * f))
-        vals[r] = total + tail / 2.0
-    return vals, tail / 2.0, _REPLICATES << log2_pts
+            s = 0.5 ** k
+            total += s ** n * (s * at - s * s * dd) ** (-(n + 1) / 2)
+        return scale * T ** (n - 1) * total
+
+    return integrand, tail_bound(shells) / 2.0
 
 
 def simplex_volume(
@@ -196,8 +194,10 @@ def simplex_volume(
 
     ``points`` is an (n+1) x n array-like; at most one vertex may be ideal
     (on the unit sphere), and ``ideal_index=None`` detects it.
-    Per-replicate sample counts double until the replicate-spread error
-    estimate fits the absolute budget or the sample cap is reached.
+    Each of the 8 scrambled Sobol replicates starts at 2^7 points and is
+    extended (never redrawn) to 4 times as many per round, until the
+    replicate-spread error estimate fits the absolute budget or the sample
+    cap is reached; only the new points of a round are evaluated.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[1]
@@ -211,19 +211,25 @@ def simplex_volume(
         if len(on_sphere) == 1:
             ideal_index = int(on_sphere[0])
 
+    piece = (_compact_integrand(pts, n) if ideal_index is None
+             else _cusp_integrand(pts, ideal_index, n, tail_target=budget / 8.0))
+    if piece is None:
+        return VolumeEstimate(0.0, 0.0, 0)
+    integrand, tail = piece
+
+    engines = [qmc.Sobol(n, scramble=True, seed=seed + r) for r in range(_REPLICATES)]
+    sums = np.zeros(_REPLICATES)
     log2_pts = _MIN_LOG2
     while True:
-        if ideal_index is None:
-            vals, extra, samples = _compact_estimate(pts, n, log2_pts, seed)
-        else:
-            vals, extra, samples = _cusp_estimate(
-                pts, ideal_index, n, log2_pts, seed, tail_target=budget / 8.0
-            )
-        value = float(np.mean(vals))
-        spread = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-        err = 3.0 * spread / math.sqrt(len(vals)) + extra
+        for r, engine in enumerate(engines):
+            # extend by doubling: every total stays a power of two
+            while (drawn := engine.num_generated) < 1 << log2_pts:
+                U = engine.random_base2(drawn.bit_length() - 1 if drawn else log2_pts)
+                sums[r] += integrand(U).sum()
+        means = sums / (1 << log2_pts)
+        err = 3.0 * float(np.std(means, ddof=1)) / math.sqrt(_REPLICATES) + tail
         if err <= budget or log2_pts >= max_log2_samples:
-            return VolumeEstimate(value, err, samples)
+            return VolumeEstimate(float(np.mean(means)) + tail, err, _REPLICATES << log2_pts)
         log2_pts += 2
 
 
@@ -247,19 +253,11 @@ def polytope_volume(
             [[float(c) for c in p] for p in kp.simplex_points(simplex)], dtype=np.float64
         )
         flags = [kp.ideal_flags[k] if k >= 0 else False for k in simplex]
-        for piece_pts, ideal_idx in _split_multi_ideal(pts, flags):
-            if ideal_idx is not None:
-                u = piece_pts[ideal_idx]
-                piece_pts = piece_pts.copy()
-                piece_pts[ideal_idx] = u / np.linalg.norm(u)
-            pieces.append((piece_pts, ideal_idx))
+        pieces.extend(_split_multi_ideal(pts, flags))
 
-    first = []
-    for k, (pts, ideal_idx) in enumerate(pieces):
-        first.append(
-            simplex_volume(pts, budget=math.inf, ideal_index=ideal_idx,
-                           seed=seed + 7919 * k, max_log2_samples=_MIN_LOG2)
-        )
+    first = [simplex_volume(pts, budget=math.inf, ideal_index=ideal_idx,
+                            seed=seed + 7919 * k, max_log2_samples=_MIN_LOG2)
+             for k, (pts, ideal_idx) in enumerate(pieces)]
     rough_total = sum(e.value for e in first) or 1.0
     budget_total = target_rel_err * rough_total
 

@@ -144,11 +144,11 @@ def _smooth_denominators(limit: int, primes: tuple[int, ...]) -> list[int]:
     return sorted(out)
 
 
-def _smooth_candidates(x: Fraction, err: Fraction, primes, qmax, pmax) -> list[Fraction]:
+def _smooth_candidates(x: Fraction, err: Fraction) -> list[Fraction]:
     found = set()
-    for q in _smooth_denominators(qmax, primes):
+    for q in _smooth_denominators(RECOGNITION_SMOOTH_QMAX, RECOGNITION_SMOOTH_PRIMES):
         p = round(x * q)
-        if p == 0 or p > pmax:
+        if p == 0 or p > RECOGNITION_MAX_NUMERATOR:
             continue
         cand = Fraction(p, q)
         if abs(x - cand) <= err:
@@ -156,14 +156,7 @@ def _smooth_candidates(x: Fraction, err: Fraction, primes, qmax, pmax) -> list[F
     return sorted(found)
 
 
-def recognize_rational(
-    x,
-    err,
-    *,
-    smooth_primes: tuple[int, ...] = RECOGNITION_SMOOTH_PRIMES,
-    smooth_qmax: int = RECOGNITION_SMOOTH_QMAX,
-    smooth_max_numerator: int = RECOGNITION_MAX_NUMERATOR,
-) -> RationalRecognition:
+def recognize_rational(x, err) -> RationalRecognition:
     """Identify a positive real x, known to absolute error err, as a fraction.
 
     Primary route: the first continued-fraction convergent p/q within err,
@@ -210,7 +203,7 @@ def recognize_rational(
             q_factorization=prime_factors(best.denominator),
         )
 
-    cands = _smooth_candidates(x, err, smooth_primes, smooth_qmax, smooth_max_numerator)
+    cands = _smooth_candidates(x, err)
     if len(cands) == 1:
         cand = cands[0]
         return RationalRecognition(
@@ -251,9 +244,7 @@ class AnalysisReport:
             "signature": list(self.signature),
             "arithmeticity": {
                 "field_generators": sorted(self.arithmeticity.field_generators),
-                "field": "Q" if self.arithmeticity.field_is_rational else
-                         "Q(sqrt " + ", sqrt ".join(
-                             str(g) for g in sorted(self.arithmeticity.field_generators)) + ")",
+                "field": self.arithmeticity.field_name,
                 "delta": self.arithmeticity.delta,
                 "classification": self.arithmeticity.classification.value,
                 "witnesses": list(self.arithmeticity.witnesses),
@@ -286,7 +277,9 @@ class AnalysisReport:
         if self.recognition is not None:
             rec = {
                 "status": self.recognition.status,
-                "residual": self.recognition.residual,
+                # strict JSON has no infinity: an unrecognized residual is null
+                "residual": self.recognition.residual
+                if math.isfinite(self.recognition.residual) else None,
                 "confidence": self.recognition.confidence,
                 "method": self.recognition.method,
             }
@@ -314,11 +307,14 @@ def analyze(
     """Full pipeline on a diagram file's text.
 
     With ``assume_volume`` (an externally computed high-precision value)
-    the numeric integrator is skipped and recognition uses the assumed
-    value; otherwise the volume is integrated and recognition runs at the
+    and its absolute error ``assume_err``, which must come together, the
+    numeric integrator is skipped and recognition runs at that accuracy;
+    otherwise the volume is integrated and recognition runs at the
     integrator's accuracy, which limits how large a denominator can be
     certified.
     """
+    if (assume_volume is None) != (assume_err is None):
+        raise ValueError("assume_volume and assume_err must be given together")
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     diagram = parse_diagram(diagram_text)
@@ -351,7 +347,7 @@ def analyze(
     if assume_volume is not None:
         with mp.workprec(max(precision, 256)):
             volume_value = mp.mpf(assume_volume)
-        volume_err = float(assume_err if assume_err is not None else 1e-9)
+        volume_err = float(assume_err)
         report.volume = integration.VolumeEstimate(float(volume_value), volume_err, 0, "assumed")
         report.volume_source = "assumed"
     else:
@@ -391,9 +387,7 @@ def render_text(report: AnalysisReport) -> str:
     lines = []
     lines.append(f"dimension {report.diagram.dimension}, "
                  f"{report.diagram.facets} facets, signature {report.signature}")
-    fieldname = "Q" if a.field_is_rational else (
-        "Q(" + ", ".join(f"sqrt {g}" for g in sorted(a.field_generators)) + ")")
-    lines.append(f"field of definition: {fieldname}")
+    lines.append(f"field of definition: {a.field_name}")
     lines.append(f"classification: {a.classification.value}")
     if a.delta is not None:
         lines.append(f"discriminant class delta = {a.delta}")

@@ -62,6 +62,19 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
+def prime_characters(radicands: Iterable[int]) -> list[frozenset[int]]:
+    """Every set of primes dividing the radicands, the empty set first.
+
+    Set k holds the i-th smallest prime iff bit i of k is set.  Each set is
+    a character for ``MultiSurd.conjugate_by_primes``, so the list covers
+    every automorphism of the field the radicands generate, some of them
+    more than once.
+    """
+    primes = sorted({p for r in radicands for p in prime_factors(r)})
+    return [frozenset(p for i, p in enumerate(primes) if mask >> i & 1)
+            for mask in range(1 << len(primes))]
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed enclosure [lo, hi] of a real value, endpoints are mpf."""
@@ -181,10 +194,8 @@ class MultiSurd:
             raise ZeroDivisionError("inverse of zero surd")
         if self.is_rational():
             return MultiSurd(1 / self.as_rational())
-        primes = sorted({p for r in self.radicands() for p in prime_factors(r)})
         numer = MultiSurd(1)
-        for mask in range(1, 1 << len(primes)):
-            neg = frozenset(p for i, p in enumerate(primes) if mask >> i & 1)
+        for neg in prime_characters(self.radicands())[1:]:
             numer = numer * self.conjugate_by_primes(neg)
         norm = (self * numer).as_rational()
         return numer * MultiSurd(1 / norm)
@@ -337,30 +348,20 @@ def galois_conjugate(x: MultiSurd, flips: Iterable[int]) -> MultiSurd:
     of x that share primes with the flip set transform consistently; a flip
     set that no character realizes (e.g. {2, 3, 6}) raises ValueError.
     """
-    flip_rads = []
-    for d in flips:
-        s, _ = squarefree_decompose(d)
-        if s != 1:
-            flip_rads.append(s)
+    flip_rads = [s for s, _ in map(squarefree_decompose, flips) if s != 1]
     if not flip_rads:
         return x
     primes = sorted({p for r in flip_rads for p in prime_factors(r)})
-    index = {p: i for i, p in enumerate(primes)}
     # GF(2) system: sum of prime signs over p | D must be odd for each flip.
-    rows = []
-    for r in flip_rads:
-        vec = 0
-        for p in prime_factors(r):
-            vec |= 1 << index[p]
-        rows.append((vec, 1))
-    solution = _solve_gf2(rows, len(primes))
+    rows = [(sum(1 << i for i, p in enumerate(primes) if r % p == 0), 1) for r in flip_rads]
+    solution = solve_gf2(rows)
     if solution is None:
         raise ValueError(f"flip set {sorted(set(flips))} is not induced by any automorphism")
-    neg = frozenset(p for p, i in index.items() if solution >> i & 1)
+    neg = frozenset(p for i, p in enumerate(primes) if solution >> i & 1)
     return x.conjugate_by_primes(neg)
 
 
-def _solve_gf2(rows: list[tuple[int, int]], nvars: int) -> int | None:
+def solve_gf2(rows: list[tuple[int, int]]) -> int | None:
     """Solve a GF(2) linear system given as (bitmask, rhs) rows.
 
     Returns one solution as a bitmask (free variables set to 0), or None.

@@ -74,6 +74,27 @@ def test_assume_err_requires_assume_volume(diagram_file, capsys):
     assert code == EXIT_STAGE_ERROR
 
 
+def test_assume_volume_requires_assume_err(diagram_file, capsys):
+    path = diagram_file(POLYTOPE_5D)
+    code = main(["analyze", path, "--assume-volume", VOL_5D])
+    assert code == EXIT_STAGE_ERROR
+    assert "--assume-err" in capsys.readouterr().err
+
+
+def test_unrecognized_json_is_strict(capsys):
+    # an unrecognized residual is infinite; strict JSON has no Infinity
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    path = str(Path(__file__).parents[1] / "diagrams" / "polytope5d.diagram")
+    code = main(["analyze", path, "--json",
+                 "--assume-volume", "0.02413", "--assume-err", "1e-5"])
+    assert code == EXIT_OK
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payload["recognition"]["status"] == "unrecognized"
+    assert payload["recognition"]["residual"] is None
+
+
 def test_stdin_input(diagram_file, capsys, monkeypatch):
     import io
 

@@ -75,6 +75,15 @@ def test_parse_syntax_errors(text):
         parse_diagram(text)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("n 5 6\nfacets 7\n", 1),                # would read as n = 5
+    ("n 2\nfacets 3\nedge 0 1 3 4\n", 3),     # would read as label 3
+])
+def test_parse_rejects_trailing_tokens(text, line):
+    with pytest.raises(DiagramSyntaxError, match=f"^line {line}: "):
+        parse_diagram(text)
+
+
 def test_parse_bad_dashed_weights():
     with pytest.raises(BadWeight):
         parse_diagram("n 2\nfacets 3\nedge 0 1 dashed 1\n")

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 from mpmath import mp
+from scipy.stats import qmc
 
 from hypvol.diagram import gram_matrix, parse_diagram
 from hypvol.errors import NonConvergent
 from hypvol.geometry import enumerate_vertices, realize, to_klein
 from hypvol.integration import (
     VolumeEstimate,
+    _compact_integrand,
     _split_multi_ideal,
     _uniform_simplex,
     polytope_volume,
@@ -164,6 +166,55 @@ def test_convergence_order():
     assert errors[0] > 0
     assert errors[1] <= errors[0] / 2
     assert errors[2] <= errors[1] / 2
+
+
+@pytest.fixture
+def sobol_rows(monkeypatch):
+    """Rows drawn from each Sobol engine built while the test runs."""
+    rows = []
+
+    class CountingSobol(qmc.Sobol):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.index = len(rows)
+            rows.append(0)
+
+        def random(self, *args, **kwargs):
+            U = super().random(*args, **kwargs)
+            rows[self.index] += len(U)
+            return U
+
+    monkeypatch.setattr(qmc, "Sobol", CountingSobol)
+    return rows
+
+
+COMPACT_3D = np.array([[0.0, 0.0, 0.0], [0.55, 0.05, 0.0], [0.1, 0.5, 0.1],
+                       [0.15, 0.1, 0.45]])
+CUSP_2D = np.array([[1.0, 0.0], [0.0, 0.3], [-0.2, -0.1]])
+
+
+@pytest.mark.parametrize("pts", [COMPACT_3D, CUSP_2D], ids=["compact", "cusp"])
+def test_simplex_volume_builds_each_replicate_engine_once(pts, sobol_rows):
+    # budget 0 runs all three rounds: 2^7, 2^9 and 2^11 points per replicate
+    simplex_volume(pts, budget=0.0, max_log2_samples=11)
+    assert len(sobol_rows) == 8
+
+
+@pytest.mark.parametrize("pts", [COMPACT_3D, CUSP_2D], ids=["compact", "cusp"])
+def test_simplex_volume_draws_each_point_once(pts, sobol_rows):
+    est = simplex_volume(pts, budget=0.0, max_log2_samples=11)
+    assert est.samples == 8 * 2**11
+    assert sum(sobol_rows) == est.samples
+
+
+def test_extended_sequences_match_fresh_draws():
+    # scrambled Sobol sequences are nested, so extending each replicate by
+    # doubling evaluates the points of one fresh draw of the final size
+    integrand, _ = _compact_integrand(COMPACT_3D, 3)
+    fresh = [integrand(qmc.Sobol(3, scramble=True, seed=31 + r).random_base2(11)).mean()
+             for r in range(8)]
+    est = simplex_volume(COMPACT_3D, budget=0.0, seed=31, max_log2_samples=11)
+    assert est.value == pytest.approx(np.mean(fresh), rel=1e-14, abs=0)
 
 
 def test_polytope_volume_5d_quick():

@@ -138,6 +138,11 @@ def test_analyze_5d_assumed():
     assert "not a proof" in text
 
 
+def test_analyze_assumed_volume_requires_error():
+    with pytest.raises(ValueError):
+        analyze(POLYTOPE_5D, assume_volume=VOL_5D)
+
+
 def test_analyze_7d_assumed():
     rep = analyze(POLYTOPE_7D, assume_volume=VOL_7D, assume_err=5e-9)
     assert rep.arithmeticity.delta == -11

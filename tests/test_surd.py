@@ -10,6 +10,7 @@ from hypvol.surd import (
     MultiSurd,
     galois_conjugate,
     parse_surd,
+    prime_characters,
     squarefree_decompose,
 )
 from hypvol.errors import PrecisionExhausted
@@ -163,6 +164,14 @@ def test_galois_conjugate_inconsistent_flip_set():
     x = MultiSurd.sqrt(2) + MultiSurd.sqrt(3) + MultiSurd.sqrt(6)
     with pytest.raises(ValueError):
         galois_conjugate(x, {2, 3, 6})
+
+
+def test_prime_characters_in_bitmask_order():
+    # bit i of the index selects the i-th smallest prime; witness order in
+    # the classification follows this order
+    assert prime_characters([]) == [frozenset()]
+    assert prime_characters([6, 5, 10]) == [
+        frozenset(), {2}, {3}, {2, 3}, {5}, {2, 5}, {3, 5}, {2, 3, 5}]
 
 
 def test_parse_surd():
