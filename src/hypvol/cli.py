@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import HypvolError, NotLorentzian
@@ -26,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--precision", type=int, default=128,
                     help="geometry working precision in bits (default 128)")
     an.add_argument("--target-err", type=float, default=1e-3,
-                    help="relative error target for the volume integrator")
+                    help="relative error target for the volume integrator (positive)")
     an.add_argument("--seed", type=int, default=20240, help="integrator RNG seed")
     an.add_argument("--max-samples", type=int, default=2**18,
                     help="per-replicate sample cap for one simplex")
@@ -54,6 +55,10 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_STAGE_ERROR
     if (args.assume_volume is None) != (args.assume_err is None):
         print("error: --assume-volume and --assume-err must be given together",
+              file=sys.stderr)
+        return EXIT_STAGE_ERROR
+    if not (math.isfinite(args.target_err) and args.target_err > 0):
+        print(f"error: --target-err must be finite and positive, not {args.target_err}",
               file=sys.stderr)
         return EXIT_STAGE_ERROR
 

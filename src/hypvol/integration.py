@@ -11,10 +11,18 @@ cut into geometric shells toward the cusp (ratio 1/2); shell contributions
 shrink like 2^(-k(n-1)/2) and the remaining tail is bounded in closed form,
 so the reported error is the replicate spread plus a rigorous tail bound.
 
-One loop in ``simplex_volume`` builds 8 scrambled Sobol engines per piece
-and extends their sequences each round, adding only the new points to each
-replicate's running sum.  Scrambled Sobol sequences are nested (Owen 1995),
-so an extended sequence equals a fresh draw of the same size.
+Each piece gets 8 scrambled Sobol engines, built once per analysis:
+``polytope_volume``'s sizing pass draws from them, resets them, and its
+refine pass draws the same points again.  One replicate loop extends their
+sequences each round, adding only the new points to each replicate's
+running sum.  Scrambled Sobol sequences are nested (Owen 1995), so an
+extended sequence equals a fresh draw of the same size.
+
+The integrands hold points as (n, m) arrays, one contiguous row per
+coordinate, and for odd n raise 1 - |x|^2 to the power -(n+1)/2 as a
+product of reciprocals, which is cheaper than numpy's general power.
+``scipy.stats.qmc`` is imported when the first engines are built, since it
+costs most of ``import hypvol`` and only integration needs it.
 
 Simplices with several ideal vertices are split on ideal-ideal edge
 midpoints first, so every integrated piece has at most one cusp.
@@ -26,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import NonConvergent
 from .geometry import KleinPolytope
@@ -66,15 +73,19 @@ def _uniform_simplex(U: np.ndarray) -> np.ndarray:
     Stick-breaking with power transforms; measure preserving up to the
     constant 1/d!, and smooth, which keeps the Sobol advantage (a sorting
     map would be measure preserving too but wrecks the convergence rate).
+    Works on one contiguous row per coordinate and returns the (m, d)
+    transposed view of those rows.
     """
     m, d = U.shape
-    t = np.empty_like(U)
+    t = U.T.copy()
     rem = np.ones(m)
-    for i in range(d):
-        frac = 1.0 - U[:, i] ** (1.0 / (d - i))
-        t[:, i] = rem * frac
-        rem = rem * (1.0 - frac)
-    return t
+    for i, row in enumerate(t):
+        np.power(row, 1.0 / (d - i), out=row)
+        np.subtract(1.0, row, out=row)
+        keep = 1.0 - row
+        row *= rem
+        rem *= keep
+    return t.T
 
 
 def _split_multi_ideal(points: np.ndarray, ideal: list[bool]) -> list[tuple[np.ndarray, int | None]]:
@@ -98,8 +109,23 @@ def _split_multi_ideal(points: np.ndarray, ideal: list[bool]) -> list[tuple[np.n
     return out
 
 
-def _density(x: np.ndarray, n: int) -> np.ndarray:
-    return (1.0 - np.einsum("ij,ij->i", x, x)) ** (-(n + 1) / 2)
+def _inverse_power(x: np.ndarray, n: int) -> np.ndarray:
+    """x ** (-(n+1)/2), overwriting x; odd n multiplies the reciprocal."""
+    if n % 2 == 0:
+        return np.power(x, -(n + 1) / 2, out=x)
+    r = np.reciprocal(x, out=x)
+    if n == 1:
+        return r
+    p = r * r
+    for _ in range((n - 3) // 2):
+        p *= r
+    return p
+
+
+def _density(X: np.ndarray, n: int) -> np.ndarray:
+    """(1 - |x|^2)^(-(n+1)/2) for the columns x of an (n, m) array."""
+    x = np.einsum("ij,ij->j", X, X)
+    return _inverse_power(np.subtract(1.0, x, out=x), n)
 
 
 def _compact_integrand(points, n):
@@ -113,7 +139,9 @@ def _compact_integrand(points, n):
     if det == 0.0:
         return None
     scale = det / math.factorial(n)
-    return (lambda U: scale * _density(v0 + _uniform_simplex(U) @ Y, n)), 0.0
+    v0 = v0[:, None]
+    YT = Y.T.copy()
+    return (lambda U: scale * _density(YT @ _uniform_simplex(U).T + v0, n)), 0.0
 
 
 def _cusp_integrand(points, ideal_index, n, tail_target):
@@ -165,59 +193,53 @@ def _cusp_integrand(points, ideal_index, n, tail_target):
             raise NonConvergent("cusp tail bound refuses to drop below target")
     scale = det * 0.5 / math.factorial(n - 1)
 
+    YT = Y.T.copy()
+    # shell k at scale s = 2^-k: s^n (s*at - s^2*dd)^(-(n+1)/2), written as
+    # s^((n-1)/2) (at - s*dd)^(-(n+1)/2) so each shell is one power
+    weights = [0.5 ** (k * (n - 1) / 2) for k in range(shells)]
+
     def integrand(U):
         T = 0.5 * (1.0 + U[:, 0])
-        parts = _uniform_simplex(U[:, 1:])
-        sigma = np.hstack([parts, 1.0 - parts.sum(axis=1, keepdims=True)])
-        t = T[:, None] * sigma
-        at = t @ a
-        tY = t @ Y
-        dd = np.einsum("ij,ij->i", tY, tY)
+        t = np.empty((n, len(U)))
+        t[:-1] = _uniform_simplex(U[:, 1:]).T
+        t[-1] = 1.0 - t[:-1].sum(axis=0)
+        t *= T
+        at = a @ t
+        tY = YT @ t
+        dd = np.einsum("ij,ij->j", tY, tY)
         total = np.zeros(len(U))
-        for k in range(shells):
-            s = 0.5 ** k
-            total += s ** n * (s * at - s * s * dd) ** (-(n + 1) / 2)
+        shell = np.empty(len(U))
+        for k, w in enumerate(weights):
+            np.multiply(dd, -0.5 ** k, out=shell)
+            shell += at
+            total += w * _inverse_power(shell, n)
         return scale * T ** (n - 1) * total
 
     return integrand, tail_bound(shells) / 2.0
 
 
-def simplex_volume(
-    points,
-    budget: float = 1e-7,
-    *,
-    ideal_index: int | None = None,
-    seed: int = DEFAULT_SEED,
-    max_log2_samples: int = _MAX_LOG2,
-) -> VolumeEstimate:
-    """Hyperbolic volume of one Klein simplex to roughly the given budget.
+def _sobol_engines(n: int, seed: int) -> list:
+    """The 8 scrambled Sobol engines of one piece, seeded seed + r."""
+    from scipy.stats import qmc
 
-    ``points`` is an (n+1) x n array-like; at most one vertex may be ideal
-    (on the unit sphere), and ``ideal_index=None`` detects it.
-    Each of the 8 scrambled Sobol replicates starts at 2^7 points and is
-    extended (never redrawn) to 4 times as many per round, until the
-    replicate-spread error estimate fits the absolute budget or the sample
-    cap is reached; only the new points of a round are evaluated.
+    return [qmc.Sobol(n, scramble=True, seed=seed + r) for r in range(_REPLICATES)]
+
+
+def _replicates(pts, ideal_index, budget, engines, max_log2_samples) -> VolumeEstimate:
+    """The replicate loop: one piece's volume from its engines.
+
+    Each replicate starts at 2^7 points and is extended (never redrawn) to
+    4 times as many per round, until the replicate-spread error estimate
+    fits the absolute budget or the sample cap is reached; only the new
+    points of a round are evaluated.
     """
-    pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[1]
-    if pts.shape[0] != n + 1:
-        raise ValueError("need n+1 points in dimension n")
-    if ideal_index is None:
-        norms = np.linalg.norm(pts, axis=1)
-        on_sphere = np.where(np.abs(norms - 1.0) <= _IDEAL_NORM_TOL)[0]
-        if len(on_sphere) > 1:
-            raise ValueError("more than one ideal vertex; split the simplex first")
-        if len(on_sphere) == 1:
-            ideal_index = int(on_sphere[0])
-
     piece = (_compact_integrand(pts, n) if ideal_index is None
              else _cusp_integrand(pts, ideal_index, n, tail_target=budget / 8.0))
     if piece is None:
         return VolumeEstimate(0.0, 0.0, 0)
     integrand, tail = piece
 
-    engines = [qmc.Sobol(n, scramble=True, seed=seed + r) for r in range(_REPLICATES)]
     sums = np.zeros(_REPLICATES)
     log2_pts = _MIN_LOG2
     while True:
@@ -233,6 +255,34 @@ def simplex_volume(
         log2_pts += 2
 
 
+def simplex_volume(
+    points,
+    budget: float = 1e-7,
+    *,
+    ideal_index: int | None = None,
+    seed: int = DEFAULT_SEED,
+    max_log2_samples: int = _MAX_LOG2,
+) -> VolumeEstimate:
+    """Hyperbolic volume of one Klein simplex to roughly the given budget.
+
+    ``points`` is an (n+1) x n array-like; at most one vertex may be ideal
+    (on the unit sphere), and ``ideal_index=None`` detects it.  The 8
+    replicate engines are seeded ``seed + r``; see ``_replicates``.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[1]
+    if pts.shape[0] != n + 1:
+        raise ValueError("need n+1 points in dimension n")
+    if ideal_index is None:
+        norms = np.linalg.norm(pts, axis=1)
+        on_sphere = np.where(np.abs(norms - 1.0) <= _IDEAL_NORM_TOL)[0]
+        if len(on_sphere) > 1:
+            raise ValueError("more than one ideal vertex; split the simplex first")
+        if len(on_sphere) == 1:
+            ideal_index = int(on_sphere[0])
+    return _replicates(pts, ideal_index, budget, _sobol_engines(n, seed), max_log2_samples)
+
+
 def polytope_volume(
     kp: KleinPolytope,
     target_rel_err: float = 1e-3,
@@ -244,8 +294,10 @@ def polytope_volume(
 
     A cheap first pass sizes every piece, then absolute error budgets are
     allocated proportionally to the first-pass estimates and each piece is
-    refined independently.  The result carries the summed error, so a miss
-    of the target still reports an honest bound.
+    refined independently.  Piece k's engines are seeded seed + 7919 k and
+    built once: the refine pass resets them and draws the first pass's
+    points again.  The result carries the summed error, so a miss of the
+    target still reports an honest bound.
     """
     pieces: list[tuple[np.ndarray, int | None]] = []
     for simplex in kp.simplices:
@@ -255,8 +307,9 @@ def polytope_volume(
         flags = [kp.ideal_flags[k] if k >= 0 else False for k in simplex]
         pieces.extend(_split_multi_ideal(pts, flags))
 
-    first = [simplex_volume(pts, budget=math.inf, ideal_index=ideal_idx,
-                            seed=seed + 7919 * k, max_log2_samples=_MIN_LOG2)
+    engines = [_sobol_engines(pts.shape[1], seed + 7919 * k)
+               for k, (pts, _) in enumerate(pieces)]
+    first = [_replicates(pts, ideal_idx, math.inf, engines[k], _MIN_LOG2)
              for k, (pts, ideal_idx) in enumerate(pieces)]
     rough_total = sum(e.value for e in first) or 1.0
     budget_total = target_rel_err * rough_total
@@ -264,12 +317,8 @@ def polytope_volume(
     total = VolumeEstimate(0.0, 0.0, 0, "QMC")
     for k, (pts, ideal_idx) in enumerate(pieces):
         share = max(first[k].value / rough_total, 1.0 / (16 * len(pieces)))
-        est = simplex_volume(
-            pts,
-            budget=budget_total * share,
-            ideal_index=ideal_idx,
-            seed=seed + 7919 * k,
-            max_log2_samples=max_log2_samples,
-        )
-        total = total + est
+        for engine in engines[k]:
+            engine.reset()
+        total = total + _replicates(pts, ideal_idx, budget_total * share, engines[k],
+                                    max_log2_samples)
     return total

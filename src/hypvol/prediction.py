@@ -311,10 +311,12 @@ def analyze(
     numeric integrator is skipped and recognition runs at that accuracy;
     otherwise the volume is integrated and recognition runs at the
     integrator's accuracy, which limits how large a denominator can be
-    certified.
+    certified.  ``target_rel_err`` must be finite and positive.
     """
     if (assume_volume is None) != (assume_err is None):
         raise ValueError("assume_volume and assume_err must be given together")
+    if not (math.isfinite(target_rel_err) and target_rel_err > 0):
+        raise ValueError(f"target_rel_err must be finite and positive, not {target_rel_err}")
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     diagram = parse_diagram(diagram_text)

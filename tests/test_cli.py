@@ -102,3 +102,11 @@ def test_stdin_input(diagram_file, capsys, monkeypatch):
     code = main(["analyze", "-", "--assume-volume", VOL_5D, "--assume-err", "1e-19"])
     assert code == EXIT_OK
     assert "suggested identity" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["-1e-3", "nan"])
+def test_bad_target_err_is_stage_error(diagram_file, capsys, target):
+    path = diagram_file(IDEAL_TRIANGLE)
+    code = main(["analyze", path, f"--target-err={target}"])
+    assert code == EXIT_STAGE_ERROR
+    assert "--target-err must be finite and positive" in capsys.readouterr().err

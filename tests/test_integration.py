@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypvol.geometry import enumerate_vertices, realize, to_klein
 from hypvol.integration import (
     VolumeEstimate,
     _compact_integrand,
+    _cusp_integrand,
     _split_multi_ideal,
     _uniform_simplex,
     polytope_volume,
@@ -224,3 +229,121 @@ def test_polytope_volume_5d_quick():
     ref = 0.0241330687945822699990
     assert abs(est.value - ref) / ref < 2e-3
     assert abs(est.value - ref) <= est.abs_error
+
+
+# Reference integrands: one row per point and numpy's general power, the
+# straightforward form of the formulas the column kernels must reproduce.
+def rowwise_uniform_simplex(U):
+    m, d = U.shape
+    t = np.empty_like(U)
+    rem = np.ones(m)
+    for i in range(d):
+        frac = 1.0 - U[:, i] ** (1.0 / (d - i))
+        t[:, i] = rem * frac
+        rem = rem * (1.0 - frac)
+    return t
+
+
+def rowwise_compact(points, n, U):
+    # (1 - |x|^2)^(-(n+1)/2) through numpy's general power, row by row
+    v0 = points[0]
+    Y = points[1:] - v0
+    x = v0 + rowwise_uniform_simplex(U) @ Y
+    scale = abs(np.linalg.det(Y)) / math.factorial(n)
+    return scale * (1.0 - np.einsum("ij,ij->i", x, x)) ** (-(n + 1) / 2)
+
+
+def rowwise_cusp(points, ideal_index, n, tail_target, U):
+    # the same shells as _cusp_integrand, each as s^n (s*at - s^2*dd)^(-(n+1)/2)
+    v = points[ideal_index]
+    Y = np.delete(points, ideal_index, axis=0) - v
+    det = abs(np.linalg.det(Y))
+    a = -2.0 * (Y @ v)
+    a_min, b_max = a.min(), (Y * Y).sum(axis=1).max()
+
+    def tail_bound(k):
+        c = 0.5 ** k * a_min - 0.25 ** k * b_max
+        return (math.inf if c <= 0 else det * 0.5 ** (k * n) * c ** (-(n + 1) / 2) * 2.0
+                / ((n - 1) * math.factorial(n - 1)))
+
+    shells = 1
+    while 0.5 ** shells * a_min - 0.25 ** shells * b_max <= 0:
+        shells += 1
+    while tail_bound(shells) > tail_target:
+        shells += 1
+    T = 0.5 * (1.0 + U[:, 0])
+    parts = rowwise_uniform_simplex(U[:, 1:])
+    t = T[:, None] * np.hstack([parts, 1.0 - parts.sum(axis=1, keepdims=True)])
+    at, tY = t @ a, t @ Y
+    dd = np.einsum("ij,ij->i", tY, tY)
+    total = np.zeros(len(U))
+    for k in range(shells):
+        s = 0.5 ** k
+        total += s ** n * (s * at - s * s * dd) ** (-(n + 1) / 2)
+    return det * 0.5 / math.factorial(n - 1) * T ** (n - 1) * total
+
+
+def ball_points(n, ideal):
+    pts = np.random.default_rng(n).uniform(-0.3, 0.3, (n + 1, n))
+    if ideal:
+        pts[0] = np.eye(n)[0]
+    return pts
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_compact_integrand_matches_power_formula(n):
+    pts = ball_points(n, ideal=False)
+    U = qmc.Sobol(n, scramble=True, seed=7).random_base2(10)
+    integrand, tail = _compact_integrand(pts, n)
+    assert tail == 0.0
+    np.testing.assert_allclose(integrand(U), rowwise_compact(pts, n, U), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("pts", [CUSP_2D, ball_points(3, ideal=True), ball_points(5, ideal=True)],
+                         ids=["CUSP_2D", "3d", "5d"])
+def test_cusp_integrand_matches_power_formula(pts):
+    n = pts.shape[1]
+    U = qmc.Sobol(n, scramble=True, seed=7).random_base2(10)
+    integrand, _ = _cusp_integrand(pts, 0, n, 1e-9)
+    np.testing.assert_allclose(integrand(U), rowwise_cusp(pts, 0, n, 1e-9, U),
+                               rtol=1e-13, atol=0)
+
+
+def triangle_pieces():
+    kp = klein_polytope(IDEAL_TRIANGLE)
+    pieces = []
+    for simplex in kp.simplices:
+        pts = np.array([[float(c) for c in p] for p in kp.simplex_points(simplex)])
+        pieces.extend(_split_multi_ideal(pts, [k >= 0 and kp.ideal_flags[k] for k in simplex]))
+    return kp, pieces
+
+
+def test_polytope_volume_builds_each_piece_engines_once(sobol_rows):
+    kp, pieces = triangle_pieces()
+    polytope_volume(kp, 1e-3, seed=5)
+    assert len(sobol_rows) == 8 * len(pieces)
+
+
+def test_polytope_volume_refine_pass_redraws_sizing_points():
+    # reset engines give the points of fresh ones: the sum of independent
+    # simplex_volume calls with the same seeds and budgets is the total
+    kp, pieces = triangle_pieces()
+    seeds = [5 + 7919 * k for k in range(len(pieces))]
+    first = [simplex_volume(p, math.inf, ideal_index=i, seed=s, max_log2_samples=7)
+             for (p, i), s in zip(pieces, seeds)]
+    rough = sum(e.value for e in first)
+    total = VolumeEstimate(0.0, 0.0, 0)
+    for (p, i), s, e in zip(pieces, seeds, first):
+        share = max(e.value / rough, 1.0 / (16 * len(pieces)))
+        total = total + simplex_volume(p, 1e-3 * rough * share, ideal_index=i, seed=s)
+    est = polytope_volume(kp, 1e-3, seed=5)
+    assert (est.value, est.abs_error, est.samples) == (total.value, total.abs_error, total.samples)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of the import time and only integration uses it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, hypvol; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

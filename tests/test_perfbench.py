@@ -10,6 +10,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 def test_tracer_resolves_traced_names(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
+    import calibrate  # noqa: F401  (imports scipy.stats.qmc, whose Sobol the tracer counts)
     import tracing
 
     tracer = tracing.Tracer()

@@ -244,3 +244,9 @@ def test_analyze_relabel_invariance():
     rep = analyze("\n".join(lines), assume_volume=VOL_5D, assume_err=1e-19)
     assert rep.arithmeticity.delta == 13
     assert (rep.recognition.numerator, rep.recognition.denominator) == (1, 23040)
+
+
+@pytest.mark.parametrize("target", [-1e-3, float("nan")])
+def test_analyze_rejects_bad_target(target):
+    with pytest.raises(ValueError, match="target_rel_err"):
+        analyze(IDEAL_TRIANGLE, target_rel_err=target)
