@@ -1,28 +1,28 @@
 """Hyperboloid-model realization and Klein-model description of a polytope.
 
-All geometry here is numeric at a configurable binary precision (mpmath
-floats, default 128 bits); exactness lives upstream in the Gram matrix.
-The Minkowski form used throughout is <x, y> = -x0*y0 + x1*y1 + ... with
-the timelike coordinate first.
+The combinatorics are exact: faces, vertices and incidences come from the
+census, which reads them off the exact Gram matrix by the inertia of its
+principal submatrices (Vinberg, "Hyperbolic reflection groups", Russian
+Math. Surveys 40, 1985, Thm 3.1).  Coordinates are numeric at a
+configurable binary precision (mpmath floats, default 128 bits).  The
+Minkowski form used throughout is <x, y> = -x0*y0 + x1*y1 + ... with the
+timelike coordinate first.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import mpmath
 from mpmath import mp
 
-from .diagram import GramMatrix
-from .errors import NotLorentzian, NoVertices, TriangulationFailure
-
-log = logging.getLogger(__name__)
+from .diagram import GramMatrix, assert_lorentzian, inertia
+from .errors import NoVertices, TriangulationFailure
 
 DEFAULT_PREC = 128
 
-Matrix = mpmath.matrix
+FacetSet = tuple[int, ...]
 
 
 def _mink(x, y):
@@ -34,18 +34,22 @@ def _mink(x, y):
 
 @dataclass
 class PolytopeRealization:
-    """Unit facet normals in Minkowski space, plus enumerated vertices.
+    """Unit facet normals in Minkowski space, plus the census vertices.
 
     Finite vertices are normalized to <x, x> = -1 with x0 > 0; ideal
-    vertices are light-cone rays normalized to x0 = 1.
+    vertices are light-cone rays normalized to x0 = 1.  ``vertex_facets``
+    holds the facet set of each finite, then each ideal vertex, and
+    ``faces`` every elliptic facet set, i.e. every face not at infinity.
     """
 
     dimension: int
     normals: list[list[mpmath.mpf]]
     prec: int
-    tolerance: mpmath.mpf
+    gram: GramMatrix
     finite_vertices: list[list[mpmath.mpf]] = field(default_factory=list)
     ideal_vertices: list[list[mpmath.mpf]] = field(default_factory=list)
+    vertex_facets: list[frozenset[int]] = field(default_factory=list)
+    faces: set[frozenset[int]] = field(default_factory=set)
 
     @property
     def facet_count(self) -> int:
@@ -85,50 +89,22 @@ class KleinPolytope:
         return [self.vertices[k] if k >= 0 else self.steiner_point for k in simplex]
 
 
-def realize(G, prec: int = DEFAULT_PREC, dimension: int | None = None) -> PolytopeRealization:
-    """Factor the float Gram into unit normals spanning a Lorentzian frame.
+def realize(G: GramMatrix, prec: int = DEFAULT_PREC) -> PolytopeRealization:
+    """Factor the Gram matrix into unit normals spanning a Lorentzian frame.
 
-    Symmetric eigendecomposition of the float image; the single negative
-    eigenvalue becomes the timelike coordinate, near-zero modes (rank
-    deficiency N - n - 1) are discarded.
-
-    Accepts an exact GramMatrix or any square array of floats (useful for
-    angles like pi/7 whose cosine lives outside the surd ring); raw arrays
-    need the ``dimension`` argument.
+    The signature is checked exactly.  In the symmetric eigendecomposition
+    of the float image, the most negative eigenmode becomes the timelike
+    coordinate and the n largest the spacelike ones; the N - n - 1 zero
+    modes are dropped.
     """
-    if isinstance(G, GramMatrix):
-        n = G.dimension
-        N = G.size
-    else:
-        if dimension is None:
-            raise ValueError("dimension is required for a raw float Gram matrix")
-        n = dimension
-        N = len(G)
+    assert_lorentzian(G)
+    n, N = G.dimension, G.size
     with mp.workprec(prec):
-        if isinstance(G, GramMatrix):
-            Gf = G.evaluate(prec)
-        else:
-            Gf = mp.matrix([[mp.mpf(x) for x in row] for row in G])
-            if Gf.rows != Gf.cols:
-                raise ValueError("Gram matrix must be square")
-        eigvals, Q = mp.eigsy(Gf)
+        eigvals, Q = mp.eigsy(G.evaluate(prec))
         order = sorted(range(N), key=lambda k: eigvals[k])
-        zero_cut = mp.mpf(2) ** (-prec // 2) * max(1, max(abs(eigvals[k]) for k in range(N)))
-        neg = [k for k in order if eigvals[k] < -zero_cut]
-        pos = [k for k in order if eigvals[k] > zero_cut]
-        if len(neg) != 1 or len(pos) != n:
-            raise NotLorentzian(
-                f"float Gram has {len(pos)} positive and {len(neg)} negative "
-                f"eigenvalues, expected ({n}, 1)"
-            )
-        cols = neg + pos
-        normals = []
-        for i in range(N):
-            row = [Q[i, k] * mp.sqrt(abs(eigvals[k])) for k in cols]
-            normals.append(row)
-        # classification band: 2^-40 at 128 bits, scaling with precision
-        tol = mp.mpf(2) ** (-(40 * prec) // 128)
-        return PolytopeRealization(n, normals, prec, tol)
+        cols = [order[0]] + order[N - n:]
+        normals = [[Q[i, k] * mp.sqrt(abs(eigvals[k])) for k in cols] for i in range(N)]
+    return PolytopeRealization(n, normals, prec, G)
 
 
 def _row_reduce(rows: list[list[mpmath.mpf]], prec: int) -> tuple[list[list[mpmath.mpf]], list[int]]:
@@ -186,80 +162,96 @@ def _nullspace_vector(rows: list[list[mpmath.mpf]], prec: int) -> list[mpmath.mp
     return [c / norm for c in x]
 
 
-def _enumerate_candidates(realization: PolytopeRealization):
-    """Finite and ideal vertices for both time orientations in one pass.
+def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, FacetSet]]]:
+    """Exact face census of the polytope with Gram matrix G.
 
-    Flipping every normal negates the rows of each facet n-subset, which
-    leaves its line unchanged and negates every Minkowski pairing with the
-    normals, so one solve per subset serves both orientations.  Returns
-    the candidates of the unflipped and of the flipped normals, and the
-    number of degenerate subsets.
+    Returns the elliptic facet sets by size, entry k listing the k-sets in
+    lexicographic order (entry 0 is the polytope itself), and per ideal
+    vertex its first n-set of inertia (n - 1, 0, 1) together with its
+    parabolic set, the union of all such n-sets whose union keeps rank
+    n - 1 with no negative part.  For a finite-volume polytope the elliptic
+    k-sets are its faces of codimension k, the elliptic n-sets its finite
+    vertices, and the parabolic sets the facets through its ideal vertices.
     """
-    n = realization.dimension
-    normals = realization.normals
-    band = realization.tolerance
-    found = ([], []), ([], [])  # (finite, ideal) per orientation
-    degenerate = 0
-    for subset in combinations(range(realization.facet_count), n):
-        # <e_i, x> = 0 in the Minkowski form: negate the timelike column
-        rows = [[-normals[i][0]] + normals[i][1:] for i in subset]
-        x = _nullspace_vector(rows, realization.prec)
-        if x is None:
-            degenerate += 1
-            log.debug("degenerate intersection at facets %s", subset)
+    n, N = G.dimension, G.size
+
+    def sub_inertia(S):
+        return inertia([[G[i, j] for j in S] for i in S])
+
+    faces: list[list[FacetSet]] = [[()]]
+    for k in range(1, n + 1):
+        below = set(faces[-1])
+        faces.append([S + (j,) for S in faces[-1] for j in range(S[-1] + 1 if S else 0, N)
+                      if all(S[:i] + S[i + 1:] + (j,) in below for i in range(k - 1))
+                      and sub_inertia(S + (j,)) == (k, 0, 0)])
+    finite = set(faces[n])
+    cusps: list[tuple[FacetSet, FacetSet]] = []
+    for T in combinations(range(N), n):
+        if T in finite or any(set(T) <= set(P) for _, P in cusps):
             continue
-        q = _mink(x, x)
-        if abs(x[0]) < band:
+        if sub_inertia(T) != (n - 1, 0, 1):
             continue
-        if x[0] < 0:
-            x = [-c for c in x]
-        if q < -band:
-            scale = 1 / mp.sqrt(-q)
-            kind, point = 0, [c * scale for c in x]
-        elif q <= band:
-            kind, point = 1, [c / x[0] for c in x]
+        for c, (first, P) in enumerate(cusps):
+            U = tuple(sorted({*P, *T}))
+            if sub_inertia(U) == (n - 1, 0, len(U) - n + 1):
+                cusps[c] = (first, U)
+                break
         else:
-            continue  # spacelike lines are outside the hyperboloid model
-        pairings = [_mink(x, e) for e in normals]
-        if max(pairings) <= band:
-            found[0][kind].append(point)
-        if min(pairings) >= -band:
-            found[1][kind].append(point)
-    return found[0], found[1], degenerate
+            cusps.append((T, T))
+    return faces, cusps
 
 
-def _dedup(vectors, tol):
-    out = []
-    for v in vectors:
-        if not any(all(abs(a - b) <= 64 * tol for a, b in zip(v, u)) for u in out):
-            out.append(v)
-    return out
+def _vertex_line(normals, subset, prec) -> list[mpmath.mpf]:
+    """The line where the facets of ``subset`` meet, pointing to the future."""
+    # <e_i, x> = 0 in the Minkowski form: negate the timelike column
+    x = _nullspace_vector([[-normals[i][0]] + normals[i][1:] for i in subset], prec)
+    if x is None:
+        raise NoVertices(f"facets {list(subset)} do not meet in a line; the input is invalid")
+    return [-c for c in x] if x[0] < 0 else x
 
 
 def enumerate_vertices(realization: PolytopeRealization) -> PolytopeRealization:
-    """Fill in finite and ideal vertices by intersecting facet n-subsets.
+    """Fill in the finite and ideal vertices of the census.
 
-    Each n-subset of facets determines a line; timelike lines give finite
-    vertices, light-cone lines give ideal ones, and candidates violating
-    any facet inequality are dropped.  The time orientation of the frame is
-    not canonical, so if one orientation yields nothing the normals are
-    flipped globally and kept that way.
+    Each vertex is solved once, on its first n-set, and the time orientation
+    of the frame is fixed by the first vertex: if it violates a facet
+    inequality, every normal is flipped.  Every vertex must then lie
+    strictly inside each facet half-space not through it, and every edge
+    must have two ends, as in a finite-volume polytope.
     """
+    n = realization.dimension
+    faces, cusps = census(realization.gram)
+    sets = [frozenset(T) for T in faces[n]] + [frozenset(P) for _, P in cusps]
+    if not sets:
+        raise NoVertices("no facet n-subset meets the ball closure; "
+                         "polytope is unbounded or the input is invalid")
+    for edge in faces[n - 1]:
+        ends = sum(1 for S in sets if S.issuperset(edge))
+        if ends != 2:
+            raise NoVertices(f"edge on facets {list(edge)} has {ends} end(s); "
+                             "the polytope has infinite volume or the input is invalid")
     with mp.workprec(realization.prec):
-        kept, flipped, degenerate = _enumerate_candidates(realization)
-        finite, ideal = kept
-        if not finite and not ideal:
-            finite, ideal = flipped
-            realization.normals = [[-c for c in e] for e in realization.normals]
-        band = realization.tolerance
-        finite, ideal = _dedup(finite, band), _dedup(ideal, band)
-        if degenerate:
-            log.info("skipped %d degenerate facet intersections", degenerate)
-        if not finite and not ideal:
-            raise NoVertices("no facet n-subset meets the ball closure; "
-                             "polytope is unbounded or the input is invalid")
-        realization.finite_vertices = finite
-        realization.ideal_vertices = ideal
+        normals = realization.normals
+        finite = []
+        for T in faces[n]:
+            x = _vertex_line(normals, T, realization.prec)
+            scale = 1 / mp.sqrt(-_mink(x, x))
+            finite.append([c * scale for c in x])
+        ideal = []
+        for T, _ in cusps:
+            x = _vertex_line(normals, T, realization.prec)
+            ideal.append([c / x[0] for c in x])
+        verts = finite + ideal
+        if any(_mink(verts[0], e) > 0 for j, e in enumerate(normals) if j not in sets[0]):
+            normals = realization.normals = [[-c for c in e] for e in normals]
+        for x, S in zip(verts, sets):
+            if any(_mink(x, e) >= 0 for j, e in enumerate(normals) if j not in S):
+                raise NoVertices(f"the vertex on facets {sorted(S)} violates a facet "
+                                 "inequality; the input is not a polytope")
+    realization.finite_vertices = finite
+    realization.ideal_vertices = ideal
+    realization.vertex_facets = sets
+    realization.faces = {frozenset(S) for level in faces for S in level}
     return realization
 
 
@@ -290,70 +282,37 @@ def to_klein(realization: PolytopeRealization) -> KleinPolytope:
         for e in realization.normals:
             inequalities.append(([c for c in e[1:]], e[0]))
 
-        tol = realization.tolerance
-        incidence = []
-        for e in realization.normals:
-            members = []
-            for k, v in enumerate(verts):
-                val = -e[0] + sum(a * b for a, b in zip(e[1:], v))
-                if abs(val) <= 64 * tol:
-                    members.append(k)
-            incidence.append(members)
-
         centroid = [sum(v[i] for v in verts) / len(verts) for i in range(n)]
         if len(verts) == n + 1:
             simplices = [list(range(n + 1))]  # the polytope is one simplex
         else:
-            simplices = _fan_triangulation(n, verts, incidence, realization.prec)
+            simplices = _fan_triangulation(n, realization)
         return KleinPolytope(n, inequalities, verts, flags, simplices, centroid)
 
 
-def _affine_dim(ids: list[int], verts, prec: int) -> int:
-    if len(ids) <= 1:
-        return 0
-    base = verts[ids[0]]
-    rows = [[verts[k][i] - base[i] for i in range(len(base))] for k in ids[1:]]
-    return len(_row_reduce(rows, prec)[1])
-
-
-def _fan_triangulation(n, verts, incidence, prec) -> list[list[int]]:
+def _fan_triangulation(n, realization: PolytopeRealization) -> list[list[int]]:
     """Steiner-point fan over facets, recursively fanned from the smallest
-    vertex index within each face (faces are identified by their defining
-    hyperplane sets)."""
-    incidence_sets = [set(m) for m in incidence]
+    vertex index within each face.  A face is its elliptic facet set, and
+    its vertices are those whose facet set contains it."""
+    vertex_facets, faces = realization.vertex_facets, realization.faces
+    N = realization.facet_count
 
-    def triangulate_face(defining: frozenset[int], ids: list[int], d: int) -> list[list[int]]:
+    def triangulate_face(S: frozenset[int], d: int) -> list[list[int]]:
+        ids = [k for k, F in enumerate(vertex_facets) if S <= F]
         if len(ids) < d + 1:
             raise TriangulationFailure(f"face {sorted(ids)} has too few vertices for dim {d}")
         if len(ids) == d + 1:
-            return [list(ids)]
-        apex = min(ids)
+            return [ids]
+        apex = ids[0]
         pieces = []
-        seen_ridges = set()  # the same ridge can be cut out by several hyperplanes
-        for j in range(len(incidence)):
-            if j in defining:
+        for j in range(N):
+            ridge = S | {j}
+            if j in S or ridge not in faces or ridge <= vertex_facets[apex]:
                 continue
-            sub = [k for k in ids if k in incidence_sets[j]]
-            if apex in sub or len(sub) < d:
-                continue
-            key = frozenset(sub)
-            if key in seen_ridges:
-                continue
-            if _affine_dim(sub, verts, prec) != d - 1:
-                continue
-            seen_ridges.add(key)
-            for s in triangulate_face(defining | {j}, sub, d - 1):
+            for s in triangulate_face(ridge, d - 1):
                 pieces.append(s + [apex])
         if not pieces:
             raise TriangulationFailure(f"face {sorted(ids)} has no usable sub-facets")
         return pieces
 
-    simplices = []
-    for i, members in enumerate(incidence):
-        if _affine_dim(members, verts, prec) != n - 1:
-            continue
-        for s in triangulate_face(frozenset([i]), members, n - 1):
-            simplices.append(s + [-1])
-    if not simplices:
-        raise TriangulationFailure("no full-dimensional facets found")
-    return simplices
+    return [s + [-1] for i in range(N) for s in triangulate_face(frozenset([i]), n - 1)]

@@ -362,6 +362,9 @@ def analyze(
         kp = geometry.to_klein(realization)
         timings["geometry"] = time.perf_counter() - t0
         t0 = time.perf_counter()
+        from scipy.stats import qmc  # noqa: F401  (a one-time cost, timed apart from the volume)
+        timings["sobol_import"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
         est = integration.polytope_volume(
             kp, target_rel_err, seed=seed, max_log2_samples=max_log2_samples
         )

@@ -33,6 +33,8 @@ from hypvol.surd import MultiSurd, galois_conjugate
 
 VOL_5D_REFERENCE = "0.0241330687945822699990"
 VOL_7D_REFERENCE = "0.000181338"
+# angles pi/4, pi/5, pi/2: area pi/20
+TRIANGLE_245 = "n 2\nfacets 3\nedge 0 1 4\nedge 1 2 5\n"
 
 
 def _report(number: int, elapsed: float, detail: str):
@@ -117,13 +119,10 @@ def test_criterion_5_volume_identity_7d():
 
 def test_criterion_6_integrator_low_dimension():
     t0 = time.perf_counter()
-    G237 = [[1.0, 0.0, -math.cos(math.pi / 3)],
-            [0.0, 1.0, -math.cos(math.pi / 7)],
-            [-math.cos(math.pi / 3), -math.cos(math.pi / 7), 1.0]]
-    r = realize(G237, prec=128, dimension=2)
+    r = realize(gram_matrix(parse_diagram(TRIANGLE_245)), 128)
     enumerate_vertices(r)
     est = polytope_volume(to_klein(r), 1e-4, seed=6)
-    ref = math.pi / 42
+    ref = math.pi / 20
     assert abs(est.value - ref) / ref < 1e-4
 
     r = realize(gram_matrix(parse_diagram(IDEAL_TRIANGLE)), 128)
@@ -132,7 +131,7 @@ def test_criterion_6_integrator_low_dimension():
     assert abs(est_ideal.value - math.pi) / math.pi < 1e-3
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    _report(6, elapsed, f"(2,3,7) area {est.value:.8f} ~ pi/42; "
+    _report(6, elapsed, f"(2,4,5) area {est.value:.8f} ~ pi/20; "
                         f"ideal triangle {est_ideal.value:.6f} ~ pi")
 
 

@@ -1,23 +1,22 @@
 import math
+import random
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from hypvol import geometry
-from hypvol.diagram import gram_matrix, parse_diagram
-from hypvol.errors import NotLorentzian, NoVertices
-from hypvol.geometry import enumerate_vertices, realize, to_klein, _mink
+from hypvol.diagram import assert_lorentzian, gram_matrix, parse_diagram
+from hypvol.errors import HypvolError, NotLorentzian, NoVertices
+from hypvol.geometry import census, enumerate_vertices, realize, to_klein, _mink
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
 
 
-def triangle_gram(*orders):
-    """Float Gram of a triangle group with given edge orders (2 = right angle)."""
-    G = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    for (i, j), m in zip([(0, 1), (1, 2), (0, 2)], orders):
-        G[i][j] = G[j][i] = -math.cos(math.pi / m)
-    return G
+# angles pi/4, pi/5, pi/2: the smallest compact triangle labels {3,4,5,6} allow
+TRIANGLE_245 = "n 2\nfacets 3\nedge 0 1 4\nedge 1 2 5\n"
+TRIANGLE_444 = "n 2\nfacets 3\nedge 0 1 4\nedge 1 2 4\nedge 0 2 4\n"
 
 
 def realized_polytope(text, prec=128):
@@ -26,23 +25,16 @@ def realized_polytope(text, prec=128):
 
 
 def test_realize_rejects_definite():
+    # the spherical triangle group A3
     with pytest.raises(NotLorentzian):
-        realize([[1.0, 0.0], [0.0, 1.0]], dimension=2)
-
-
-def test_realize_needs_dimension_for_floats():
-    with pytest.raises(ValueError):
-        realize(triangle_gram(2, 3, 7))
+        realize(gram_matrix(parse_diagram("n 2\nfacets 3\nedge 0 1 3\nedge 1 2 3\n")))
 
 
 def test_realize_237_reconstruction():
-    Gf = triangle_gram(2, 3, 7)
-    r = realize(Gf, prec=128, dimension=2)
+    G = gram_matrix(parse_diagram(TRIANGLE_245))
+    r = realize(G, prec=128)
     assert r.facet_count == 3
-    with mp.workprec(128):
-        worst = max(abs(_mink(r.normals[i], r.normals[j]) - mp.mpf(Gf[i][j]))
-                    for i in range(3) for j in range(3))
-    assert worst < mp.mpf('1e-20')
+    assert r.gram_residual(G) < mp.mpf('1e-20')
 
 
 def test_realize_5d():
@@ -54,9 +46,8 @@ def test_realize_5d():
 
 
 def test_vertices_237_compact():
-    r = realize(triangle_gram(2, 3, 7), prec=128, dimension=2)
-    enumerate_vertices(r)
-    # all angle sums of the (2,3,7) triangle subgroups are positive: compact
+    r = realized_polytope(TRIANGLE_245)
+    # every pair of sides meets at a finite angle: compact
     assert len(r.finite_vertices) == 3
     assert len(r.ideal_vertices) == 0
     assert r.is_compact()
@@ -80,7 +71,7 @@ def test_vertices_satisfy_all_inequalities():
     with mp.workprec(128):
         for x in r.finite_vertices + r.ideal_vertices:
             for e in r.normals:
-                assert _mink(x, e) <= r.tolerance * 8
+                assert _mink(x, e) <= mpmath.mpf(2) ** -37
 
 
 def test_vertices_normalization():
@@ -91,22 +82,20 @@ def test_vertices_normalization():
             assert x[0] > 0
         for x in r.ideal_vertices:
             assert abs(x[0] - 1) < mpmath.mpf('1e-30')
-            assert abs(_mink(x, x)) < r.tolerance * 8
+            assert abs(_mink(x, x)) < mpmath.mpf(2) ** -37
 
 
 def test_no_vertices_error():
-    # three pairwise diverging lines: every 2-subset meets in a spacelike
-    # line, so the region has no vertices at all
-    G = [[1.0, -2.0, -2.0], [-2.0, 1.0, -2.0], [-2.0, -2.0, 1.0]]
-    r = realize(G, prec=128, dimension=2)
+    # three pairwise diverging lines: no 2-subset is elliptic or parabolic,
+    # so the region has no vertices at all
+    text = "n 2\nfacets 3\nedge 0 1 dashed 2\nedge 1 2 dashed 2\nedge 0 2 dashed 2\n"
+    r = realize(gram_matrix(parse_diagram(text)))
     with pytest.raises(NoVertices):
         enumerate_vertices(r)
 
 
 def test_klein_triangle_single_simplex():
-    r = realize(triangle_gram(2, 3, 7), prec=128, dimension=2)
-    enumerate_vertices(r)
-    kp = to_klein(r)
+    kp = to_klein(realized_polytope(TRIANGLE_245))
     assert len(kp.simplices) == 1
     assert sorted(kp.simplices[0]) == [0, 1, 2]
 
@@ -125,6 +114,7 @@ def test_klein_vertex_placement():
 
 def test_klein_simplices_have_positive_volume():
     kp = to_klein(realized_polytope(POLYTOPE_5D))
+    assert len(kp.simplices) == 46
     for s in kp.simplices:
         pts = np.array([[float(c) for c in p] for p in kp.simplex_points(s)])
         assert abs(np.linalg.det(pts[1:] - pts[0])) > 1e-12
@@ -158,7 +148,7 @@ def test_klein_7d_counts():
     r = realized_polytope(POLYTOPE_7D)
     assert (len(r.finite_vertices), len(r.ideal_vertices)) == (18, 1)
     kp = to_klein(r)
-    assert len(kp.simplices) > 0
+    assert len(kp.simplices) == 134
 
 
 def test_vertex_enumeration_solves_each_subset_once(monkeypatch):
@@ -172,4 +162,79 @@ def test_vertex_enumeration_solves_each_subset_once(monkeypatch):
     monkeypatch.setattr(geometry, "_nullspace_vector", counted)
     r = realized_polytope(POLYTOPE_5D)
     assert (len(r.finite_vertices), len(r.ideal_vertices)) == (12, 1)
-    assert len(calls) == math.comb(8, 5)
+    assert len(calls) == 12 + 1  # one solve per vertex, not one per facet 5-subset
+
+
+def _euler(faces, cusps):
+    """Euler characteristic of the face lattice; 1 for a polytope."""
+    n = len(faces) - 1
+    return sum((-1) ** (n - k) * len(level) for k, level in enumerate(faces)) + len(cusps)
+
+
+@pytest.mark.parametrize("text, f, ideal", [
+    (IDEAL_TRIANGLE, [3, 0], 3),
+    (TRIANGLE_245, [3, 3], 0),
+    (TRIANGLE_444, [3, 3], 0),
+    (POLYTOPE_5D, [8, 25, 40, 34, 12], 1),
+    (POLYTOPE_7D, [10, 42, 98, 140, 126, 69, 18], 1),
+], ids=["ideal-triangle", "245", "444", "5d", "7d"])
+def test_census_face_numbers(text, f, ideal):
+    faces, cusps = census(gram_matrix(parse_diagram(text)))
+    assert [len(level) for level in faces[1:]] == f
+    assert len(cusps) == ideal
+    assert _euler(faces, cusps) == 1
+
+
+@pytest.mark.parametrize("text", [POLYTOPE_5D, POLYTOPE_7D], ids=["5d", "7d"])
+def test_census_euler_under_relabeling(text):
+    d = parse_diagram(text)
+    base_faces, base_cusps = census(gram_matrix(d))
+    rng = random.Random(6)
+    for _ in range(5):
+        perm = list(range(d.facets))
+        rng.shuffle(perm)
+        faces, cusps = census(gram_matrix(d.relabeled(perm)))
+        assert [len(level) for level in faces] == [len(level) for level in base_faces]
+        assert len(cusps) == len(base_cusps)
+        assert _euler(faces, cusps) == 1
+
+
+def test_infinite_volume_rejected():
+    # sides 0 and 1 diverge, so each has one finite end and runs off to infinity
+    text = "n 2\nfacets 3\nedge 0 1 dashed 2\nedge 1 2 3\nedge 0 2 3\n"
+    r = realize(gram_matrix(parse_diagram(text)))
+    with pytest.raises(NoVertices, match=r"edge on facets \[0\] has 1 end"):
+        enumerate_vertices(r)
+
+
+_FUZZ_LABELS = [None, "3", "4", "5", "6", "inf", "dashed 2", "dashed 3/2"]
+
+
+@st.composite
+def diagram_texts(draw):
+    n = draw(st.integers(2, 4))
+    N = draw(st.integers(n + 1, n + 3))
+    lines = [f"n {n}", f"facets {N}"]
+    for i in range(N):
+        for j in range(i + 1, N):
+            label = draw(st.sampled_from(_FUZZ_LABELS))
+            if label is not None:
+                lines.append(f"edge {i} {j} {label}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagram_texts())
+def test_geometry_fuzz_yields_polytope_or_typed_error(text):
+    G = gram_matrix(parse_diagram(text))
+    try:
+        assert_lorentzian(G)
+    except NotLorentzian:
+        return
+    try:
+        kp = to_klein(enumerate_vertices(realize(G)))
+    except HypvolError:
+        return
+    for s in kp.simplices:
+        pts = np.array([[float(c) for c in p] for p in kp.simplex_points(s)])
+        assert abs(np.linalg.det(pts[1:] - pts[0])) > 1e-12

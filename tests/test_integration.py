@@ -30,11 +30,9 @@ def klein_polytope(text, prec=128):
     return to_klein(r)
 
 
-def triangle_gram(*orders):
-    G = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    for (i, j), m in zip([(0, 1), (1, 2), (0, 2)], orders):
-        G[i][j] = G[j][i] = -math.cos(math.pi / m)
-    return G
+TRIANGLE_444 = "n 2\nfacets 3\nedge 0 1 4\nedge 1 2 4\nedge 0 2 4\n"
+# angles pi/4, pi/5, pi/2: the smallest compact triangle labels {3,4,5,6} allow
+TRIANGLE_245 = "n 2\nfacets 3\nedge 0 1 4\nedge 1 2 5\n"
 
 
 def test_uniform_simplex_map_properties():
@@ -69,19 +67,16 @@ def test_euclidean_limit_near_origin():
 
 def test_gauss_bonnet_compact_triangle():
     # all angles pi/4: area = pi - 3 pi/4 = pi/4
-    r = realize(triangle_gram(4, 4, 4), prec=128, dimension=2)
-    enumerate_vertices(r)
-    est = polytope_volume(to_klein(r), 1e-4, seed=5)
+    est = polytope_volume(klein_polytope(TRIANGLE_444), 1e-4, seed=5)
     ref = math.pi / 4
     assert abs(est.value - ref) / ref < 1e-4
     assert abs(est.value - ref) <= est.abs_error
 
 
 def test_gauss_bonnet_237_triangle():
-    r = realize(triangle_gram(2, 3, 7), prec=128, dimension=2)
-    enumerate_vertices(r)
-    est = polytope_volume(to_klein(r), 1e-4, seed=5)
-    ref = math.pi / 42
+    # the (2,4,5) triangle: area pi - pi/2 - pi/4 - pi/5 = pi/20
+    est = polytope_volume(klein_polytope(TRIANGLE_245), 1e-4, seed=5)
+    ref = math.pi / 20
     assert abs(est.value - ref) / ref < 1e-4
 
 

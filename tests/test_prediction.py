@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -156,6 +160,17 @@ def test_analyze_integrated_small_case():
     # dimension 2: no prediction branch
     assert rep.prediction is None
     assert "dimension" in rep.prediction_skipped or "Gauss-Bonnet" in rep.prediction_skipped
+
+
+def test_first_integration_times_sobol_import_apart():
+    # a fresh interpreter, so the first analysis pays the one-time scipy import
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import json, hypvol; from hypvol.polytopes import IDEAL_TRIANGLE; "
+            "print(json.dumps(hypvol.analyze(IDEAL_TRIANGLE, target_rel_err=1e-2).timings))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    timings = json.loads(out)
+    assert timings["sobol_import"] > timings["volume"]
 
 
 def test_analyze_quadratic_field_skips_prediction():
