@@ -25,12 +25,12 @@ def build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="run the full pipeline on a diagram file")
     an.add_argument("diagram", help="path to a diagram file, or - for stdin")
     an.add_argument("--precision", type=int, default=128,
-                    help="geometry working precision in bits (default 128)")
+                    help="geometry working precision in bits, at least 53 (default 128)")
     an.add_argument("--target-err", type=float, default=1e-3,
                     help="relative error target for the volume integrator (positive)")
-    an.add_argument("--seed", type=int, default=20240, help="integrator RNG seed")
+    an.add_argument("--seed", type=int, default=20240, help="integrator RNG seed (non-negative)")
     an.add_argument("--max-samples", type=int, default=2**18,
-                    help="per-replicate sample cap for one simplex")
+                    help="per-replicate sample cap for one simplex, 1 to 2^30")
     an.add_argument("--assume-volume", default=None,
                     help="externally computed volume (skips the integrator); "
                          "needs --assume-err")
@@ -42,8 +42,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_option(args) -> str | None:
+    """What is wrong with the options, checked before any work, or None."""
+    if (args.assume_volume is None) != (args.assume_err is None):
+        return "--assume-volume and --assume-err must be given together"
+    if not (math.isfinite(args.target_err) and args.target_err > 0):
+        return f"--target-err must be finite and positive, not {args.target_err}"
+    if args.precision < 53:
+        return f"--precision must be at least 53 bits, not {args.precision}"
+    if args.seed < 0:
+        return f"--seed must be non-negative, not {args.seed}"
+    if not 1 <= args.max_samples <= 2**30:
+        return f"--max-samples must lie between 1 and 2^30, not {args.max_samples}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    problem = _bad_option(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_STAGE_ERROR
     if args.diagram == "-":
         text = sys.stdin.read()
     else:
@@ -53,16 +72,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_STAGE_ERROR
-    if (args.assume_volume is None) != (args.assume_err is None):
-        print("error: --assume-volume and --assume-err must be given together",
-              file=sys.stderr)
-        return EXIT_STAGE_ERROR
-    if not (math.isfinite(args.target_err) and args.target_err > 0):
-        print(f"error: --target-err must be finite and positive, not {args.target_err}",
-              file=sys.stderr)
-        return EXIT_STAGE_ERROR
 
-    max_log2 = max(7, int(args.max_samples).bit_length() - 1)
     try:
         report = analyze(
             text,
@@ -72,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
             assume_volume=args.assume_volume,
             assume_err=args.assume_err,
             lseries_context=PrecisionContext(max(args.precision, 256)),
-            max_log2_samples=max_log2,
+            max_log2_samples=args.max_samples.bit_length() - 1,
         )
     except NotLorentzian as exc:
         print(f"error: not Lorentzian: {exc}", file=sys.stderr)

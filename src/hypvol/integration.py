@@ -11,18 +11,26 @@ cut into geometric shells toward the cusp (ratio 1/2); shell contributions
 shrink like 2^(-k(n-1)/2) and the remaining tail is bounded in closed form,
 so the reported error is the replicate spread plus a rigorous tail bound.
 
-Each piece gets 8 scrambled Sobol engines, built once per analysis:
-``polytope_volume``'s sizing pass draws from them, resets them, and its
-refine pass draws the same points again.  One replicate loop extends their
-sequences each round, adding only the new points to each replicate's
-running sum.  Scrambled Sobol sequences are nested (Owen 1995), so an
-extended sequence equals a fresh draw of the same size.
+The points are scipy's, bit for bit, from an in-repo generator: replicate
+r of a piece is ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed + r)``,
+that is Joe-Kuo direction numbers (Joe & Kuo, SIAM J. Sci. Comput. 30,
+2008) in 30 bits under a random linear matrix scramble and a digital shift
+(Matousek 1998), drawn from ``numpy.random.default_rng(seed + r)``.  Point
+k is the shift XOR the scrambled direction numbers over the bits of the
+Gray code of k, so each block [2^k, 2^(k+1)) doubles out of its start point
+with one uint32 XOR pass and one float conversion, and there is no engine
+state: ``polytope_volume``'s refine pass asks for its sizing pass's points
+again.  One replicate loop extends each replicate's sequence each round,
+adding only the new points to its running sum.  Scrambled Sobol sequences
+are nested (Owen 1995), so an extended sequence equals a fresh draw of the
+same size.
 
-The integrands hold points as (n, m) arrays, one contiguous row per
-coordinate, and for odd n raise 1 - |x|^2 to the power -(n+1)/2 as a
-product of reciprocals, which is cheaper than numpy's general power.
-``scipy.stats.qmc`` is imported when the first engines are built, since it
-costs most of ``import hypvol`` and only integration needs it.
+Points come as (n, replicates, m) arrays, one contiguous row per coordinate,
+and one integrand call evaluates as many whole replicates as fit in 2^14
+points, the largest single draw of a 5D analysis; a larger block goes one
+replicate per call, so no array outgrows one replicate's block.  The
+integrands raise 1 - |x|^2 to the power -(n+1)/2 as a product of
+reciprocals for odd n, which is cheaper than numpy's general power.
 
 Simplices with several ideal vertices are split on ideal-ideal edge
 midpoints first, so every integrated piece has at most one cusp.
@@ -43,6 +51,18 @@ _REPLICATES = 8
 _MIN_LOG2 = 7          # smallest per-replicate sample count: 2^7
 _MAX_LOG2 = 18         # largest per-replicate sample count: 2^18
 _IDEAL_NORM_TOL = 1e-9
+_BATCH = 1 << 14       # points per integrand call, in whole replicates
+_BITS = 30             # Sobol points are 30-bit fractions, as scipy's
+# Joe-Kuo primitive polynomials and initial direction numbers m_1..m_deg for
+# the first 21 dimensions (scipy's table, ``_sobol_direction_numbers.npz``)
+_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41, 47, 55, 59, 61, 67, 91, 97, 103, 109,
+         115, 131, 137)
+_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13),
+          (1, 1, 5, 5, 17), (1, 1, 5, 5, 5), (1, 1, 7, 11, 19), (1, 1, 5, 1, 1),
+          (1, 1, 1, 3, 11), (1, 3, 5, 5, 31), (1, 3, 3, 9, 7, 49),
+          (1, 1, 1, 15, 21, 21), (1, 3, 1, 13, 27, 49), (1, 1, 1, 15, 7, 5),
+          (1, 3, 1, 15, 13, 25), (1, 1, 5, 5, 19, 61), (1, 3, 7, 11, 23, 15, 103),
+          (1, 3, 7, 13, 13, 15, 69))
 
 
 @dataclass(frozen=True)
@@ -73,19 +93,17 @@ def _uniform_simplex(U: np.ndarray) -> np.ndarray:
     Stick-breaking with power transforms; measure preserving up to the
     constant 1/d!, and smooth, which keeps the Sobol advantage (a sorting
     map would be measure preserving too but wrecks the convergence rate).
-    Works on one contiguous row per coordinate and returns the (m, d)
-    transposed view of those rows.
+    Overwrites the (d, m) array U, one row per coordinate, and returns it.
     """
-    m, d = U.shape
-    t = U.T.copy()
+    d, m = U.shape
     rem = np.ones(m)
-    for i, row in enumerate(t):
+    for i, row in enumerate(U):
         np.power(row, 1.0 / (d - i), out=row)
         np.subtract(1.0, row, out=row)
         keep = 1.0 - row
         row *= rem
         rem *= keep
-    return t.T
+    return U
 
 
 def _split_multi_ideal(points: np.ndarray, ideal: list[bool]) -> list[tuple[np.ndarray, int | None]]:
@@ -141,7 +159,7 @@ def _compact_integrand(points, n):
     scale = det / math.factorial(n)
     v0 = v0[:, None]
     YT = Y.T.copy()
-    return (lambda U: scale * _density(YT @ _uniform_simplex(U).T + v0, n)), 0.0
+    return (lambda U: scale * _density(YT @ _uniform_simplex(U) + v0, n)), 0.0
 
 
 def _cusp_integrand(points, ideal_index, n, tail_target):
@@ -199,16 +217,17 @@ def _cusp_integrand(points, ideal_index, n, tail_target):
     weights = [0.5 ** (k * (n - 1) / 2) for k in range(shells)]
 
     def integrand(U):
-        T = 0.5 * (1.0 + U[:, 0])
-        t = np.empty((n, len(U)))
-        t[:-1] = _uniform_simplex(U[:, 1:]).T
+        m = U.shape[1]
+        T = 0.5 * (1.0 + U[0])
+        t = np.empty((n, m))
+        t[:-1] = _uniform_simplex(U[1:])
         t[-1] = 1.0 - t[:-1].sum(axis=0)
         t *= T
         at = a @ t
         tY = YT @ t
         dd = np.einsum("ij,ij->j", tY, tY)
-        total = np.zeros(len(U))
-        shell = np.empty(len(U))
+        total = np.zeros(m)
+        shell = np.empty(m)
         for k, w in enumerate(weights):
             np.multiply(dd, -0.5 ** k, out=shell)
             shell += at
@@ -218,20 +237,87 @@ def _cusp_integrand(points, ideal_index, n, tail_target):
     return integrand, tail_bound(shells) / 2.0
 
 
-def _sobol_engines(n: int, seed: int) -> list:
-    """The 8 scrambled Sobol engines of one piece, seeded seed + r."""
-    from scipy.stats import qmc
+def _direction_numbers() -> np.ndarray:
+    """The (21, 30) Sobol direction numbers v_j, left-aligned in 30 bits.
 
-    return [qmc.Sobol(n, scramble=True, seed=seed + r) for r in range(_REPLICATES)]
+    Dimension 0 is v_j = 2^(29-j); the others extend their initial numbers
+    by v_j = v_(j-m) ^ (v_(j-m) >> m) ^ XOR of a_k v_(j-k), where m is the
+    degree of the primitive polynomial and a_k its inner coefficients.
+    """
+    table = [[1 << (_BITS - 1 - j) for j in range(_BITS)]]
+    for poly, init in zip(_POLY[1:], _VINIT[1:]):
+        m = poly.bit_length() - 1
+        v = [x << (_BITS - 1 - j) for j, x in enumerate(init)]
+        for j in range(m, _BITS):
+            new = v[j - m] ^ (v[j - m] >> m)
+            for k in range(1, m):
+                if poly >> (m - k) & 1:
+                    new ^= v[j - k]
+            v.append(new)
+        table.append(v)
+    return np.array(table, dtype=np.uint32)
 
 
-def _replicates(pts, ideal_index, budget, engines, max_log2_samples) -> VolumeEstimate:
-    """The replicate loop: one piece's volume from its engines.
+_DIRECTIONS = _direction_numbers()
+_MSB_SHIFT = np.arange(_BITS - 1, -1, -1, dtype=np.uint32)   # shift of MSB-first bit p
+
+
+class _Sobol:
+    """The scrambled Sobol points of the 8 replicates of one piece.
+
+    Replicate r equals ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed + r)``
+    point for point.  Its bits come from ``numpy.random.default_rng(seed + r)``
+    in scipy's order: the shift bits, then a lower-triangular matrix whose
+    diagonal is set to 1.  Scrambled v_j has, at MSB-first bit p, the parity
+    of row p of the matrix AND v_j.
+    """
+
+    def __init__(self, d: int, seed: int):
+        if d > len(_POLY):
+            raise ValueError(f"Sobol points are tabulated up to dimension {len(_POLY)}, not {d}")
+        shift, ltm = [], []
+        for r in range(_REPLICATES):
+            rng = np.random.default_rng(seed + r)
+            shift.append(rng.integers(2, size=(d, _BITS), dtype=np.uint32))
+            ltm.append(rng.integers(2, size=(d, _BITS, _BITS), dtype=np.uint32))
+        j = np.arange(_BITS, dtype=np.uint32)
+        self._shift = (np.array(shift) << j).sum(axis=2, dtype=np.uint32).T     # (d, R)
+        # float products of 0/1 entries are exact and go through BLAS
+        ltm = np.tril(np.array(ltm, dtype=np.float64))
+        ltm[..., j, j] = 1.0
+        bits = (_DIRECTIONS[:d, :, None] >> _MSB_SHIFT & 1).astype(np.float64)  # [i, k, p]
+        parity = (bits @ ltm.swapaxes(2, 3)).astype(np.uint32) & 1             # [r, i, k, p]
+        v = (parity << _MSB_SHIFT).sum(axis=3, dtype=np.uint32).transpose(1, 0, 2)
+        # step k = v_k ^ v_(k-1) moves point i to point 2^k + i
+        self._step = v.copy()
+        self._step[..., 1:] ^= v[..., :-1]                                      # (d, R, 30)
+
+    def points(self, start: int, stop: int, replicates: slice) -> np.ndarray:
+        """Points start..stop-1 as a (d, replicates, stop - start) float array.
+
+        [start, stop) is [0, 2^k) or [2^k, 2^(k+1)).  Point i is the shift
+        XOR the scrambled v_k over the bits of the Gray code i ^ (i >> 1), so
+        point 2^k + i is point i XOR step k: the block doubles out of its
+        start point, and point 0 is the shift.
+        """
+        shift, step = self._shift[:, replicates], self._step[:, replicates]
+        x = np.empty(shift.shape + (stop - start,), np.uint32)
+        x[..., 0] = shift ^ step[..., start.bit_length() - 1] if start else shift
+        size = 1
+        for k in range((stop - start).bit_length() - 1):
+            np.bitwise_xor(x[..., :size], step[..., k, None], out=x[..., size:2 * size])
+            size *= 2
+        return x * 2.0 ** -_BITS
+
+
+def _replicates(pts, ideal_index, budget, sobol, max_log2_samples) -> VolumeEstimate:
+    """The replicate loop: one piece's volume from its Sobol points.
 
     Each replicate starts at 2^7 points and is extended (never redrawn) to
     4 times as many per round, until the replicate-spread error estimate
     fits the absolute budget or the sample cap is reached; only the new
-    points of a round are evaluated.
+    points of a round are evaluated, as many whole replicates per integrand
+    call as fit in 2^14 points.
     """
     n = pts.shape[1]
     piece = (_compact_integrand(pts, n) if ideal_index is None
@@ -241,18 +327,23 @@ def _replicates(pts, ideal_index, budget, engines, max_log2_samples) -> VolumeEs
     integrand, tail = piece
 
     sums = np.zeros(_REPLICATES)
-    log2_pts = _MIN_LOG2
+    drawn, log2_pts = 0, _MIN_LOG2
     while True:
-        for r, engine in enumerate(engines):
-            # extend by doubling: every total stays a power of two
-            while (drawn := engine.num_generated) < 1 << log2_pts:
-                U = engine.random_base2(drawn.bit_length() - 1 if drawn else log2_pts)
-                sums[r] += integrand(U).sum()
+        # extend by doubling: every total stays a power of two
+        while drawn < 1 << log2_pts:
+            stop = 2 * drawn if drawn else 1 << log2_pts
+            group = max(1, _BATCH // (stop - drawn))
+            for r in range(0, _REPLICATES, group):
+                U = sobol.points(drawn, stop, slice(r, r + group))
+                values = integrand(U.reshape(n, -1)).reshape(-1, stop - drawn)
+                # a row sum is the same pairwise sum as a replicate's own 1-D sum
+                sums[r:r + len(values)] += values.sum(axis=1)
+            drawn = stop
         means = sums / (1 << log2_pts)
         err = 3.0 * float(np.std(means, ddof=1)) / math.sqrt(_REPLICATES) + tail
-        if err <= budget or log2_pts >= max_log2_samples:
+        if err <= budget or log2_pts >= min(max_log2_samples, _BITS):
             return VolumeEstimate(float(np.mean(means)) + tail, err, _REPLICATES << log2_pts)
-        log2_pts += 2
+        log2_pts = min(log2_pts + 2, _BITS)
 
 
 def simplex_volume(
@@ -266,8 +357,8 @@ def simplex_volume(
     """Hyperbolic volume of one Klein simplex to roughly the given budget.
 
     ``points`` is an (n+1) x n array-like; at most one vertex may be ideal
-    (on the unit sphere), and ``ideal_index=None`` detects it.  The 8
-    replicate engines are seeded ``seed + r``; see ``_replicates``.
+    (on the unit sphere), and ``ideal_index=None`` detects it; n is at most
+    21.  The 8 replicates are seeded ``seed + r``; see ``_Sobol``.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[1]
@@ -280,7 +371,7 @@ def simplex_volume(
             raise ValueError("more than one ideal vertex; split the simplex first")
         if len(on_sphere) == 1:
             ideal_index = int(on_sphere[0])
-    return _replicates(pts, ideal_index, budget, _sobol_engines(n, seed), max_log2_samples)
+    return _replicates(pts, ideal_index, budget, _Sobol(n, seed), max_log2_samples)
 
 
 def polytope_volume(
@@ -294,10 +385,10 @@ def polytope_volume(
 
     A cheap first pass sizes every piece, then absolute error budgets are
     allocated proportionally to the first-pass estimates and each piece is
-    refined independently.  Piece k's engines are seeded seed + 7919 k and
-    built once: the refine pass resets them and draws the first pass's
-    points again.  The result carries the summed error, so a miss of the
-    target still reports an honest bound.
+    refined independently.  Piece k's replicates are seeded seed + 7919 k
+    + r, and the refine pass evaluates the first pass's points again.  The
+    result carries the summed error, so a miss of the target still reports
+    an honest bound.
     """
     pieces: list[tuple[np.ndarray, int | None]] = []
     for simplex in kp.simplices:
@@ -307,9 +398,8 @@ def polytope_volume(
         flags = [kp.ideal_flags[k] if k >= 0 else False for k in simplex]
         pieces.extend(_split_multi_ideal(pts, flags))
 
-    engines = [_sobol_engines(pts.shape[1], seed + 7919 * k)
-               for k, (pts, _) in enumerate(pieces)]
-    first = [_replicates(pts, ideal_idx, math.inf, engines[k], _MIN_LOG2)
+    sobol = [_Sobol(pts.shape[1], seed + 7919 * k) for k, (pts, _) in enumerate(pieces)]
+    first = [_replicates(pts, ideal_idx, math.inf, sobol[k], _MIN_LOG2)
              for k, (pts, ideal_idx) in enumerate(pieces)]
     rough_total = sum(e.value for e in first) or 1.0
     budget_total = target_rel_err * rough_total
@@ -317,8 +407,6 @@ def polytope_volume(
     total = VolumeEstimate(0.0, 0.0, 0, "QMC")
     for k, (pts, ideal_idx) in enumerate(pieces):
         share = max(first[k].value / rough_total, 1.0 / (16 * len(pieces)))
-        for engine in engines[k]:
-            engine.reset()
-        total = total + _replicates(pts, ideal_idx, budget_total * share, engines[k],
+        total = total + _replicates(pts, ideal_idx, budget_total * share, sobol[k],
                                     max_log2_samples)
     return total

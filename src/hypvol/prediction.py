@@ -311,12 +311,21 @@ def analyze(
     numeric integrator is skipped and recognition runs at that accuracy;
     otherwise the volume is integrated and recognition runs at the
     integrator's accuracy, which limits how large a denominator can be
-    certified.  ``target_rel_err`` must be finite and positive.
+    certified.  ``target_rel_err`` must be finite and positive, ``precision``
+    at least 53 bits (a float64's), ``seed`` non-negative (numpy seeds the
+    Sobol scrambles), and ``max_log2_samples`` within the 30-bit Sobol
+    sequence, 0 to 30.
     """
     if (assume_volume is None) != (assume_err is None):
         raise ValueError("assume_volume and assume_err must be given together")
     if not (math.isfinite(target_rel_err) and target_rel_err > 0):
         raise ValueError(f"target_rel_err must be finite and positive, not {target_rel_err}")
+    if precision < 53:
+        raise ValueError(f"precision must be at least 53 bits, not {precision}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
+    if not 0 <= max_log2_samples <= 30:
+        raise ValueError(f"max_log2_samples must lie in [0, 30], not {max_log2_samples}")
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     diagram = parse_diagram(diagram_text)
@@ -361,9 +370,6 @@ def analyze(
         )
         kp = geometry.to_klein(realization)
         timings["geometry"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        from scipy.stats import qmc  # noqa: F401  (a one-time cost, timed apart from the volume)
-        timings["sobol_import"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         est = integration.polytope_volume(
             kp, target_rel_err, seed=seed, max_log2_samples=max_log2_samples

@@ -110,3 +110,35 @@ def test_bad_target_err_is_stage_error(diagram_file, capsys, target):
     code = main(["analyze", path, f"--target-err={target}"])
     assert code == EXIT_STAGE_ERROR
     assert "--target-err must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precision", ["0", "-3", "8", "52"])
+def test_low_precision_is_stage_error(diagram_file, capsys, precision):
+    # below a float64's 53 bits the geometry fails and blames a valid diagram
+    path = diagram_file(IDEAL_TRIANGLE)
+    code = main(["analyze", path, f"--precision={precision}"])
+    assert code == EXIT_STAGE_ERROR
+    assert "--precision must be at least 53 bits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5", str(2**30 + 1), str(2**40)])
+def test_max_samples_outside_the_sobol_sequence_is_stage_error(diagram_file, capsys, samples):
+    path = diagram_file(IDEAL_TRIANGLE)
+    code = main(["analyze", path, f"--max-samples={samples}"])
+    assert code == EXIT_STAGE_ERROR
+    assert "--max-samples must lie between 1 and 2^30" in capsys.readouterr().err
+
+
+def test_negative_seed_is_stage_error(diagram_file, capsys):
+    path = diagram_file(IDEAL_TRIANGLE)
+    code = main(["analyze", path, "--seed=-1"])
+    assert code == EXIT_STAGE_ERROR
+    assert "--seed must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["1", str(2**30)])
+def test_max_samples_bounds_are_accepted(diagram_file, capsys, samples):
+    path = diagram_file(IDEAL_TRIANGLE)
+    code = main(["analyze", path, "--target-err", "0.1", f"--max-samples={samples}", "--json"])
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["volume"]["samples"] > 0

@@ -7,13 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 from mpmath import mp
-from scipy.stats import qmc
 
+from hypvol import integration
 from hypvol.diagram import gram_matrix, parse_diagram
 from hypvol.errors import NonConvergent
 from hypvol.geometry import enumerate_vertices, realize, to_klein
 from hypvol.integration import (
+    _DIRECTIONS,
+    _POLY,
+    _VINIT,
     VolumeEstimate,
+    _Sobol,
     _compact_integrand,
     _cusp_integrand,
     _split_multi_ideal,
@@ -22,6 +26,12 @@ from hypvol.integration import (
     simplex_volume,
 )
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D
+
+
+@pytest.fixture
+def qmc():
+    """scipy's QMC module, the oracle for the in-repo Sobol generator."""
+    return pytest.importorskip("scipy.stats").qmc
 
 
 def klein_polytope(text, prec=128):
@@ -38,7 +48,7 @@ TRIANGLE_245 = "n 2\nfacets 3\nedge 0 1 4\nedge 1 2 5\n"
 def test_uniform_simplex_map_properties():
     rng = np.random.default_rng(0)
     U = rng.random((2000, 4))
-    t = _uniform_simplex(U)
+    t = _uniform_simplex(U.T.copy()).T
     assert (t >= 0).all()
     assert (t.sum(axis=1) <= 1 + 1e-12).all()
     # barycenter of the uniform simplex is 1/(d+1) per coordinate
@@ -170,21 +180,21 @@ def test_convergence_order():
 
 @pytest.fixture
 def sobol_rows(monkeypatch):
-    """Rows drawn from each Sobol engine built while the test runs."""
+    """Points generated by each Sobol generator built while the test runs."""
     rows = []
 
-    class CountingSobol(qmc.Sobol):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
+    class CountingSobol(_Sobol):
+        def __init__(self, *args):
+            super().__init__(*args)
             self.index = len(rows)
             rows.append(0)
 
-        def random(self, *args, **kwargs):
-            U = super().random(*args, **kwargs)
-            rows[self.index] += len(U)
+        def points(self, *args):
+            U = super().points(*args)
+            rows[self.index] += U.shape[1] * U.shape[2]
             return U
 
-    monkeypatch.setattr(qmc, "Sobol", CountingSobol)
+    monkeypatch.setattr(integration, "_Sobol", CountingSobol)
     return rows
 
 
@@ -195,9 +205,10 @@ CUSP_2D = np.array([[1.0, 0.0], [0.0, 0.3], [-0.2, -0.1]])
 
 @pytest.mark.parametrize("pts", [COMPACT_3D, CUSP_2D], ids=["compact", "cusp"])
 def test_simplex_volume_builds_each_replicate_engine_once(pts, sobol_rows):
-    # budget 0 runs all three rounds: 2^7, 2^9 and 2^11 points per replicate
+    # budget 0 runs all three rounds: 2^7, 2^9 and 2^11 points per replicate;
+    # one generator serves all 8 replicates
     simplex_volume(pts, budget=0.0, max_log2_samples=11)
-    assert len(sobol_rows) == 8
+    assert len(sobol_rows) == 1
 
 
 @pytest.mark.parametrize("pts", [COMPACT_3D, CUSP_2D], ids=["compact", "cusp"])
@@ -207,11 +218,11 @@ def test_simplex_volume_draws_each_point_once(pts, sobol_rows):
     assert sum(sobol_rows) == est.samples
 
 
-def test_extended_sequences_match_fresh_draws():
+def test_extended_sequences_match_fresh_draws(qmc):
     # scrambled Sobol sequences are nested, so extending each replicate by
     # doubling evaluates the points of one fresh draw of the final size
     integrand, _ = _compact_integrand(COMPACT_3D, 3)
-    fresh = [integrand(qmc.Sobol(3, scramble=True, seed=31 + r).random_base2(11)).mean()
+    fresh = [integrand(qmc.Sobol(3, scramble=True, seed=31 + r).random_base2(11).T.copy()).mean()
              for r in range(8)]
     est = simplex_volume(COMPACT_3D, budget=0.0, seed=31, max_log2_samples=11)
     assert est.value == pytest.approx(np.mean(fresh), rel=1e-14, abs=0)
@@ -286,21 +297,22 @@ def ball_points(n, ideal):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_compact_integrand_matches_power_formula(n):
+def test_compact_integrand_matches_power_formula(n, qmc):
     pts = ball_points(n, ideal=False)
     U = qmc.Sobol(n, scramble=True, seed=7).random_base2(10)
     integrand, tail = _compact_integrand(pts, n)
     assert tail == 0.0
-    np.testing.assert_allclose(integrand(U), rowwise_compact(pts, n, U), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(integrand(U.T.copy()), rowwise_compact(pts, n, U),
+                               rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("pts", [CUSP_2D, ball_points(3, ideal=True), ball_points(5, ideal=True)],
                          ids=["CUSP_2D", "3d", "5d"])
-def test_cusp_integrand_matches_power_formula(pts):
+def test_cusp_integrand_matches_power_formula(pts, qmc):
     n = pts.shape[1]
     U = qmc.Sobol(n, scramble=True, seed=7).random_base2(10)
     integrand, _ = _cusp_integrand(pts, 0, n, 1e-9)
-    np.testing.assert_allclose(integrand(U), rowwise_cusp(pts, 0, n, 1e-9, U),
+    np.testing.assert_allclose(integrand(U.T.copy()), rowwise_cusp(pts, 0, n, 1e-9, U),
                                rtol=1e-13, atol=0)
 
 
@@ -316,7 +328,7 @@ def triangle_pieces():
 def test_polytope_volume_builds_each_piece_engines_once(sobol_rows):
     kp, pieces = triangle_pieces()
     polytope_volume(kp, 1e-3, seed=5)
-    assert len(sobol_rows) == 8 * len(pieces)
+    assert len(sobol_rows) == len(pieces)
 
 
 def test_polytope_volume_refine_pass_redraws_sizing_points():
@@ -336,9 +348,76 @@ def test_polytope_volume_refine_pass_redraws_sizing_points():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of the import time and only integration uses it
+    # hypvol never imports scipy; test_prediction checks an integrated run and the CLI
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, hypvol; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 11, 21])
+def test_sobol_points_match_scipy_bit_for_bit(d, qmc):
+    # block 0 at 2^7 and every doubling up to 2^13, for replicate groups of 1, 2 and 8
+    blocks = [(0, 128)] + [(1 << k, 2 << k) for k in range(7, 13)]
+    for seed in (0, 7, 20240):
+        engines = [qmc.Sobol(d, scramble=True, seed=seed + r) for r in range(8)]
+        expected = [[e.random_base2((stop - start).bit_length() - 1) for start, stop in blocks]
+                    for e in engines]
+        sobol = _Sobol(d, seed)
+        for group in (1, 2, 8):
+            for r in range(0, 8, group):
+                for b, (start, stop) in enumerate(blocks):
+                    U = sobol.points(start, stop, slice(r, r + group))
+                    assert U.shape == (d, group, stop - start)
+                    for i in range(group):
+                        assert np.array_equal(U[:, i].T, expected[r + i][b])
+
+
+def test_sobol_direction_table_matches_scipy_npz():
+    stats = pytest.importorskip("scipy.stats")
+    table = np.load(Path(stats.__file__).parent / "_sobol_direction_numbers.npz")
+    assert tuple(table["poly"][:len(_POLY)]) == _POLY
+    for row, init in zip(table["vinit"], _VINIT):
+        assert tuple(row[:len(init)]) == init
+    # v_j = m_j 2^(29-j) with m_j odd and below 2^(j+1), starting from the table's m_j
+    assert _DIRECTIONS.shape == (21, 30)
+    m = _DIRECTIONS >> np.arange(29, -1, -1, dtype=np.uint32)
+    assert (m & 1 == 1).all() and (m < 2 << np.arange(30)).all()
+    assert (_DIRECTIONS == m << np.arange(29, -1, -1, dtype=np.uint32)).all()
+    for row, init in zip(m[1:], _VINIT[1:]):
+        assert tuple(row[:len(init)]) == init
+
+
+def test_sobol_blocks_stratify_every_coordinate():
+    # each 2^k-point block of a replicate puts exactly one point in every
+    # interval [i/2^k, (i+1)/2^k) of every coordinate
+    for d, seed in ((2, 3), (5, 20240), (21, 9)):
+        sobol = _Sobol(d, seed)
+        for start, stop in [(0, 128), (0, 1024)] + [(1 << k, 2 << k) for k in range(11)]:
+            U = sobol.points(start, stop, slice(0, 8))
+            cells = np.sort(np.floor(U * (stop - start)).astype(np.int64), axis=-1)
+            assert (cells == np.arange(stop - start)).all()
+
+
+def test_sobol_rejects_untabulated_dimension():
+    with pytest.raises(ValueError, match="dimension 21"):
+        simplex_volume(np.zeros((23, 22)))
+
+
+def test_integrand_calls_hold_whole_replicates(monkeypatch):
+    # blocks of 2^7, 2^7, 2^8, 2^9 and 2^10 points, each for all 8 replicates in one call
+    calls = []
+
+    def counting(points, n):
+        integrand, tail = _compact_integrand(points, n)
+        return (lambda U: calls.append(U.shape[1]) or integrand(U)), tail
+
+    monkeypatch.setattr(integration, "_compact_integrand", counting)
+    simplex_volume(COMPACT_3D, budget=0.0, max_log2_samples=11)
+    assert calls == [8 << 7, 8 << 7, 8 << 8, 8 << 9, 8 << 10]
+    # past 2^11 points a block, fewer replicates go per call, never over 2^14 points
+    calls.clear()
+    est = simplex_volume(COMPACT_3D, budget=0.0, max_log2_samples=15)
+    assert calls[5:] == [1 << 14] * (1 + 2 + 4 + 8)
+    assert sum(calls) == est.samples

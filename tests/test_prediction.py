@@ -8,12 +8,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from hypvol.errors import EvenDimension
+from hypvol.errors import EvenDimension, HypvolError
 from hypvol.lseries import PrecisionContext, dirichlet_L, fundamental_discriminant, riemann_zeta
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
 from hypvol.prediction import (
+    AnalysisReport,
     analyze,
     recognize_rational,
     render_text,
@@ -162,15 +164,45 @@ def test_analyze_integrated_small_case():
     assert "dimension" in rep.prediction_skipped or "Gauss-Bonnet" in rep.prediction_skipped
 
 
-def test_first_integration_times_sobol_import_apart():
-    # a fresh interpreter, so the first analysis pays the one-time scipy import
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import json, hypvol; from hypvol.polytopes import IDEAL_TRIANGLE; "
-            "print(json.dumps(hypvol.analyze(IDEAL_TRIANGLE, target_rel_err=1e-2).timings))")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+def test_integrated_analysis_and_cli_load_no_scipy():
+    # a fresh interpreter: neither an integrated analysis nor the CLI imports scipy
+    root = Path(__file__).resolve().parents[1]
+    code = f"""
+import contextlib, io, sys, hypvol
+from hypvol import cli
+from hypvol.polytopes import IDEAL_TRIANGLE
+hypvol.analyze(IDEAL_TRIANGLE, target_rel_err=1e-2)
+print('scipy' in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(['analyze', {str(root / 'diagrams' / 'polytope5d.diagram')!r}])
+print(code, 'volume (integrated)' in out.getvalue(), 'scipy' in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": str(root / "src")},
                          capture_output=True, text=True, check=True).stdout
-    timings = json.loads(out)
-    assert timings["sobol_import"] > timings["volume"]
+    assert out.split() == ["False", "0", "True", "False"]
+
+
+@pytest.mark.parametrize("precision", [0, -3, 8, 52])
+def test_analyze_rejects_precision_below_a_float64(precision):
+    with pytest.raises(ValueError, match="precision must be at least 53"):
+        analyze(IDEAL_TRIANGLE, precision=precision)
+
+
+def test_analyze_at_53_bits_integrates_the_triangle():
+    rep = analyze(IDEAL_TRIANGLE, precision=53, target_rel_err=1e-2, seed=3)
+    assert abs(rep.volume.value - math.pi) <= rep.volume.abs_error
+
+
+def test_analyze_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        analyze(IDEAL_TRIANGLE, seed=-1)
+
+
+@pytest.mark.parametrize("log2", [-1, 31, 40])
+def test_analyze_rejects_sample_cap_past_the_sobol_sequence(log2):
+    with pytest.raises(ValueError, match="max_log2_samples must lie in"):
+        analyze(IDEAL_TRIANGLE, max_log2_samples=log2)
 
 
 def test_analyze_quadratic_field_skips_prediction():
@@ -265,3 +297,51 @@ def test_analyze_relabel_invariance():
 def test_analyze_rejects_bad_target(target):
     with pytest.raises(ValueError, match="target_rel_err"):
         analyze(IDEAL_TRIANGLE, target_rel_err=target)
+
+
+_GOOD_LABELS = [None, None, "3", "4", "5", "6", "inf", "dashed 2", "dashed 3/2",
+                "dashed sqrt(2)"]
+# malformed, unsupported or extreme labels and lines
+_ODD_LABELS = ["2", "7", "0", "-3", "x", "inf 3", "3 4", "dashed", "dashed 1", "dashed 1/2",
+               "dashed 1/0", "dashed sqrt(0)", "dashed sqrt(-2)", "dashed (2", "dashed 2 +",
+               "dashed 100000000000000000000", "dashed 1/100000000000000000000 + 1"]
+_ODD_LINES = ["n", "n 2 3", "n x", "n -1", "n 0", "facets", "facets -2", "facets 1",
+              "edge 0", "edge 0 0 3", "edge 0 9 3", "edge -1 0 3", "edge a b 3", "vertex 0",
+              "# comment only", "", "edge 0 1 3 # trailing comment"]
+
+
+@st.composite
+def analysis_texts(draw):
+    """Diagram text for n <= 4: a well-formed diagram, then up to two defects."""
+    n = draw(st.integers(2, 4))
+    N = draw(st.integers(n + 1, n + 3))
+    lines = [f"n {n}", f"facets {N}"]
+    for i in range(N):
+        for j in range(i + 1, N):
+            label = draw(st.sampled_from(_GOOD_LABELS))
+            if label is not None:
+                lines.append(f"edge {i} {j} {label}")
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines)))
+        defect = draw(st.sampled_from(["label", "line", "drop", "duplicate"]))
+        if defect == "label":
+            i, j = draw(st.integers(0, N - 1)), draw(st.integers(0, N - 1))
+            lines.insert(k, f"edge {i} {j} {draw(st.sampled_from(_ODD_LABELS))}")
+        elif defect == "line":
+            lines.insert(k, draw(st.sampled_from(_ODD_LINES)))
+        elif lines and defect == "drop":
+            lines.pop(min(k, len(lines) - 1))
+        elif lines:
+            lines.insert(k, lines[min(k, len(lines) - 1)])
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(analysis_texts())
+def test_analyze_fuzz_yields_report_or_typed_error(text):
+    try:
+        rep = analyze(text, target_rel_err=0.2, max_log2_samples=7)
+    except HypvolError:
+        return
+    assert isinstance(rep, AnalysisReport)
+    json.dumps(rep.to_dict(), allow_nan=False)
