@@ -7,9 +7,9 @@ import json
 import math
 import sys
 
+from . import integration
 from .errors import HypvolError, NotLorentzian
-from .lseries import PrecisionContext
-from .prediction import analyze, render_text
+from .prediction import analyze, parse_assumed_volume, render_text
 
 EXIT_OK = 0
 EXIT_STAGE_ERROR = 2
@@ -24,18 +24,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     an = sub.add_parser("analyze", help="run the full pipeline on a diagram file")
     an.add_argument("diagram", help="path to a diagram file, or - for stdin")
-    an.add_argument("--precision", type=int, default=128,
-                    help="geometry working precision in bits, at least 53 (default 128)")
     an.add_argument("--target-err", type=float, default=1e-3,
                     help="relative error target for the volume integrator (positive)")
-    an.add_argument("--seed", type=int, default=20240, help="integrator RNG seed (non-negative)")
-    an.add_argument("--max-samples", type=int, default=2**18,
-                    help="per-replicate sample cap for one simplex, 1 to 2^30")
+    an.add_argument("--seed", type=int, default=integration.DEFAULT_SEED,
+                    help="integrator RNG seed (non-negative)")
+    an.add_argument("--max-samples", type=int, default=2**integration.DEFAULT_MAX_LOG2,
+                    help="per-replicate sample cap for one integrated piece, rounded down "
+                         f"to a power of two, 1 to 2^30 (default 2^{integration.DEFAULT_MAX_LOG2})")
     an.add_argument("--assume-volume", default=None,
                     help="externally computed volume (skips the integrator); "
                          "needs --assume-err")
     an.add_argument("--assume-err", type=float, default=None,
-                    help="absolute error of the assumed volume")
+                    help="absolute error of the assumed volume (finite, positive)")
     fmt = an.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON report on stdout")
     fmt.add_argument("--text", action="store_true", help="text report (default)")
@@ -48,8 +48,13 @@ def _bad_option(args) -> str | None:
         return "--assume-volume and --assume-err must be given together"
     if not (math.isfinite(args.target_err) and args.target_err > 0):
         return f"--target-err must be finite and positive, not {args.target_err}"
-    if args.precision < 53:
-        return f"--precision must be at least 53 bits, not {args.precision}"
+    if args.assume_volume is not None:
+        try:
+            parse_assumed_volume(args.assume_volume)
+        except ValueError:
+            return f"--assume-volume must be a finite positive number, not {args.assume_volume}"
+        if not (math.isfinite(args.assume_err) and args.assume_err > 0):
+            return f"--assume-err must be finite and positive, not {args.assume_err}"
     if args.seed < 0:
         return f"--seed must be non-negative, not {args.seed}"
     if not 1 <= args.max_samples <= 2**30:
@@ -76,12 +81,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = analyze(
             text,
-            precision=args.precision,
             target_rel_err=args.target_err,
             seed=args.seed,
             assume_volume=args.assume_volume,
             assume_err=args.assume_err,
-            lseries_context=PrecisionContext(max(args.precision, 256)),
             max_log2_samples=args.max_samples.bit_length() - 1,
         )
     except NotLorentzian as exc:

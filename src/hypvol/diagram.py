@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-import mpmath
-from mpmath import mp
-
 from .errors import BadWeight, DiagramSyntaxError, NotLorentzian, UnsupportedLabel
 from .surd import MultiSurd, parse_surd
 
@@ -88,15 +85,6 @@ class GramMatrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> MultiSurd:
         return self.entries[ij[0]][ij[1]]
-
-    def evaluate(self, prec: int = 128) -> mpmath.matrix:
-        """High-precision float image of the matrix."""
-        with mp.workprec(prec):
-            M = mp.matrix(self.size)
-            for i in range(self.size):
-                for j in range(self.size):
-                    M[i, j] = self.entries[i][j].to_mpf(prec)
-        return M
 
     def permuted(self, perm: list[int]) -> "GramMatrix":
         inv = [0] * self.size

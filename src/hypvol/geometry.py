@@ -3,10 +3,10 @@
 The combinatorics are exact: faces, vertices and incidences come from the
 census, which reads them off the exact Gram matrix by the inertia of its
 principal submatrices (Vinberg, "Hyperbolic reflection groups", Russian
-Math. Surveys 40, 1985, Thm 3.1).  Coordinates are numeric at a
-configurable binary precision (mpmath floats, default 128 bits).  The
-Minkowski form used throughout is <x, y> = -x0*y0 + x1*y1 + ... with the
-timelike coordinate first.
+Math. Surveys 40, 1985, Thm 3.1).  Coordinates are float64: with every
+incidence decided exactly, they only feed the integrator, which works in
+float64, and two safety checks.  The Minkowski form used throughout is
+<x, y> = -x0*y0 + x1*y1 + ... with the timelike coordinate first.
 """
 
 from __future__ import annotations
@@ -14,40 +14,37 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import mpmath
-from mpmath import mp
+import numpy as np
 
 from .diagram import GramMatrix, assert_lorentzian, inertia
 from .errors import NoVertices, TriangulationFailure
 
-DEFAULT_PREC = 128
-
 FacetSet = tuple[int, ...]
 
 
-def _mink(x, y):
-    total = -x[0] * y[0]
-    for i in range(1, len(x)):
-        total += x[i] * y[i]
-    return total
+def _flip_time(X: np.ndarray) -> np.ndarray:
+    """X with its timelike column negated, so that X' @ y is <x, y> per row x."""
+    Y = np.array(X, dtype=np.float64)
+    Y[..., 0] *= -1.0
+    return Y
 
 
 @dataclass
 class PolytopeRealization:
     """Unit facet normals in Minkowski space, plus the census vertices.
 
-    Finite vertices are normalized to <x, x> = -1 with x0 > 0; ideal
-    vertices are light-cone rays normalized to x0 = 1.  ``vertex_facets``
-    holds the facet set of each finite, then each ideal vertex, and
-    ``faces`` every elliptic facet set, i.e. every face not at infinity.
+    ``normals`` is an (N, n+1) array.  Finite vertices are normalized to
+    <x, x> = -1 with x0 > 0; ideal vertices are light-cone rays normalized
+    to x0 = 1.  ``vertex_facets`` holds the facet set of each finite, then
+    each ideal vertex, and ``faces`` every elliptic facet set, i.e. every
+    face not at infinity.
     """
 
     dimension: int
-    normals: list[list[mpmath.mpf]]
-    prec: int
+    normals: np.ndarray
     gram: GramMatrix
-    finite_vertices: list[list[mpmath.mpf]] = field(default_factory=list)
-    ideal_vertices: list[list[mpmath.mpf]] = field(default_factory=list)
+    finite_vertices: list[np.ndarray] = field(default_factory=list)
+    ideal_vertices: list[np.ndarray] = field(default_factory=list)
     vertex_facets: list[frozenset[int]] = field(default_factory=list)
     faces: set[frozenset[int]] = field(default_factory=set)
 
@@ -55,41 +52,27 @@ class PolytopeRealization:
     def facet_count(self) -> int:
         return len(self.normals)
 
-    def gram_residual(self, G: GramMatrix) -> mpmath.mpf:
-        """Max deviation of reconstructed products from the float Gram."""
-        with mp.workprec(self.prec):
-            Gf = G.evaluate(self.prec)
-            worst = mp.mpf(0)
-            for i in range(self.facet_count):
-                for j in range(self.facet_count):
-                    worst = max(worst, abs(_mink(self.normals[i], self.normals[j]) - Gf[i, j]))
-        return worst
-
-    def is_compact(self) -> bool:
-        return not self.ideal_vertices
-
 
 @dataclass
 class KleinPolytope:
-    """Affine picture in the unit ball: inequalities, vertices, triangulation.
+    """Affine picture in the unit ball: vertices and a triangulation.
 
-    Inequalities are rows (a, b) meaning a . v <= b.  Vertices carry an
-    ideal flag (on the unit sphere).  Simplices index into the vertex list,
-    with -1 denoting the interior Steiner point used by the fan.
+    ``vertices`` is a (V, n) array whose rows carry an ideal flag (on the
+    unit sphere).  Simplices index into its rows, with -1 denoting the
+    interior Steiner point used by the fan.
     """
 
     dimension: int
-    inequalities: list[tuple[list[mpmath.mpf], mpmath.mpf]]
-    vertices: list[list[mpmath.mpf]]
+    vertices: np.ndarray
     ideal_flags: list[bool]
     simplices: list[list[int]]
-    steiner_point: list[mpmath.mpf]
+    steiner_point: np.ndarray
 
-    def simplex_points(self, simplex: list[int]) -> list[list[mpmath.mpf]]:
-        return [self.vertices[k] if k >= 0 else self.steiner_point for k in simplex]
+    def simplex_points(self, simplex: list[int]) -> np.ndarray:
+        return np.array([self.vertices[k] if k >= 0 else self.steiner_point for k in simplex])
 
 
-def realize(G: GramMatrix, prec: int = DEFAULT_PREC) -> PolytopeRealization:
+def realize(G: GramMatrix) -> PolytopeRealization:
     """Factor the Gram matrix into unit normals spanning a Lorentzian frame.
 
     The signature is checked exactly.  In the symmetric eigendecomposition
@@ -99,67 +82,9 @@ def realize(G: GramMatrix, prec: int = DEFAULT_PREC) -> PolytopeRealization:
     """
     assert_lorentzian(G)
     n, N = G.dimension, G.size
-    with mp.workprec(prec):
-        eigvals, Q = mp.eigsy(G.evaluate(prec))
-        order = sorted(range(N), key=lambda k: eigvals[k])
-        cols = [order[0]] + order[N - n:]
-        normals = [[Q[i, k] * mp.sqrt(abs(eigvals[k])) for k in cols] for i in range(N)]
-    return PolytopeRealization(n, normals, prec, G)
-
-
-def _row_reduce(rows: list[list[mpmath.mpf]], prec: int) -> tuple[list[list[mpmath.mpf]], list[int]]:
-    """Reduced row echelon form by Gaussian elimination with partial pivoting.
-
-    Entries below 2^(-2 prec / 3) in magnitude count as zero.  Returns the
-    reduced rows, each pivot row scaled to a unit pivot, and the pivot
-    columns in order; their count is the numerical rank.
-    """
-    m = len(rows)
-    w = len(rows[0])
-    A = [row[:] for row in rows]
-    piv_cols = []
-    r = 0
-    drop = mp.mpf(2) ** (-(prec * 2) // 3)
-    for c in range(w):
-        p, best = None, drop
-        for i in range(r, m):
-            if abs(A[i][c]) > best:
-                p, best = i, abs(A[i][c])
-        if p is None:
-            continue
-        A[r], A[p] = A[p], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(m):
-            if i != r and abs(A[i][c]) > 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    return A, piv_cols
-
-
-def _nullspace_vector(rows: list[list[mpmath.mpf]], prec: int) -> list[mpmath.mpf] | None:
-    """One unit vector spanning the nullspace of an n x (n+1) system.
-
-    Returns None when the nullspace has dimension greater than one
-    (degenerate intersection).  Negating rows leaves the result unchanged
-    bit for bit, since every pivot choice and rounding is sign-symmetric.
-    """
-    A, piv_cols = _row_reduce(rows, prec)
-    w = len(rows[0])
-    free = [c for c in range(w) if c not in piv_cols]
-    if len(free) != 1:
-        return None
-    fc = free[0]
-    x = [mp.mpf(0)] * w
-    x[fc] = mp.mpf(1)
-    for row, pc in zip(A, piv_cols):
-        x[pc] = -row[fc]
-    norm = mp.sqrt(sum(c * c for c in x))
-    return [c / norm for c in x]
+    eigvals, Q = np.linalg.eigh([[float(G[i, j]) for j in range(N)] for i in range(N)])
+    cols = [0, *range(N - n, N)]  # eigenvalues come in ascending order
+    return PolytopeRealization(n, Q[:, cols] * np.sqrt(np.abs(eigvals[cols])), G)
 
 
 def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, FacetSet]]]:
@@ -201,13 +126,18 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
     return faces, cusps
 
 
-def _vertex_line(normals, subset, prec) -> list[mpmath.mpf]:
-    """The line where the facets of ``subset`` meet, pointing to the future."""
-    # <e_i, x> = 0 in the Minkowski form: negate the timelike column
-    x = _nullspace_vector([[-normals[i][0]] + normals[i][1:] for i in subset], prec)
-    if x is None:
+def _vertex_line(normals: np.ndarray, subset) -> np.ndarray:
+    """The line where the facets of ``subset`` meet, pointing to the future.
+
+    It is the last right-singular vector of the n x (n+1) system
+    <e_i, x> = 0, which must have rank n.
+    """
+    A = _flip_time(normals[list(subset)])
+    _, s, Vt = np.linalg.svd(A)
+    if s[-1] <= s[0] * A.shape[1] * np.finfo(np.float64).eps:
         raise NoVertices(f"facets {list(subset)} do not meet in a line; the input is invalid")
-    return [-c for c in x] if x[0] < 0 else x
+    x = Vt[-1]
+    return -x if x[0] < 0 else x
 
 
 def enumerate_vertices(realization: PolytopeRealization) -> PolytopeRealization:
@@ -219,7 +149,7 @@ def enumerate_vertices(realization: PolytopeRealization) -> PolytopeRealization:
     strictly inside each facet half-space not through it, and every edge
     must have two ends, as in a finite-volume polytope.
     """
-    n = realization.dimension
+    n, N = realization.dimension, realization.facet_count
     faces, cusps = census(realization.gram)
     sets = [frozenset(T) for T in faces[n]] + [frozenset(P) for _, P in cusps]
     if not sets:
@@ -230,24 +160,21 @@ def enumerate_vertices(realization: PolytopeRealization) -> PolytopeRealization:
         if ends != 2:
             raise NoVertices(f"edge on facets {list(edge)} has {ends} end(s); "
                              "the polytope has infinite volume or the input is invalid")
-    with mp.workprec(realization.prec):
-        normals = realization.normals
-        finite = []
-        for T in faces[n]:
-            x = _vertex_line(normals, T, realization.prec)
-            scale = 1 / mp.sqrt(-_mink(x, x))
-            finite.append([c * scale for c in x])
-        ideal = []
-        for T, _ in cusps:
-            x = _vertex_line(normals, T, realization.prec)
-            ideal.append([c / x[0] for c in x])
-        verts = finite + ideal
-        if any(_mink(verts[0], e) > 0 for j, e in enumerate(normals) if j not in sets[0]):
-            normals = realization.normals = [[-c for c in e] for e in normals]
-        for x, S in zip(verts, sets):
-            if any(_mink(x, e) >= 0 for j, e in enumerate(normals) if j not in S):
-                raise NoVertices(f"the vertex on facets {sorted(S)} violates a facet "
-                                 "inequality; the input is not a polytope")
+    normals = realization.normals
+    finite = []
+    for T in faces[n]:
+        x = _vertex_line(normals, T)
+        finite.append(x / np.sqrt(-(_flip_time(x) @ x)))
+    ideal = [x / x[0] for x in (_vertex_line(normals, T) for T, _ in cusps)]
+    pairings = np.array(finite + ideal) @ _flip_time(normals).T    # [vertex, facet]
+    off = np.array([[j not in S for j in range(N)] for S in sets])
+    if (pairings[0, off[0]] > 0).any():
+        normals = realization.normals = -normals
+        pairings = -pairings
+    for row, out, S in zip(pairings, off, sets):
+        if (row[out] >= 0).any():
+            raise NoVertices(f"the vertex on facets {sorted(S)} violates a facet "
+                             "inequality; the input is not a polytope")
     realization.finite_vertices = finite
     realization.ideal_vertices = ideal
     realization.vertex_facets = sets
@@ -264,30 +191,17 @@ def to_klein(realization: PolytopeRealization) -> KleinPolytope:
     the Steiner point at the vertex centroid.
     """
     n = realization.dimension
-    if len(realization.finite_vertices) + len(realization.ideal_vertices) < n + 1:
+    finite, ideal = realization.finite_vertices, realization.ideal_vertices
+    if len(finite) + len(ideal) < n + 1:
         raise NoVertices("fewer than n+1 vertices; cannot triangulate")
-    with mp.workprec(realization.prec):
-        verts: list[list[mpmath.mpf]] = []
-        flags: list[bool] = []
-        for x in realization.finite_vertices:
-            verts.append([c / x[0] for c in x[1:]])
-            flags.append(False)
-        for x in realization.ideal_vertices:
-            v = x[1:]
-            norm = mp.sqrt(sum(c * c for c in v))
-            verts.append([c / norm for c in v])
-            flags.append(True)
-
-        inequalities = []
-        for e in realization.normals:
-            inequalities.append(([c for c in e[1:]], e[0]))
-
-        centroid = [sum(v[i] for v in verts) / len(verts) for i in range(n)]
-        if len(verts) == n + 1:
-            simplices = [list(range(n + 1))]  # the polytope is one simplex
-        else:
-            simplices = _fan_triangulation(n, realization)
-        return KleinPolytope(n, inequalities, verts, flags, simplices, centroid)
+    verts = np.array([x[1:] / x[0] for x in finite]
+                     + [x[1:] / np.linalg.norm(x[1:]) for x in ideal])
+    flags = [False] * len(finite) + [True] * len(ideal)
+    if len(verts) == n + 1:
+        simplices = [list(range(n + 1))]  # the polytope is one simplex
+    else:
+        simplices = _fan_triangulation(n, realization)
+    return KleinPolytope(n, verts, flags, simplices, verts.mean(axis=0))
 
 
 def _fan_triangulation(n, realization: PolytopeRealization) -> list[list[int]]:

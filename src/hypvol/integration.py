@@ -48,8 +48,8 @@ from .geometry import KleinPolytope
 
 DEFAULT_SEED = 20240
 _REPLICATES = 8
-_MIN_LOG2 = 7          # smallest per-replicate sample count: 2^7
-_MAX_LOG2 = 18         # largest per-replicate sample count: 2^18
+_MIN_LOG2 = 7          # per-replicate sample count of the first round: 2^7
+DEFAULT_MAX_LOG2 = 19  # default per-replicate sample cap: 2^19
 _IDEAL_NORM_TOL = 1e-9
 _BATCH = 1 << 14       # points per integrand call, in whole replicates
 _BITS = 30             # Sobol points are 30-bit fractions, as scipy's
@@ -315,9 +315,10 @@ def _replicates(pts, ideal_index, budget, sobol, max_log2_samples) -> VolumeEsti
 
     Each replicate starts at 2^7 points and is extended (never redrawn) to
     4 times as many per round, until the replicate-spread error estimate
-    fits the absolute budget or the sample cap is reached; only the new
-    points of a round are evaluated, as many whole replicates per integrand
-    call as fit in 2^14 points.
+    fits the absolute budget or the sample cap 2^max_log2_samples is
+    reached; every round is clamped to the cap, so no replicate draws more.
+    Only the new points of a round are evaluated, as many whole replicates
+    per integrand call as fit in 2^14 points.
     """
     n = pts.shape[1]
     piece = (_compact_integrand(pts, n) if ideal_index is None
@@ -327,7 +328,8 @@ def _replicates(pts, ideal_index, budget, sobol, max_log2_samples) -> VolumeEsti
     integrand, tail = piece
 
     sums = np.zeros(_REPLICATES)
-    drawn, log2_pts = 0, _MIN_LOG2
+    cap = min(max_log2_samples, _BITS)
+    drawn, log2_pts = 0, min(_MIN_LOG2, cap)
     while True:
         # extend by doubling: every total stays a power of two
         while drawn < 1 << log2_pts:
@@ -341,9 +343,9 @@ def _replicates(pts, ideal_index, budget, sobol, max_log2_samples) -> VolumeEsti
             drawn = stop
         means = sums / (1 << log2_pts)
         err = 3.0 * float(np.std(means, ddof=1)) / math.sqrt(_REPLICATES) + tail
-        if err <= budget or log2_pts >= min(max_log2_samples, _BITS):
+        if err <= budget or log2_pts >= cap:
             return VolumeEstimate(float(np.mean(means)) + tail, err, _REPLICATES << log2_pts)
-        log2_pts = min(log2_pts + 2, _BITS)
+        log2_pts = min(log2_pts + 2, cap)
 
 
 def simplex_volume(
@@ -352,7 +354,7 @@ def simplex_volume(
     *,
     ideal_index: int | None = None,
     seed: int = DEFAULT_SEED,
-    max_log2_samples: int = _MAX_LOG2,
+    max_log2_samples: int = DEFAULT_MAX_LOG2,
 ) -> VolumeEstimate:
     """Hyperbolic volume of one Klein simplex to roughly the given budget.
 
@@ -379,7 +381,7 @@ def polytope_volume(
     target_rel_err: float = 1e-3,
     *,
     seed: int = DEFAULT_SEED,
-    max_log2_samples: int = _MAX_LOG2,
+    max_log2_samples: int = DEFAULT_MAX_LOG2,
 ) -> VolumeEstimate:
     """Total volume of the triangulated polytope.
 
@@ -392,9 +394,7 @@ def polytope_volume(
     """
     pieces: list[tuple[np.ndarray, int | None]] = []
     for simplex in kp.simplices:
-        pts = np.array(
-            [[float(c) for c in p] for p in kp.simplex_points(simplex)], dtype=np.float64
-        )
+        pts = kp.simplex_points(simplex)
         flags = [kp.ideal_flags[k] if k >= 0 else False for k in simplex]
         pieces.extend(_split_multi_ideal(pts, flags))
 

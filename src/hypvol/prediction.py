@@ -39,6 +39,7 @@ from .surd import prime_factors
 RECOGNITION_SMOOTH_PRIMES = (2, 3, 5, 7)
 RECOGNITION_SMOOTH_QMAX = 10**9
 RECOGNITION_MAX_NUMERATOR = 16
+_WORKPREC = 256                 # bits for the assumed volume and recognition
 
 
 @dataclass(frozen=True)
@@ -219,6 +220,19 @@ def recognize_rational(x, err) -> RationalRecognition:
     return RationalRecognition("unrecognized", None, None, math.inf, 0.0, "none")
 
 
+def parse_assumed_volume(value: str | float) -> mpmath.mpf:
+    """An externally computed volume at 256 bits; ValueError unless it is a
+    finite positive number."""
+    with mp.workprec(_WORKPREC):
+        try:
+            volume = mp.mpf(value)
+        except (TypeError, ValueError):
+            volume = mp.nan
+    if not (mp.isfinite(volume) and volume > 0):
+        raise ValueError(f"assume_volume must be a finite positive number, not {value!r}")
+    return volume
+
+
 @dataclass
 class AnalysisReport:
     """Everything the pipeline learned about one diagram."""
@@ -296,13 +310,12 @@ class AnalysisReport:
 def analyze(
     diagram_text: str,
     *,
-    precision: int = 128,
     target_rel_err: float = 1e-3,
     seed: int = integration.DEFAULT_SEED,
     assume_volume: str | float | None = None,
     assume_err: float | None = None,
     lseries_context: PrecisionContext = DEFAULT_CONTEXT,
-    max_log2_samples: int = 18,
+    max_log2_samples: int = integration.DEFAULT_MAX_LOG2,
 ) -> AnalysisReport:
     """Full pipeline on a diagram file's text.
 
@@ -311,21 +324,26 @@ def analyze(
     numeric integrator is skipped and recognition runs at that accuracy;
     otherwise the volume is integrated and recognition runs at the
     integrator's accuracy, which limits how large a denominator can be
-    certified.  ``target_rel_err`` must be finite and positive, ``precision``
-    at least 53 bits (a float64's), ``seed`` non-negative (numpy seeds the
-    Sobol scrambles), and ``max_log2_samples`` within the 30-bit Sobol
-    sequence, 0 to 30.
+    certified.  The assumed volume must parse to a finite positive number
+    and its error be finite and positive; ``target_rel_err`` must be finite
+    and positive, ``seed`` non-negative (numpy seeds the Sobol scrambles),
+    and ``max_log2_samples`` within the 30-bit Sobol sequence, 0 to 30.
     """
     if (assume_volume is None) != (assume_err is None):
         raise ValueError("assume_volume and assume_err must be given together")
     if not (math.isfinite(target_rel_err) and target_rel_err > 0):
         raise ValueError(f"target_rel_err must be finite and positive, not {target_rel_err}")
-    if precision < 53:
-        raise ValueError(f"precision must be at least 53 bits, not {precision}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, not {seed}")
     if not 0 <= max_log2_samples <= 30:
         raise ValueError(f"max_log2_samples must lie in [0, 30], not {max_log2_samples}")
+    volume_value: mpmath.mpf | None = None
+    volume_err: float | None = None
+    if assume_volume is not None:
+        volume_value = parse_assumed_volume(assume_volume)
+        volume_err = float(assume_err)
+        if not (math.isfinite(volume_err) and volume_err > 0):
+            raise ValueError(f"assume_err must be finite and positive, not {assume_err}")
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     diagram = parse_diagram(diagram_text)
@@ -353,17 +371,12 @@ def analyze(
         report.prediction = transcendental_factor(n, arith.delta, lseries_context)
         timings["prediction"] = time.perf_counter() - t0
 
-    volume_value: mpmath.mpf | None = None
-    volume_err: float | None = None
     if assume_volume is not None:
-        with mp.workprec(max(precision, 256)):
-            volume_value = mp.mpf(assume_volume)
-        volume_err = float(assume_err)
         report.volume = integration.VolumeEstimate(float(volume_value), volume_err, 0, "assumed")
         report.volume_source = "assumed"
     else:
         t0 = time.perf_counter()
-        realization = geometry.realize(G, precision)
+        realization = geometry.realize(G)
         geometry.enumerate_vertices(realization)
         report.vertex_counts = (
             len(realization.finite_vertices), len(realization.ideal_vertices)
@@ -382,7 +395,7 @@ def analyze(
 
     if report.prediction is not None and volume_value is not None:
         t0 = time.perf_counter()
-        with mp.workprec(max(precision, 256)):
+        with mp.workprec(_WORKPREC):
             T = report.prediction.factor
             x = volume_value / T
             err_x = (mp.mpf(volume_err) + abs(x) * report.prediction.factor_error) / T

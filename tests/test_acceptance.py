@@ -119,13 +119,13 @@ def test_criterion_5_volume_identity_7d():
 
 def test_criterion_6_integrator_low_dimension():
     t0 = time.perf_counter()
-    r = realize(gram_matrix(parse_diagram(TRIANGLE_245)), 128)
+    r = realize(gram_matrix(parse_diagram(TRIANGLE_245)))
     enumerate_vertices(r)
     est = polytope_volume(to_klein(r), 1e-4, seed=6)
     ref = math.pi / 20
     assert abs(est.value - ref) / ref < 1e-4
 
-    r = realize(gram_matrix(parse_diagram(IDEAL_TRIANGLE)), 128)
+    r = realize(gram_matrix(parse_diagram(IDEAL_TRIANGLE)))
     enumerate_vertices(r)
     est_ideal = polytope_volume(to_klein(r), 1e-3, seed=6)
     assert abs(est_ideal.value - math.pi) / math.pi < 1e-3
@@ -138,7 +138,7 @@ def test_criterion_6_integrator_low_dimension():
 def test_criterion_7_integrator_paper_scale():
     ref5 = float(mp.mpf(VOL_5D_REFERENCE))
     t0 = time.perf_counter()
-    r = realize(gram_matrix(parse_diagram(POLYTOPE_5D)), 128)
+    r = realize(gram_matrix(parse_diagram(POLYTOPE_5D)))
     enumerate_vertices(r)
     est5 = polytope_volume(to_klein(r), 1e-3, seed=1)
     t5 = time.perf_counter() - t0
@@ -148,7 +148,7 @@ def test_criterion_7_integrator_paper_scale():
 
     ref7 = 0.000181338
     t0 = time.perf_counter()
-    r = realize(gram_matrix(parse_diagram(POLYTOPE_7D)), 128)
+    r = realize(gram_matrix(parse_diagram(POLYTOPE_7D)))
     enumerate_vertices(r)
     est7 = polytope_volume(to_klein(r), 5e-3, seed=1)
     t7 = time.perf_counter() - t0
@@ -229,7 +229,7 @@ def test_criterion_8_property_suites():
         assert Fraction(rec.numerator, rec.denominator) == x
 
     # seeded determinism of volume estimates
-    r = realize(gram_matrix(parse_diagram(IDEAL_TRIANGLE)), 128)
+    r = realize(gram_matrix(parse_diagram(IDEAL_TRIANGLE)))
     enumerate_vertices(r)
     kp = to_klein(r)
     e1 = polytope_volume(kp, 1e-3, seed=99)

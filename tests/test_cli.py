@@ -1,9 +1,11 @@
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
-from hypvol.cli import EXIT_NOT_LORENTZIAN, EXIT_OK, EXIT_STAGE_ERROR, main
+from hypvol import analyze, integration
+from hypvol.cli import EXIT_NOT_LORENTZIAN, EXIT_OK, EXIT_STAGE_ERROR, build_parser, main
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D
 
 VOL_5D = "0.0241330687945822699990"
@@ -112,13 +114,28 @@ def test_bad_target_err_is_stage_error(diagram_file, capsys, target):
     assert "--target-err must be finite and positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("precision", ["0", "-3", "8", "52"])
-def test_low_precision_is_stage_error(diagram_file, capsys, precision):
-    # below a float64's 53 bits the geometry fails and blames a valid diagram
-    path = diagram_file(IDEAL_TRIANGLE)
-    code = main(["analyze", path, f"--precision={precision}"])
+@pytest.mark.parametrize("volume", ["abc", "nan", "-1"])
+def test_bad_assumed_volume_is_stage_error(diagram_file, capsys, volume):
+    path = diagram_file(POLYTOPE_5D)
+    code = main(["analyze", path, f"--assume-volume={volume}", "--assume-err=1e-10"])
     assert code == EXIT_STAGE_ERROR
-    assert "--precision must be at least 53 bits" in capsys.readouterr().err
+    assert "--assume-volume must be a finite positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("err", ["nan", "-1"])
+def test_bad_assumed_error_is_stage_error(diagram_file, capsys, err):
+    path = diagram_file(POLYTOPE_5D)
+    code = main(["analyze", path, f"--assume-volume={VOL_5D}", f"--assume-err={err}"])
+    assert code == EXIT_STAGE_ERROR
+    assert "--assume-err must be finite and positive" in capsys.readouterr().err
+
+
+def test_defaults_come_from_the_integrator():
+    args = build_parser().parse_args(["analyze", "poly.diagram"])
+    assert args.seed == integration.DEFAULT_SEED
+    assert args.max_samples == 2**integration.DEFAULT_MAX_LOG2
+    assert (inspect.signature(analyze).parameters["max_log2_samples"].default
+            == integration.DEFAULT_MAX_LOG2)
 
 
 @pytest.mark.parametrize("samples", ["0", "-5", str(2**30 + 1), str(2**40)])

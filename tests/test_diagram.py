@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from hypvol.errors import (
     NotLorentzian,
     UnsupportedLabel,
 )
-from hypvol.polytopes import POLYTOPE_5D, POLYTOPE_7D
+from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
 from hypvol.surd import MultiSurd, parse_surd
 
 
@@ -239,3 +240,14 @@ def test_diagram_validation():
         CoxeterDiagram(2, 2, {})
     with pytest.raises(ValueError):
         CoxeterDiagram(2, 3, {(0, 5): Finite(3)})
+
+
+@pytest.mark.parametrize("name, text", [
+    ("ideal_triangle", IDEAL_TRIANGLE),
+    ("polytope5d", POLYTOPE_5D),
+    ("polytope7d", POLYTOPE_7D),
+])
+def test_bundled_diagram_files_match_the_constants(name, text):
+    # the CLI and the README read the files; the library tests and the bench the constants
+    path = Path(__file__).parents[1] / "diagrams" / f"{name}.diagram"
+    assert parse_diagram(path.read_text(encoding="utf-8")) == parse_diagram(text)

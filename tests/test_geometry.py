@@ -1,7 +1,6 @@
 import math
 import random
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +9,7 @@ from mpmath import mp
 from hypvol import geometry
 from hypvol.diagram import assert_lorentzian, gram_matrix, parse_diagram
 from hypvol.errors import HypvolError, NotLorentzian, NoVertices
-from hypvol.geometry import census, enumerate_vertices, realize, to_klein, _mink
+from hypvol.geometry import census, enumerate_vertices, realize, to_klein
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
 
 
@@ -19,9 +18,21 @@ TRIANGLE_245 = "n 2\nfacets 3\nedge 0 1 4\nedge 1 2 5\n"
 TRIANGLE_444 = "n 2\nfacets 3\nedge 0 1 4\nedge 1 2 4\nedge 0 2 4\n"
 
 
-def realized_polytope(text, prec=128):
-    r = realize(gram_matrix(parse_diagram(text)), prec)
+def mink(x, y):
+    return x[1:] @ y[1:] - x[0] * y[0]
+
+
+def realized_polytope(text):
+    r = realize(gram_matrix(parse_diagram(text)))
     return enumerate_vertices(r)
+
+
+def gram_residual(r, G):
+    """max |N J N^T - G| over the float image of the exact Gram matrix."""
+    N = r.normals
+    NJ = N * np.r_[-1.0, np.ones(N.shape[1] - 1)]
+    G_float = np.array([[float(G[i, j]) for j in range(G.size)] for i in range(G.size)])
+    return np.abs(NJ @ N.T - G_float).max()
 
 
 def test_realize_rejects_definite():
@@ -32,17 +43,17 @@ def test_realize_rejects_definite():
 
 def test_realize_237_reconstruction():
     G = gram_matrix(parse_diagram(TRIANGLE_245))
-    r = realize(G, prec=128)
+    r = realize(G)
     assert r.facet_count == 3
-    assert r.gram_residual(G) < mp.mpf('1e-20')
+    assert gram_residual(r, G) < 1e-14
 
 
 def test_realize_5d():
     G = gram_matrix(parse_diagram(POLYTOPE_5D))
-    r = realize(G, 128)
+    r = realize(G)
     assert len(r.normals) == 8
     assert len(r.normals[0]) == 6
-    assert r.gram_residual(G) < mpmath.mpf(2) ** -64  # 2^(-prec/2)
+    assert gram_residual(r, G) < 1e-14
 
 
 def test_vertices_237_compact():
@@ -50,39 +61,35 @@ def test_vertices_237_compact():
     # every pair of sides meets at a finite angle: compact
     assert len(r.finite_vertices) == 3
     assert len(r.ideal_vertices) == 0
-    assert r.is_compact()
+    assert not r.ideal_vertices
 
 
 def test_vertices_ideal_triangle():
     r = realized_polytope(IDEAL_TRIANGLE)
     assert len(r.finite_vertices) == 0
     assert len(r.ideal_vertices) == 3
-    assert not r.is_compact()
 
 
 def test_vertices_5d_has_cusp():
     r = realized_polytope(POLYTOPE_5D)
     assert len(r.ideal_vertices) >= 1
-    assert not r.is_compact()
 
 
 def test_vertices_satisfy_all_inequalities():
     r = realized_polytope(POLYTOPE_5D)
-    with mp.workprec(128):
-        for x in r.finite_vertices + r.ideal_vertices:
-            for e in r.normals:
-                assert _mink(x, e) <= mpmath.mpf(2) ** -37
+    for x in r.finite_vertices + r.ideal_vertices:
+        for e in r.normals:
+            assert mink(x, e) <= 2.0 ** -37
 
 
 def test_vertices_normalization():
     r = realized_polytope(POLYTOPE_5D)
-    with mp.workprec(128):
-        for x in r.finite_vertices:
-            assert abs(_mink(x, x) + 1) < mpmath.mpf('1e-30')
-            assert x[0] > 0
-        for x in r.ideal_vertices:
-            assert abs(x[0] - 1) < mpmath.mpf('1e-30')
-            assert abs(_mink(x, x)) < mpmath.mpf(2) ** -37
+    for x in r.finite_vertices:
+        assert abs(mink(x, x) + 1) < 1e-14
+        assert x[0] > 0
+    for x in r.ideal_vertices:
+        assert abs(x[0] - 1) < 1e-14
+        assert abs(mink(x, x)) < 2.0 ** -37
 
 
 def test_no_vertices_error():
@@ -103,13 +110,12 @@ def test_klein_triangle_single_simplex():
 def test_klein_vertex_placement():
     r = realized_polytope(POLYTOPE_5D)
     kp = to_klein(r)
-    with mp.workprec(128):
-        for v, ideal in zip(kp.vertices, kp.ideal_flags):
-            norm = mp.sqrt(sum(c * c for c in v))
-            if ideal:
-                assert abs(norm - 1) < mpmath.mpf('1e-30')
-            else:
-                assert norm < 1 - mpmath.mpf('1e-12')
+    for v, ideal in zip(kp.vertices, kp.ideal_flags):
+        norm = np.linalg.norm(v)
+        if ideal:
+            assert abs(norm - 1) < 1e-15
+        else:
+            assert norm < 1 - 1e-12
 
 
 def test_klein_simplices_have_positive_volume():
@@ -122,7 +128,8 @@ def test_klein_simplices_have_positive_volume():
 
 def test_klein_triangulation_volume_additivity():
     """Euclidean volume of the triangulation equals rejection sampling."""
-    kp = to_klein(realized_polytope(POLYTOPE_5D))
+    r = realized_polytope(POLYTOPE_5D)
+    kp = to_klein(r)
     n = kp.dimension
     total = 0.0
     for s in kp.simplices:
@@ -131,8 +138,9 @@ def test_klein_triangulation_volume_additivity():
 
     pts = np.array([[float(c) for c in v] for v in kp.vertices])
     lo, hi = pts.min(axis=0), pts.max(axis=0)
-    A = np.array([[float(c) for c in a] for a, _ in kp.inequalities])
-    b = np.array([float(b) for _, b in kp.inequalities])
+    # the facet half-spaces <e, (1, v)> <= 0 read a . v <= b with e = (b, a)
+    A = np.array([e[1:] for e in r.normals])
+    b = np.array([e[0] for e in r.normals])
     rng = np.random.default_rng(123)
     m = 2_000_000
     X = rng.uniform(lo, hi, size=(m, n))
@@ -153,16 +161,51 @@ def test_klein_7d_counts():
 
 def test_vertex_enumeration_solves_each_subset_once(monkeypatch):
     calls = []
-    solve = geometry._nullspace_vector
+    solve = geometry._vertex_line
 
-    def counted(rows, prec):
-        calls.append(rows)
-        return solve(rows, prec)
+    def counted(normals, subset):
+        calls.append(subset)
+        return solve(normals, subset)
 
-    monkeypatch.setattr(geometry, "_nullspace_vector", counted)
+    monkeypatch.setattr(geometry, "_vertex_line", counted)
     r = realized_polytope(POLYTOPE_5D)
     assert (len(r.finite_vertices), len(r.ideal_vertices)) == (12, 1)
     assert len(calls) == 12 + 1  # one solve per vertex, not one per facet 5-subset
+
+
+def reference_klein_vertices(G):
+    """The census vertices in the Klein ball at 128 bits: the frame from
+    mp.eigsy as in ``realize``, then one mp.lu_solve per vertex of its
+    first n-set together with x0 = 1."""
+    n, N = G.dimension, G.size
+    faces, cusps = census(G)
+    with mp.workprec(128):
+        eigvals, Q = mp.eigsy(mp.matrix([[G[i, j].to_mpf(128) for j in range(N)]
+                                         for i in range(N)]))
+        order = sorted(range(N), key=lambda k: eigvals[k])
+        cols = [order[0]] + order[N - n:]
+        E = [[Q[i, k] * mp.sqrt(abs(eigvals[k])) for k in cols] for i in range(N)]
+        verts = []
+        for T in faces[n] + [first for first, _ in cusps]:
+            A = mp.matrix([[-E[i][0]] + E[i][1:] for i in T] + [[1] + [0] * n])
+            x = mp.lu_solve(A, mp.matrix([0] * n + [1]))
+            verts.append([float(x[k]) for k in range(1, n + 1)])
+    return np.array(verts)
+
+
+@pytest.mark.parametrize("text", [IDEAL_TRIANGLE, TRIANGLE_245, POLYTOPE_5D, POLYTOPE_7D],
+                         ids=["ideal-triangle", "245", "5d", "7d"])
+def test_float_geometry_matches_128_bit_reference(text):
+    G = gram_matrix(parse_diagram(text))
+    r = enumerate_vertices(realize(G))
+    V = to_klein(r).vertices
+    ref = reference_klein_vertices(G)
+    # the two frames may differ by a rotation fixing the time axis, which
+    # leaves the Gram matrix of the Klein vertices unchanged
+    assert np.abs(V @ V.T - ref @ ref.T).max() < 1e-13
+    for x, S in zip(r.finite_vertices + r.ideal_vertices, r.vertex_facets):
+        for j in S:
+            assert abs(mink(x, r.normals[j])) < 1e-13
 
 
 def _euler(faces, cusps):

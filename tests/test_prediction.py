@@ -183,15 +183,25 @@ print(code, 'volume (integrated)' in out.getvalue(), 'scipy' in sys.modules)
     assert out.split() == ["False", "0", "True", "False"]
 
 
-@pytest.mark.parametrize("precision", [0, -3, 8, 52])
-def test_analyze_rejects_precision_below_a_float64(precision):
-    with pytest.raises(ValueError, match="precision must be at least 53"):
-        analyze(IDEAL_TRIANGLE, precision=precision)
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail if analyze gets as far as parsing the diagram."""
+    def parse(text):
+        raise AssertionError("the diagram was parsed before the options were checked")
+
+    monkeypatch.setattr("hypvol.prediction.parse_diagram", parse)
 
 
-def test_analyze_at_53_bits_integrates_the_triangle():
-    rep = analyze(IDEAL_TRIANGLE, precision=53, target_rel_err=1e-2, seed=3)
-    assert abs(rep.volume.value - math.pi) <= rep.volume.abs_error
+@pytest.mark.parametrize("volume", ["abc", "nan", "inf", "-1", "0"])
+def test_analyze_rejects_bad_assumed_volume_before_any_work(no_work, volume):
+    with pytest.raises(ValueError, match="assume_volume must be a finite positive number"):
+        analyze(POLYTOPE_5D, assume_volume=volume, assume_err=1e-10)
+
+
+@pytest.mark.parametrize("err", [math.nan, math.inf, -1.0, 0.0])
+def test_analyze_rejects_bad_assumed_error_before_any_work(no_work, err):
+    with pytest.raises(ValueError, match="assume_err must be finite and positive"):
+        analyze(POLYTOPE_5D, assume_volume=VOL_5D, assume_err=err)
 
 
 def test_analyze_rejects_negative_seed():
