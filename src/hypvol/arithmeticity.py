@@ -40,11 +40,13 @@ class QuadraticFormQ:
     """Rescaled Gram restricted to a maximal-rank facet subset.
 
     Entries lie in the field of definition; for the polytopes in scope that
-    field is Q and the matrix is rational.
+    field is Q and the matrix is rational.  ``det`` is the determinant of
+    the matrix.
     """
 
     matrix: list[list[MultiSurd]]
     basis_facets: tuple[int, ...]
+    det: MultiSurd
 
 
 class Classification(enum.Enum):
@@ -173,12 +175,6 @@ def _spanning_tree(adj: dict[int, list[int]], rng: random.Random | None = None) 
     return parent
 
 
-def _det(mat: list[list[MultiSurd]]) -> MultiSurd:
-    """Determinant of a symmetric surd matrix, exact."""
-    _, eliminated, product = eliminate(mat)
-    return product if len(eliminated) == len(mat) else MultiSurd(0)
-
-
 def rational_form(G: GramMatrix, rng: random.Random | None = None) -> QuadraticFormQ:
     """Rescale normals along a spanning tree so all pairings land in K.
 
@@ -186,9 +182,11 @@ def rational_form(G: GramMatrix, rng: random.Random | None = None) -> QuadraticF
     every rescaled pairing is a product of cyclic products and lies in the
     field of definition.  The rescaled form has rank n + 1 (Vinberg); the
     returned form is its principal submatrix on the facets that one exact
-    elimination pivots on, which is nonsingular.  Any two such bases of
-    the span differ by a change of basis over K, so the discriminant class
-    and the conjugate signatures do not depend on the choice.
+    elimination pivots on, which is nonsingular.  Its determinant is that
+    elimination's pivot product, since sorting the basis reorders rows and
+    columns alike.  Any two such bases of the span differ by a change of
+    basis over K, so the discriminant class and the conjugate signatures
+    do not depend on the choice.
     """
     adj = nonorthogonality_graph(G)
     _check_connected(adj)
@@ -206,11 +204,12 @@ def rational_form(G: GramMatrix, rng: random.Random | None = None) -> QuadraticF
         scale(v)
     F = [[lam[i] * lam[j] * G[i, j] for j in range(N)] for i in range(N)]
 
-    basis = sorted(eliminate(F)[1])
+    _, eliminated, det = eliminate(F)
+    basis = sorted(eliminated)
     if len(basis) != G.dimension + 1:
         raise RankDeficient(f"rescaled form has rank {len(basis)}, expected "
                             f"{G.dimension + 1} for a Lorentzian Gram matrix")
-    return QuadraticFormQ([[F[i][j] for j in basis] for i in basis], tuple(basis))
+    return QuadraticFormQ([[F[i][j] for j in basis] for i in basis], tuple(basis), det)
 
 
 def _field_contains(radicand: int, gens: frozenset[int]) -> bool:
@@ -245,7 +244,7 @@ def discriminant_delta(F: QuadraticFormQ, n: int) -> int:
     """
     if n % 2 == 0:
         raise ValueError("delta is defined for odd dimension only")
-    d = _det(F.matrix)
+    d = F.det
     if not d.is_rational():
         raise FieldNotQ("discriminant class requires a rational form")
     m = (n + 1) // 2

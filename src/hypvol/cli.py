@@ -52,7 +52,8 @@ def _bad_option(args) -> str | None:
         try:
             parse_assumed_volume(args.assume_volume)
         except ValueError:
-            return f"--assume-volume must be a finite positive number, not {args.assume_volume}"
+            return ("--assume-volume must be a finite positive number in the float64 "
+                    f"range, not {args.assume_volume}")
         if not (math.isfinite(args.assume_err) and args.assume_err > 0):
             return f"--assume-err must be finite and positive, not {args.assume_err}"
     if args.seed < 0:

@@ -5,10 +5,6 @@ class HypvolError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class PrecisionExhausted(HypvolError):
-    """A sign query could not be decided within the configured precision cap."""
-
-
 class DiagramSyntaxError(HypvolError):
     """Malformed line in a diagram file."""
 
@@ -62,4 +58,8 @@ class TriangulationFailure(HypvolError):
 
 
 class NonConvergent(HypvolError):
-    """Shell subdivision at a cusp failed to produce a shrinking tail bound."""
+    """A truncation could not meet its error target.
+
+    Shell subdivision at a cusp failed to produce a shrinking tail bound,
+    or the Euler-Maclaurin cutoff of a zeta or L-value outgrew its cap.
+    """

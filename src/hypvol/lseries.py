@@ -25,7 +25,7 @@ from math import comb, factorial, log2
 import mpmath
 from mpmath import mp
 
-from .errors import DeltaIsSquare
+from .errors import DeltaIsSquare, NonConvergent
 from .surd import squarefree_decompose
 
 
@@ -39,8 +39,10 @@ class PrecisionContext:
     def __post_init__(self):
         if self.precision < 64:
             raise ValueError("precision below 64 bits is not supported")
-        if not (0 < float(self.target_error) < 1):
+        if not 0 < self.target_error < 1:
             raise ValueError("target error must be in (0, 1)")
+        if float(self.target_error) == 0:
+            raise ValueError("target error is below the float64 range")
 
     def workprec(self) -> int:
         # enough bits for the target plus room for summation rounding
@@ -137,7 +139,7 @@ def _hurwitz_mpf(s: int, a: Fraction, target: float) -> tuple[mpmath.mpf, float]
     while coeff * float(M + a) ** (-(s + 2 * J + 1)) > target / 2:
         M *= 2
         if M > 1 << 24:
-            raise ValueError("Euler-Maclaurin cutoff exploded; target too small?")
+            raise NonConvergent("Euler-Maclaurin cutoff exploded; target too small?")
     bound = coeff * float(M + a) ** (-(s + 2 * J + 1))
 
     an = mp.mpf(a.numerator) / a.denominator
@@ -161,7 +163,8 @@ def hurwitz_zeta(s: int, a: Fraction | int, ctx: PrecisionContext = DEFAULT_CONT
     """zeta(s, a) for integer s >= 2 and rational a in (0, 1].
 
     The absolute error is at most ctx.target_error (truncation bound plus
-    rounding margin absorbed by guard bits).
+    rounding margin absorbed by guard bits); NonConvergent if the cutoff
+    needed for that target outgrows its cap.
     """
     if s < 2:
         raise ValueError("only integer s >= 2 is supported")
@@ -171,7 +174,7 @@ def hurwitz_zeta(s: int, a: Fraction | int, ctx: PrecisionContext = DEFAULT_CONT
     with mp.workprec(ctx.workprec()):
         value, bound = _hurwitz_mpf(s, a, float(ctx.target_error))
         if bound > float(ctx.target_error):
-            raise ArithmeticError("remainder bound failed to meet target")
+            raise NonConvergent("remainder bound failed to meet target")
         return +value
 
 

@@ -222,14 +222,15 @@ def recognize_rational(x, err) -> RationalRecognition:
 
 def parse_assumed_volume(value: str | float) -> mpmath.mpf:
     """An externally computed volume at 256 bits; ValueError unless it is a
-    finite positive number."""
+    finite positive number, also as a float64 (the report prints that)."""
     with mp.workprec(_WORKPREC):
         try:
             volume = mp.mpf(value)
         except (TypeError, ValueError):
             volume = mp.nan
-    if not (mp.isfinite(volume) and volume > 0):
-        raise ValueError(f"assume_volume must be a finite positive number, not {value!r}")
+    if not 0 < float(volume) < math.inf:
+        raise ValueError("assume_volume must be a finite positive number in the float64 "
+                         f"range, not {value!r}")
     return volume
 
 

@@ -7,24 +7,18 @@ sqrt(D1)*sqrt(D2) = g*sqrt(D1*D2/g^2) with g = gcd(D1, D2), and it is in
 fact a field (every nonzero element is invertible via its Galois conjugates).
 
 Sign determination is exact: the canonical form makes the zero test
-syntactic, and nonzero values are separated from zero by interval
-evaluation with escalating precision.
+syntactic, and a nonzero value's sign is decided down the field tower,
+splitting off the largest prime's square root at each step, until a
+rational is left.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-import mpmath
 from mpmath import mp
-
-from .errors import PrecisionExhausted
-
-DEFAULT_PREC = 128
-MAX_PREC = 4096
 
 _Rat = int | Fraction
 
@@ -75,21 +69,6 @@ def prime_characters(radicands: Iterable[int]) -> list[frozenset[int]]:
             for mask in range(1 << len(primes))]
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed enclosure [lo, hi] of a real value, endpoints are mpf."""
-
-    lo: mpmath.mpf
-    hi: mpmath.mpf
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order")
-
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
-
 class MultiSurd:
     """Canonical element of the multi-quadratic ring, immutable.
 
@@ -117,19 +96,11 @@ class MultiSurd:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def rational(cls, p: _Rat, q: int = 1) -> "MultiSurd":
-        return cls({1: Fraction(p, q)})
-
-    @classmethod
     def sqrt(cls, d: int, coeff: _Rat = 1) -> "MultiSurd":
         """coeff * sqrt(d) for a positive integer d (d need not be squarefree)."""
         return cls({d: Fraction(coeff)})
 
     # -- inspection --------------------------------------------------------
-
-    @property
-    def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
 
     def radicands(self) -> frozenset[int]:
         """Squarefree radicands with nonzero coefficient, excluding 1."""
@@ -249,24 +220,7 @@ class MultiSurd:
 
     # -- numeric evaluation ------------------------------------------------
 
-    def to_interval(self, prec: int = DEFAULT_PREC) -> Interval:
-        """Rigorous enclosure of the value at the given binary precision."""
-        iv = mpmath.iv
-        saved = iv.prec
-        try:
-            iv.prec = prec
-            total = iv.mpf(0)
-            for r, c in sorted(self._terms.items()):
-                t = iv.mpf(c.numerator) / iv.mpf(c.denominator)
-                if r != 1:
-                    t = t * iv.sqrt(r)
-                total = total + t
-            lo, hi = total._mpi_
-        finally:
-            iv.prec = saved
-        return Interval(mpmath.make_mpf(lo), mpmath.make_mpf(hi))
-
-    def to_mpf(self, prec: int = DEFAULT_PREC) -> mpmath.mpf:
+    def to_mpf(self, prec: int) -> mp.mpf:
         """Floating approximation, accurate to roughly the working precision."""
         with mp.workprec(prec + 16):
             total = mp.mpf(0)
@@ -283,27 +237,27 @@ class MultiSurd:
 
     # -- comparisons -------------------------------------------------------
 
-    def sign(self, start_prec: int = DEFAULT_PREC, max_prec: int = MAX_PREC) -> int:
-        """Exact sign in {-1, 0, +1}.
+    def sign(self) -> int:
+        """Exact sign in {-1, 0, +1}, decided down the field tower.
 
-        Zero is decided symbolically (empty canonical term map).  Otherwise
-        the value is nonzero, since square roots of distinct squarefree
-        integers are linearly independent over Q, and interval evaluation
-        at some escalating precision separates it from zero.
+        With p the largest prime under the radicands, write the value as
+        a + b*sqrt(p), where neither a nor b involves sqrt(p).  If a is zero
+        or has the sign of b, that is the sign; otherwise the larger of a^2
+        and p*b^2 wins, and a^2 - p*b^2 (the product with the conjugate
+        flipping sqrt(p)) is nonzero with one prime fewer.
         """
         if self.is_zero():
             return 0
         if self.is_rational():
             return 1 if self.as_rational() > 0 else -1
-        prec = start_prec
-        while prec <= max_prec:
-            box = self.to_interval(prec)
-            if box.lo > 0:
-                return 1
-            if box.hi < 0:
-                return -1
-            prec *= 2
-        raise PrecisionExhausted(f"sign of {self} undecided at {max_prec} bits")
+        p = max(q for r in self.radicands() for q in prime_factors(r))
+        a = MultiSurd({r: c for r, c in self._terms.items() if r % p})
+        b = MultiSurd({r // p: c for r, c in self._terms.items() if r % p == 0})
+        sb = b.sign()
+        sa = a.sign()
+        if sa in (0, sb):
+            return sb
+        return sa * (a * a - b * b * p).sign()
 
     def __lt__(self, other):
         return (self - other).sign() < 0

@@ -46,9 +46,13 @@ def test_criterion_1_classification_5d():
     G = gram_matrix(parse_diagram(POLYTOPE_5D))
     rep = classify(G)
     F = rational_form(G)
-    from hypvol.arithmeticity import _det, squarefree_class
+    from hypvol.arithmeticity import squarefree_class
+    from hypvol.diagram import eliminate
 
-    disc_class = squarefree_class(_det(F.matrix).as_rational())
+    _, eliminated, det = eliminate(F.matrix)
+    assert len(eliminated) == len(F.matrix)
+    assert F.det == det
+    disc_class = squarefree_class(det.as_rational())
     D = fundamental_discriminant(rep.delta)
     elapsed = time.perf_counter() - t0
     assert rep.field_is_rational                      # K = Q

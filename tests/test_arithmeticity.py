@@ -12,9 +12,8 @@ from hypvol.arithmeticity import (
     enumerate_cycles,
     field_of_definition,
     rational_form,
-    _det,
 )
-from hypvol.diagram import GramMatrix, gram_matrix, parse_diagram
+from hypvol.diagram import GramMatrix, eliminate, gram_matrix, parse_diagram
 from hypvol.errors import DisconnectedGraph, FieldNotQ, RankDeficient, TooLarge
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
 from hypvol.surd import MultiSurd, parse_surd
@@ -135,13 +134,13 @@ def test_rational_form_requires_rank_n_plus_1():
 def test_discriminant_delta_hyperbolic_form():
     diag = [[MultiSurd(1 if i == j else 0) for j in range(6)] for i in range(6)]
     diag[5][5] = MultiSurd(-1)
-    F = QuadraticFormQ(diag, tuple(range(6)))
+    F = QuadraticFormQ(diag, tuple(range(6)), MultiSurd(-1))
     assert discriminant_delta(F, 5) == 1
 
 
 def test_discriminant_delta_requires_rational_form():
     e = MultiSurd.sqrt(2)
-    F = QuadraticFormQ([[e]], (0,))
+    F = QuadraticFormQ([[e]], (0,), e)
     with pytest.raises(FieldNotQ):
         discriminant_delta(F, 5)
 
@@ -173,6 +172,21 @@ def test_classify_enumerates_cycles_once(monkeypatch):
     monkeypatch.setattr(arithmeticity, "enumerate_cycles", counted)
     rep = arithmeticity.classify(gram_matrix(parse_diagram(POLYTOPE_5D)))
     assert rep.delta == 13
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text, delta", [(POLYTOPE_5D, 13), (POLYTOPE_7D, -11)])
+def test_classify_eliminates_the_rescaled_form_once(monkeypatch, text, delta):
+    # the discriminant class reads the determinant that rational_form's
+    # elimination already produced
+    calls = []
+
+    def counted(entries):
+        calls.append(entries)
+        return eliminate(entries)
+
+    monkeypatch.setattr(arithmeticity, "eliminate", counted)
+    assert classify(gram_matrix(parse_diagram(text))).delta == delta
     assert len(calls) == 1
 
 
@@ -225,6 +239,8 @@ def test_classify_relabel_invariance():
 
 def test_det_exact():
     rows = [[MultiSurd(2), MultiSurd(1)], [MultiSurd(1), MultiSurd(1)]]
-    assert _det(rows) == MultiSurd(1)
+    _, eliminated, product = eliminate(rows)
+    assert len(eliminated) == 2
+    assert product == MultiSurd(1)
     rows = [[MultiSurd(1), MultiSurd(1)], [MultiSurd(1), MultiSurd(1)]]
-    assert _det(rows).is_zero()
+    assert len(eliminate(rows)[1]) == 1

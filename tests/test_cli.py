@@ -114,7 +114,7 @@ def test_bad_target_err_is_stage_error(diagram_file, capsys, target):
     assert "--target-err must be finite and positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("volume", ["abc", "nan", "-1"])
+@pytest.mark.parametrize("volume", ["abc", "nan", "-1", "1e400", "1e-400"])
 def test_bad_assumed_volume_is_stage_error(diagram_file, capsys, volume):
     path = diagram_file(POLYTOPE_5D)
     code = main(["analyze", path, f"--assume-volume={volume}", "--assume-err=1e-10"])

@@ -182,4 +182,7 @@ def test_precision_context_validation():
         PrecisionContext(32)
     with pytest.raises(ValueError):
         PrecisionContext(128, 2.0)
+    # 10^-400 lies in (0, 1) but is 0.0 as a float64
+    with pytest.raises(ValueError, match="below the float64 range"):
+        PrecisionContext(1024, Fraction(1, 10**400))
     assert PrecisionContext(64, 1e-40).workprec() >= 133

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from hypvol.errors import EvenDimension, HypvolError
+from hypvol.errors import EvenDimension, HypvolError, NonConvergent
 from hypvol.lseries import PrecisionContext, dirichlet_L, fundamental_discriminant, riemann_zeta
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
 from hypvol.prediction import (
@@ -192,7 +192,7 @@ def no_work(monkeypatch):
     monkeypatch.setattr("hypvol.prediction.parse_diagram", parse)
 
 
-@pytest.mark.parametrize("volume", ["abc", "nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("volume", ["abc", "nan", "inf", "-1", "0", "1e400", "1e-400"])
 def test_analyze_rejects_bad_assumed_volume_before_any_work(no_work, volume):
     with pytest.raises(ValueError, match="assume_volume must be a finite positive number"):
         analyze(POLYTOPE_5D, assume_volume=volume, assume_err=1e-10)
@@ -202,6 +202,12 @@ def test_analyze_rejects_bad_assumed_volume_before_any_work(no_work, volume):
 def test_analyze_rejects_bad_assumed_error_before_any_work(no_work, err):
     with pytest.raises(ValueError, match="assume_err must be finite and positive"):
         analyze(POLYTOPE_5D, assume_volume=VOL_5D, assume_err=err)
+
+
+def test_unreachable_lseries_target_is_typed():
+    ctx = PrecisionContext(1024, Fraction(1, 10**250))
+    with pytest.raises(NonConvergent):
+        analyze(POLYTOPE_5D, assume_volume=VOL_5D, assume_err=1e-19, lseries_context=ctx)
 
 
 def test_analyze_rejects_negative_seed():

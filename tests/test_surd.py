@@ -5,15 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypvol.diagram import parse_diagram
+from hypvol.errors import BadWeight
 from hypvol.surd import (
-    Interval,
     MultiSurd,
     galois_conjugate,
     parse_surd,
     prime_characters,
     squarefree_decompose,
 )
-from hypvol.errors import PrecisionExhausted
 
 
 RADICANDS = [1, 2, 3, 5, 6, 7, 10, 13, 26]
@@ -72,10 +72,47 @@ def test_sign_tight_difference():
     assert x.sign() == (1 if math.sqrt(2) + math.sqrt(3) > 3.1463 else -1)
 
 
-def test_sign_precision_exhausted():
-    x = MultiSurd.sqrt(2) - MultiSurd(Fraction(141421356237309504880168872, 10**26))
-    with pytest.raises(PrecisionExhausted):
-        x.sign(start_prec=16, max_prec=32)
+def sqrt2_convergents_past(bits):
+    """The first convergent p/q of sqrt(2) with q > 2^bits and p^2 - 2q^2 = 1
+    (so p/q > sqrt(2)), and the convergent after it (p^2 - 2q^2 = -1)."""
+    p, q = 1, 1
+    while q <= 1 << bits or p * p - 2 * q * q != 1:
+        p, q = p + 2 * q, p + q
+    return Fraction(p, q), Fraction(p + 2 * q, p + q)
+
+
+def test_sign_beyond_any_fixed_precision():
+    # |sqrt(2) - p/q| < 1/q^2 < 2^-4200: no 4096-bit enclosure separates it
+    # from zero, the field tower does
+    over, under = sqrt2_convergents_past(2100)
+    assert over.numerator ** 2 - 2 * over.denominator ** 2 == 1
+    assert (MultiSurd.sqrt(2) - over).sign() == -1
+    assert under.numerator ** 2 - 2 * under.denominator ** 2 == -1
+    assert (MultiSurd.sqrt(2) - under).sign() == 1
+
+
+def test_dashed_weight_at_one_within_2_to_minus_4200_is_bad_weight():
+    over, _ = sqrt2_convergents_past(2100)
+    text = f"n 2\nfacets 3\nedge 0 1 dashed 1 + sqrt(2) - {over}\nedge 1 2 3\n"
+    with pytest.raises(BadWeight, match="must exceed 1"):
+        parse_diagram(text)
+
+
+SIGN_RADICANDS = [1, 2, 3, 5, 6, 10, 13, 26, 30]
+
+sign_surds = st.builds(
+    lambda pairs: MultiSurd(dict(pairs)),
+    st.lists(st.tuples(st.sampled_from(SIGN_RADICANDS), coeffs), max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sign_surds, sign_surds)
+def test_sign_agrees_with_1024_bits(x, y):
+    # x * y and x * x - y * y mix every radicand and can nearly cancel
+    for z in (x, x * y, x * x - y * y):
+        value = z.to_mpf(1024)
+        assert z.sign() == (value > 0) - (value < 0)
 
 
 def test_inverse_and_division():
@@ -102,20 +139,9 @@ def test_interval_contains_value_at_every_precision():
              for _ in range(rng.randint(0, 4))}
         )
         ref = x.to_mpf(512)
-        for prec in (64, 128, 256, 512):
-            box = x.to_interval(prec)
-            assert box.contains(ref)
-        # float() conversion sits inside any reasonable-precision box
-        fbox = x.to_interval(64)
+        # float() is within 8 ulps of the 512-bit value
         slack = 8 * abs(float(x)) * 2.0 ** -52 + 1e-300
-        assert fbox.lo - slack <= float(x) <= fbox.hi + slack
-
-
-def test_interval_endpoints_ordered():
-    import mpmath
-
-    with pytest.raises(ValueError):
-        Interval(mpmath.mpf(2), mpmath.mpf(1))
+        assert abs(float(x) - ref) <= slack
 
 
 @settings(max_examples=200, deadline=None)
