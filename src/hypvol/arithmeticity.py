@@ -251,29 +251,6 @@ def discriminant_delta(F: QuadraticFormQ, n: int) -> int:
     return squarefree_class(Fraction((-1) ** m) * d.as_rational())
 
 
-def _is_algebraic_integer(x: MultiSurd) -> bool:
-    """Check integrality via the characteristic polynomial of the conjugates.
-
-    The monic product of (X - conjugate) over all prime sign patterns has
-    rational coefficients; x is an algebraic integer iff they are integers.
-    """
-    if x.is_rational():
-        return x.as_rational().denominator == 1
-    conjugates = [x.conjugate_by_primes(neg) for neg in prime_characters(x.radicands())]
-    # poly coefficients in MultiSurd arithmetic, constant term first
-    poly = [MultiSurd(1)]
-    for c in conjugates:
-        nxt = [MultiSurd(0)] * (len(poly) + 1)
-        for k, a in enumerate(poly):
-            nxt[k] = nxt[k] - a * c
-            nxt[k + 1] = nxt[k + 1] + a
-        poly = nxt
-    for a in poly:
-        if not a.is_rational() or a.as_rational().denominator != 1:
-            return False
-    return True
-
-
 def _field_automorphisms(gens: frozenset[int]) -> list[tuple[frozenset[int], list[int]]]:
     """Nontrivial automorphisms of the multiquadratic field generated by gens.
 
@@ -295,7 +272,8 @@ def classify(G: GramMatrix) -> ArithmeticityReport:
     Quasi-arithmetic iff the field of definition is totally real (always
     true here, radicands are positive) and every nontrivial conjugate of
     the rescaled form is definite; arithmetic iff additionally every cyclic
-    product is an algebraic integer.
+    product is an algebraic integer, which ``MultiSurd.is_integral``
+    decides down the field tower.
     """
     cycles = enumerate_cycles(G)
     gens = field_of_definition(cycles)
@@ -321,7 +299,7 @@ def classify(G: GramMatrix) -> ArithmeticityReport:
 
     integral = True
     for c in cycles:
-        if not _is_algebraic_integer(c.value):
+        if not c.value.is_integral():
             integral = False
             witnesses.append(f"cycle {c.cycle} has non-integral value {c.value}")
 

@@ -86,14 +86,6 @@ class GramMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> MultiSurd:
         return self.entries[ij[0]][ij[1]]
 
-    def permuted(self, perm: list[int]) -> "GramMatrix":
-        inv = [0] * self.size
-        for i, p in enumerate(perm):
-            inv[p] = i
-        ent = [[self.entries[inv[i]][inv[j]] for j in range(self.size)]
-               for i in range(self.size)]
-        return GramMatrix(self.dimension, ent)
-
 
 def parse_diagram(text: str) -> CoxeterDiagram:
     """Parse the line-oriented diagram format; see the module docstring."""

@@ -201,20 +201,3 @@ def dirichlet_L(s: int, D: FundamentalDiscriminant, ctx: PrecisionContext = DEFA
                 continue
             total += ch * hurwitz_zeta(s, Fraction(a, q), sub)
         return +(total / mp.mpf(q) ** s)
-
-
-def dirichlet_L_direct(s: int, D: FundamentalDiscriminant, terms: int = 10**6) -> float:
-    """Truncated character series sum chi(n)/n^s; independent cross-check.
-
-    The tail after N terms is below |D| * N^(-s) by Abel summation, far
-    inside any tolerance this is used with.
-    """
-    import math
-
-    import numpy as np
-
-    q = abs(D.D)
-    table = np.array([kronecker_chi(D, n) for n in range(1, q + 1)], dtype=np.float64)
-    n = np.arange(1, terms + 1, dtype=np.float64)
-    chi = table[np.arange(terms) % q]
-    return math.fsum(chi / n ** s)

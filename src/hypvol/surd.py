@@ -4,12 +4,12 @@ Elements are finite sums sum_D c_D * sqrt(D) with rational coefficients c_D
 and squarefree positive integer radicands D (D = 1 is the rational part).
 This ring is closed under multiplication because
 sqrt(D1)*sqrt(D2) = g*sqrt(D1*D2/g^2) with g = gcd(D1, D2), and it is in
-fact a field (every nonzero element is invertible via its Galois conjugates).
+fact a field.
 
-Sign determination is exact: the canonical form makes the zero test
-syntactic, and a nonzero value's sign is decided down the field tower,
-splitting off the largest prime's square root at each step, until a
-rational is left.
+Signs, inverses and integrality are exact and share one step down the
+field tower: split off the largest prime's square root, x = a + b*sqrt(p),
+and go on with a^2 - p*b^2, which has one prime fewer, until a rational is
+left.  The canonical form makes the zero test syntactic.
 """
 
 from __future__ import annotations
@@ -117,6 +117,32 @@ class MultiSurd:
             raise ValueError(f"{self} is irrational")
         return self._terms.get(1, Fraction(0))
 
+    def _split(self) -> tuple[int, "MultiSurd", "MultiSurd"]:
+        """(p, a, b) with self = a + b*sqrt(p), for an irrational self.
+
+        p is the largest prime under the radicands; a holds the terms whose
+        radicand p does not divide, b the others divided by sqrt(p), so
+        neither involves sqrt(p) and b is nonzero.
+        """
+        p = max(q for r in self.radicands() for q in prime_factors(r))
+        a = MultiSurd({r: c for r, c in self._terms.items() if r % p})
+        b = MultiSurd({r // p: c for r, c in self._terms.items() if r % p == 0})
+        return p, a, b
+
+    def is_integral(self) -> bool:
+        """Is the value an algebraic integer?  Decided down the field tower.
+
+        A rational is integral iff its denominator is 1.  Otherwise, with
+        self = a + b*sqrt(p) from ``_split``, the value is a root of
+        X^2 - 2a X + (a^2 - p b^2) over the subfield without sqrt(p), whose
+        ring of integers is integrally closed; so it is integral iff the
+        relative trace 2a and norm a^2 - p*b^2 are.
+        """
+        if self.is_rational():
+            return self.as_rational().denominator == 1
+        p, a, b = self._split()
+        return (a * 2).is_integral() and (a * a - b * b * p).is_integral()
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "MultiSurd":
@@ -160,16 +186,22 @@ class MultiSurd:
     __rmul__ = __mul__
 
     def inverse(self) -> "MultiSurd":
-        """Multiplicative inverse via the product of Galois conjugates."""
+        """Multiplicative inverse, found down the field tower.
+
+        While x is irrational, split x = a + b*sqrt(p) and multiply the
+        numerator by a - b*sqrt(p); x becomes a^2 - p*b^2, which is nonzero
+        with one prime fewer.  The rational left at the end divides out.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero surd")
         if self.is_rational():
             return MultiSurd(1 / self.as_rational())
-        numer = MultiSurd(1)
-        for neg in prime_characters(self.radicands())[1:]:
-            numer = numer * self.conjugate_by_primes(neg)
-        norm = (self * numer).as_rational()
-        return numer * MultiSurd(1 / norm)
+        numer, x = MultiSurd(1), self
+        while not x.is_rational():
+            p, a, b = x._split()
+            numer = numer * (a - b * MultiSurd.sqrt(p))
+            x = a * a - b * b * p
+        return numer * MultiSurd(1 / x.as_rational())
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -240,19 +272,16 @@ class MultiSurd:
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, decided down the field tower.
 
-        With p the largest prime under the radicands, write the value as
-        a + b*sqrt(p), where neither a nor b involves sqrt(p).  If a is zero
-        or has the sign of b, that is the sign; otherwise the larger of a^2
-        and p*b^2 wins, and a^2 - p*b^2 (the product with the conjugate
-        flipping sqrt(p)) is nonzero with one prime fewer.
+        With self = a + b*sqrt(p) from ``_split``: if a is zero or has the
+        sign of b, that is the sign; otherwise the larger of a^2 and p*b^2
+        wins, and a^2 - p*b^2 (the product with the conjugate flipping
+        sqrt(p)) is nonzero with one prime fewer.
         """
         if self.is_zero():
             return 0
         if self.is_rational():
             return 1 if self.as_rational() > 0 else -1
-        p = max(q for r in self.radicands() for q in prime_factors(r))
-        a = MultiSurd({r: c for r, c in self._terms.items() if r % p})
-        b = MultiSurd({r // p: c for r, c in self._terms.items() if r % p == 0})
+        p, a, b = self._split()
         sb = b.sign()
         sa = a.sign()
         if sa in (0, sb):
@@ -291,28 +320,6 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return MultiSurd(x)
     return NotImplemented
-
-
-def galois_conjugate(x: MultiSurd, flips: Iterable[int]) -> MultiSurd:
-    """Image of x under the field automorphism negating sqrt(D) for D in flips.
-
-    The flip set induces a character on square classes: signs are solved at
-    the level of primes (deterministically, unflipped primes default to +1),
-    so the map is always a ring homomorphism and an involution.  Radicands
-    of x that share primes with the flip set transform consistently; a flip
-    set that no character realizes (e.g. {2, 3, 6}) raises ValueError.
-    """
-    flip_rads = [s for s, _ in map(squarefree_decompose, flips) if s != 1]
-    if not flip_rads:
-        return x
-    primes = sorted({p for r in flip_rads for p in prime_factors(r)})
-    # GF(2) system: sum of prime signs over p | D must be odd for each flip.
-    rows = [(sum(1 << i for i, p in enumerate(primes) if r % p == 0), 1) for r in flip_rads]
-    solution = solve_gf2(rows)
-    if solution is None:
-        raise ValueError(f"flip set {sorted(set(flips))} is not induced by any automorphism")
-    neg = frozenset(p for i, p in enumerate(primes) if solution >> i & 1)
-    return x.conjugate_by_primes(neg)
 
 
 def solve_gf2(rows: list[tuple[int, int]]) -> int | None:

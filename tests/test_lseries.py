@@ -10,12 +10,12 @@ from hypvol.lseries import (
     PrecisionContext,
     bernoulli_fraction,
     dirichlet_L,
-    dirichlet_L_direct,
     fundamental_discriminant,
     hurwitz_zeta,
     kronecker_chi,
     riemann_zeta,
 )
+from oracles import dirichlet_L_direct
 
 CTX = PrecisionContext(256)
 

@@ -9,11 +9,11 @@ from hypvol.diagram import parse_diagram
 from hypvol.errors import BadWeight
 from hypvol.surd import (
     MultiSurd,
-    galois_conjugate,
     parse_surd,
     prime_characters,
     squarefree_decompose,
 )
+from oracles import char_poly_is_integral
 
 
 RADICANDS = [1, 2, 3, 5, 6, 7, 10, 13, 26]
@@ -124,6 +124,49 @@ def test_inverse_and_division():
         MultiSurd(0).inverse()
 
 
+def test_inverse_and_integrality_need_no_conjugates(monkeypatch):
+    def refuse(self, neg_primes):
+        raise AssertionError("conjugate_by_primes called")
+
+    monkeypatch.setattr(MultiSurd, "conjugate_by_primes", refuse)
+    x = MultiSurd({1: 1, 2: Fraction(1, 2), 3: -1, 5: Fraction(2, 3), 7: 1, 11: -2,
+                   13: Fraction(1, 4), 30: 1, 1001: 3})
+    assert x * x.inverse() == MultiSurd(1)
+    assert not x.is_integral()
+    y = MultiSurd({1: 1, 2: 1, 3: 1, 5: 1, 7: 1, 11: 1, 13: 1, 2 * 3 * 5 * 7 * 11 * 13: -4})
+    assert y * y.inverse() == MultiSurd(1)
+    assert y.is_integral()
+
+
+def test_is_integral_examples():
+    assert MultiSurd({1: Fraction(1, 2), 5: Fraction(1, 2)}).is_integral()  # golden ratio
+    assert not MultiSurd.sqrt(2, Fraction(1, 2)).is_integral()
+    assert not MultiSurd({1: Fraction(1, 2), 3: Fraction(1, 2)}).is_integral()
+    assert MultiSurd(-7).is_integral()
+    assert not MultiSurd(Fraction(7, 2)).is_integral()
+    # (sqrt 2 + sqrt 6)/2 = sqrt 2 * (1 + sqrt 3)/2 squares to 2 + sqrt 3
+    assert MultiSurd({2: Fraction(1, 2), 6: Fraction(1, 2)}).is_integral()
+
+
+TOWER_RADICANDS = SIGN_RADICANDS + [7, 11]
+
+# quarter-integer coefficients make a fair share of the values integral
+tower_surds = st.builds(
+    lambda pairs: MultiSurd({r: Fraction(k, d) for r, k, d in pairs}),
+    st.lists(st.tuples(st.sampled_from(TOWER_RADICANDS), st.integers(-9, 9),
+                       st.sampled_from([1, 2, 4])), max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tower_surds, tower_surds)
+def test_inverse_and_integrality_agree_with_conjugates(x, y):
+    for z in (x, x * y, x * x - y * y):
+        if not z.is_zero():
+            assert z * z.inverse() == MultiSurd(1)
+        assert z.is_integral() == char_poly_is_integral(z)
+
+
 def test_pow():
     x = MultiSurd({1: 1, 2: 1})
     assert x ** 0 == MultiSurd(1)
@@ -161,35 +204,31 @@ def test_square_positive(x):
 
 
 @settings(max_examples=150, deadline=None)
-@given(surds, surds, st.sets(st.sampled_from([2, 3, 5, 7, 13]), max_size=3))
-def test_galois_conjugate_is_ring_homomorphism(a, b, flips):
-    assert galois_conjugate(a * b, flips) == galois_conjugate(a, flips) * galois_conjugate(b, flips)
-    assert galois_conjugate(a + b, flips) == galois_conjugate(a, flips) + galois_conjugate(b, flips)
+@given(surds, surds, st.frozensets(st.sampled_from([2, 3, 5, 7, 13]), max_size=3))
+def test_galois_conjugate_is_ring_homomorphism(a, b, neg):
+    assert (a * b).conjugate_by_primes(neg) == a.conjugate_by_primes(neg) * b.conjugate_by_primes(neg)
+    assert (a + b).conjugate_by_primes(neg) == a.conjugate_by_primes(neg) + b.conjugate_by_primes(neg)
 
 
 def test_galois_conjugate_examples():
     x = MultiSurd({1: 1, 5: 1})
-    assert galois_conjugate(x, {5}) == MultiSurd({1: 1, 5: -1})
+    assert x.conjugate_by_primes(frozenset({5})) == MultiSurd({1: 1, 5: -1})
     q = MultiSurd(Fraction(22, 7))
-    assert galois_conjugate(q, {2, 3}) == q
+    assert q.conjugate_by_primes(frozenset({2, 3})) == q
     y = MultiSurd({2: 1, 3: Fraction(1, 2), 6: -2, 1: 5})
-    for flips in ({2}, {3}, {6}, {2, 3}):
-        assert galois_conjugate(galois_conjugate(y, flips), flips) == y
+    for neg in prime_characters([6]):
+        assert y.conjugate_by_primes(neg).conjugate_by_primes(neg) == y
 
 
 def test_galois_conjugate_flips_composite_radicand():
     y = MultiSurd.sqrt(26)
-    assert galois_conjugate(y, {26}) == -y
-    # the induced character also moves sqrt(2) consistently: chi(2) = -1
     z = MultiSurd.sqrt(2) + MultiSurd.sqrt(26)
-    flipped = galois_conjugate(z, {26})
-    assert flipped == -z or flipped == MultiSurd.sqrt(2) - MultiSurd.sqrt(26)
-
-
-def test_galois_conjugate_inconsistent_flip_set():
-    x = MultiSurd.sqrt(2) + MultiSurd.sqrt(3) + MultiSurd.sqrt(6)
-    with pytest.raises(ValueError):
-        galois_conjugate(x, {2, 3, 6})
+    # either prime of 26 flips sqrt(26); the character negating 2 also
+    # moves sqrt(2), the one negating 13 leaves it
+    for neg in (frozenset({2}), frozenset({13})):
+        assert y.conjugate_by_primes(neg) == -y
+        flipped = z.conjugate_by_primes(neg)
+        assert flipped == -z or flipped == MultiSurd.sqrt(2) - MultiSurd.sqrt(26)
 
 
 def test_prime_characters_in_bitmask_order():
