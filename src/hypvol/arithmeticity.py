@@ -12,11 +12,12 @@ condition are collected in the report.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagram import GramMatrix, eliminate, inertia
+from .diagram import GramMatrix, eliminate
 from .errors import DisconnectedGraph, FieldNotQ, RankDeficient, TooLarge
 from .surd import MultiSurd, prime_characters, prime_factors, solve_gf2, squarefree_decompose
 
@@ -40,13 +41,17 @@ class QuadraticFormQ:
     """Rescaled Gram restricted to a maximal-rank facet subset.
 
     Entries lie in the field of definition; for the polytopes in scope that
-    field is Q and the matrix is rational.  ``det`` is the determinant of
-    the matrix.
+    field is Q and the matrix is rational.  ``pivots`` come from the one
+    elimination that chose the basis; ``det`` is their product.
     """
 
     matrix: list[list[MultiSurd]]
     basis_facets: tuple[int, ...]
-    det: MultiSurd
+    pivots: list[MultiSurd]
+
+    @property
+    def det(self) -> MultiSurd:
+        return math.prod(self.pivots, start=MultiSurd(1))
 
 
 class Classification(enum.Enum):
@@ -181,12 +186,11 @@ def rational_form(G: GramMatrix, rng: random.Random | None = None) -> QuadraticF
     Scaling factors multiply along tree edges by the doubled Gram entry, so
     every rescaled pairing is a product of cyclic products and lies in the
     field of definition.  The rescaled form has rank n + 1 (Vinberg); the
-    returned form is its principal submatrix on the facets that one exact
-    elimination pivots on, which is nonsingular.  Its determinant is that
-    elimination's pivot product, since sorting the basis reorders rows and
-    columns alike.  Any two such bases of the span differ by a change of
-    basis over K, so the discriminant class and the conjugate signatures
-    do not depend on the choice.
+    returned form is its nonsingular principal submatrix on the facets one
+    exact elimination pivots on, with that run's pivots, which are its own:
+    no other facet is a pivot or enters the basis' Schur complements.  Any
+    two such bases of the span differ by a change of basis over K, so the
+    discriminant class and the conjugate signatures do not depend on it.
     """
     adj = nonorthogonality_graph(G)
     _check_connected(adj)
@@ -204,12 +208,12 @@ def rational_form(G: GramMatrix, rng: random.Random | None = None) -> QuadraticF
         scale(v)
     F = [[lam[i] * lam[j] * G[i, j] for j in range(N)] for i in range(N)]
 
-    _, eliminated, det = eliminate(F)
+    eliminated, pivots = eliminate(F)
     basis = sorted(eliminated)
     if len(basis) != G.dimension + 1:
         raise RankDeficient(f"rescaled form has rank {len(basis)}, expected "
                             f"{G.dimension + 1} for a Lorentzian Gram matrix")
-    return QuadraticFormQ([[F[i][j] for j in basis] for i in basis], tuple(basis), det)
+    return QuadraticFormQ([[F[i][j] for j in basis] for i in basis], tuple(basis), pivots)
 
 
 def _field_contains(radicand: int, gens: frozenset[int]) -> bool:
@@ -271,9 +275,9 @@ def classify(G: GramMatrix) -> ArithmeticityReport:
 
     Quasi-arithmetic iff the field of definition is totally real (always
     true here, radicands are positive) and every nontrivial conjugate of
-    the rescaled form is definite; arithmetic iff additionally every cyclic
-    product is an algebraic integer, which ``MultiSurd.is_integral``
-    decides down the field tower.
+    the rescaled form is definite, its signature read off the signs of the
+    conjugated pivots; arithmetic iff additionally every cyclic product is
+    an algebraic integer, which ``MultiSurd.is_integral`` decides.
     """
     cycles = enumerate_cycles(G)
     gens = field_of_definition(cycles)
@@ -287,14 +291,13 @@ def classify(G: GramMatrix) -> ArithmeticityReport:
                                 for row in form.matrix for e in row for r in e.radicands()):
         raise RankDeficient("rescaled form leaves the field of definition")
     for primes, flips in automorphisms:
-        conj = [[e.conjugate_by_primes(primes) for e in row] for row in form.matrix]
-        pos, neg, zero = inertia(conj)
-        size = len(conj)
-        if not (zero == 0 and (pos == size or neg == size)):
+        pos = sum(p.conjugate_by_primes(primes).sign() > 0 for p in form.pivots)
+        neg = len(form.pivots) - pos
+        if pos and neg:
             quasi = False
             witnesses.append(
                 f"conjugate flipping sqrt of {flips} has signature "
-                f"({pos},{neg},{zero}), not definite"
+                f"({pos},{neg},0), not definite"
             )
 
     integral = True

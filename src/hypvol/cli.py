@@ -69,15 +69,15 @@ def main(argv: list[str] | None = None) -> int:
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_STAGE_ERROR
-    if args.diagram == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.diagram == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.diagram, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_STAGE_ERROR
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STAGE_ERROR
 
     try:
         report = analyze(

@@ -184,34 +184,29 @@ def gram_matrix(diagram: CoxeterDiagram) -> GramMatrix:
     return GramMatrix(diagram.dimension, G)
 
 
-def eliminate(entries: list[list[MultiSurd]]) -> tuple[tuple[int, int, int], list[int], MultiSurd]:
+def eliminate(entries: list[list[MultiSurd]]) -> tuple[list[int], list[MultiSurd]]:
     """Symmetric elimination of a symmetric surd matrix, exact.
 
     Pivots on the first nonzero diagonal entry of the remaining block; when
     the whole remaining diagonal vanishes, a nonzero off-diagonal entry a is
-    pivoted as the hyperbolic block [[0, a], [a, 0]], which contributes
-    (1, 1) to the inertia and -a^2 to the pivot product.  Returns the
-    inertia (pos, neg, zero), the eliminated indices in pivot order, and
-    the product of the pivots.  The eliminated indices number the rank,
-    and their principal submatrix is nonsingular with the pivot product as
-    its determinant.
+    pivoted as the hyperbolic block [[0, a], [a, 0]], recorded as pivots a
+    and -a (determinant -a^2, inertia (1, 1)).  Returns the eliminated
+    indices in pivot order, which number the rank, and the pivots, whose
+    product is the determinant of the (nonsingular) eliminated principal
+    submatrix.  Pivots are chosen by zero tests alone, which a field
+    automorphism keeps, so the conjugated matrix has the conjugated pivots.
     """
     A = [row[:] for row in entries]
     active = list(range(len(A)))
-    pos = neg = 0
     eliminated: list[int] = []
-    product = MultiSurd(1)
+    pivots: list[MultiSurd] = []
     while active:
         i = next((i for i in active if not A[i][i].is_zero()), None)
         if i is not None:
             pivot = A[i][i]
-            if pivot.sign() > 0:
-                pos += 1
-            else:
-                neg += 1
             active.remove(i)
             eliminated.append(i)
-            product = product * pivot
+            pivots.append(pivot)
             inv = pivot.inverse()
             for u in active:
                 if A[u][i].is_zero():
@@ -225,12 +220,10 @@ def eliminate(entries: list[list[MultiSurd]]) -> tuple[tuple[int, int, int], lis
         if off is None:
             break
         i, j = off
-        pos += 1
-        neg += 1
         active.remove(i)
         active.remove(j)
         eliminated += [i, j]
-        product = -(product * A[i][j] * A[i][j])
+        pivots += [A[i][j], -A[i][j]]
         # Schur complement of the hyperbolic block
         a_inv = A[i][j].inverse()
         for u in active:
@@ -239,12 +232,14 @@ def eliminate(entries: list[list[MultiSurd]]) -> tuple[tuple[int, int, int], lis
                 continue
             for v in active:
                 A[u][v] = A[u][v] - (bi * A[j][v] + bj * A[i][v]) * a_inv
-    return (pos, neg, len(active)), eliminated, product
+    return eliminated, pivots
 
 
 def inertia(entries: list[list[MultiSurd]]) -> tuple[int, int, int]:
     """Exact inertia (pos, neg, zero) of a symmetric surd matrix."""
-    return eliminate(entries)[0]
+    _, pivots = eliminate(entries)
+    pos = sum(p.sign() > 0 for p in pivots)
+    return pos, len(pivots) - pos, len(entries) - len(pivots)
 
 
 def signature(G: GramMatrix) -> tuple[int, int, int]:

@@ -28,18 +28,10 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     if n <= 0:
         raise ValueError("radicand must be positive")
     s, f = 1, 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            f *= d ** (e // 2)
-            if e % 2:
-                s *= d
-        d += 1 if d == 2 else 2
-    return s * n, f
+    for p, e in prime_factors(n).items():
+        s *= p ** (e % 2)
+        f *= p ** (e // 2)
+    return s, f
 
 
 def prime_factors(n: int) -> dict[int, int]:
@@ -74,14 +66,17 @@ class MultiSurd:
 
     The term map never stores zero coefficients and every radicand is
     squarefree, so equality of canonical forms is equality of values and
-    the zero test is just emptiness of the map.
+    the zero test is just emptiness of the map.  ``__init__`` factors the
+    radicands of outside input; results of ring operations have squarefree
+    radicands already and go through ``_canonical``, which drops zeros.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, _Rat] | _Rat = 0):
         if isinstance(terms, (int, Fraction)):
-            terms = {1: terms}
+            self._terms = {1: Fraction(terms)} if terms else {}
+            return
         clean: dict[int, Fraction] = {}
         for rad, coeff in terms.items():
             c = Fraction(coeff)
@@ -92,6 +87,13 @@ class MultiSurd:
             if clean[s] == 0:
                 del clean[s]
         self._terms = clean
+
+    @staticmethod
+    def _canonical(terms: dict[int, Fraction]) -> "MultiSurd":
+        """The surd over terms whose radicands are already squarefree."""
+        out = object.__new__(MultiSurd)
+        out._terms = {r: c for r, c in terms.items() if c}
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -125,8 +127,8 @@ class MultiSurd:
         neither involves sqrt(p) and b is nonzero.
         """
         p = max(q for r in self.radicands() for q in prime_factors(r))
-        a = MultiSurd({r: c for r, c in self._terms.items() if r % p})
-        b = MultiSurd({r // p: c for r, c in self._terms.items() if r % p == 0})
+        a = MultiSurd._canonical({r: c for r, c in self._terms.items() if r % p})
+        b = MultiSurd._canonical({r // p: c for r, c in self._terms.items() if r % p == 0})
         return p, a, b
 
     def is_integral(self) -> bool:
@@ -152,12 +154,12 @@ class MultiSurd:
         acc = dict(self._terms)
         for r, c in other._terms.items():
             acc[r] = acc.get(r, Fraction(0)) + c
-        return MultiSurd(acc)
+        return MultiSurd._canonical(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiSurd":
-        return MultiSurd({r: -c for r, c in self._terms.items()})
+        return MultiSurd._canonical({r: -c for r, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -181,7 +183,7 @@ class MultiSurd:
                 g = math.gcd(r1, r2)
                 rad = (r1 // g) * (r2 // g)
                 acc[rad] = acc.get(rad, Fraction(0)) + c1 * c2 * g
-        return MultiSurd(acc)
+        return MultiSurd._canonical(acc)
 
     __rmul__ = __mul__
 
@@ -199,7 +201,7 @@ class MultiSurd:
         numer, x = MultiSurd(1), self
         while not x.is_rational():
             p, a, b = x._split()
-            numer = numer * (a - b * MultiSurd.sqrt(p))
+            numer = numer * (a - b * MultiSurd._canonical({p: Fraction(1)}))
             x = a * a - b * b * p
         return numer * MultiSurd(1 / x.as_rational())
 
@@ -248,7 +250,7 @@ class MultiSurd:
         for r, c in self._terms.items():
             parity = sum(1 for p in neg_primes if r % p == 0)
             out[r] = -c if parity % 2 else c
-        return MultiSurd(out)
+        return MultiSurd._canonical(out)
 
     # -- numeric evaluation ------------------------------------------------
 

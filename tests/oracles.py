@@ -2,14 +2,17 @@
 
 Each computes the same quantity as a pipeline function by a slower,
 independent route: a truncated character series for Dirichlet L-values,
-and the full characteristic polynomial over all Galois conjugates for
-algebraic integrality.
+the full characteristic polynomial over all Galois conjugates for
+algebraic integrality, and a fresh elimination of every conjugated form
+for the conjugate signatures.
 """
 
 import math
 
 import numpy as np
 
+from hypvol.arithmeticity import QuadraticFormQ, _field_automorphisms
+from hypvol.diagram import inertia
 from hypvol.lseries import FundamentalDiscriminant, kronecker_chi
 from hypvol.surd import MultiSurd, prime_characters
 
@@ -45,3 +48,16 @@ def char_poly_is_integral(x: MultiSurd) -> bool:
             nxt[k + 1] = nxt[k + 1] + a
         poly = nxt
     return all(a.is_rational() and a.as_rational().denominator == 1 for a in poly)
+
+
+def conjugate_signatures(form: QuadraticFormQ, gens: frozenset[int]) -> list:
+    """(flipped generators, inertia) for each nontrivial field automorphism.
+
+    Conjugates every entry of the basis block and eliminates each
+    conjugated matrix afresh.
+    """
+    out = []
+    for primes, flips in _field_automorphisms(gens):
+        conj = [[e.conjugate_by_primes(primes) for e in row] for row in form.matrix]
+        out.append((flips, inertia(conj)))
+    return out

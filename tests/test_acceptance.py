@@ -49,8 +49,9 @@ def test_criterion_1_classification_5d():
     from hypvol.arithmeticity import squarefree_class
     from hypvol.diagram import eliminate
 
-    _, eliminated, det = eliminate(F.matrix)
+    eliminated, pivots = eliminate(F.matrix)
     assert len(eliminated) == len(F.matrix)
+    det = math.prod(pivots, start=MultiSurd(1))
     assert F.det == det
     disc_class = squarefree_class(det.as_rational())
     D = fundamental_discriminant(rep.delta)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypvol import arithmeticity
+from hypvol import arithmeticity, diagram
 from hypvol.arithmeticity import (
     Classification,
     QuadraticFormQ,
@@ -13,10 +13,16 @@ from hypvol.arithmeticity import (
     field_of_definition,
     rational_form,
 )
-from hypvol.diagram import GramMatrix, eliminate, gram_matrix, parse_diagram
-from hypvol.errors import DisconnectedGraph, FieldNotQ, RankDeficient, TooLarge
+from hypvol.diagram import GramMatrix, eliminate, gram_matrix, inertia, parse_diagram
+from hypvol.errors import DisconnectedGraph, FieldNotQ, HypvolError, RankDeficient, TooLarge
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
 from hypvol.surd import MultiSurd, parse_surd
+from oracles import conjugate_signatures
+
+# the (4,5,6) and (4,5,5) hyperbolic triangles, over Q(sqrt 5, sqrt 6) and
+# Q(sqrt 2, sqrt 5)
+TRIANGLE_456 = "n 2\nfacets 3\nedge 0 1 4\nedge 1 2 5\nedge 0 2 6\n"
+TRIANGLE_455 = "n 2\nfacets 3\nedge 0 1 5\nedge 1 2 5\nedge 0 2 4\n"
 
 
 def triangle_all_label3():
@@ -134,13 +140,13 @@ def test_rational_form_requires_rank_n_plus_1():
 def test_discriminant_delta_hyperbolic_form():
     diag = [[MultiSurd(1 if i == j else 0) for j in range(6)] for i in range(6)]
     diag[5][5] = MultiSurd(-1)
-    F = QuadraticFormQ(diag, tuple(range(6)), MultiSurd(-1))
+    F = QuadraticFormQ(diag, tuple(range(6)), [diag[i][i] for i in range(6)])
     assert discriminant_delta(F, 5) == 1
 
 
 def test_discriminant_delta_requires_rational_form():
     e = MultiSurd.sqrt(2)
-    F = QuadraticFormQ([[e]], (0,), e)
+    F = QuadraticFormQ([[e]], (0,), [e])
     with pytest.raises(FieldNotQ):
         discriminant_delta(F, 5)
 
@@ -175,10 +181,11 @@ def test_classify_enumerates_cycles_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("text, delta", [(POLYTOPE_5D, 13), (POLYTOPE_7D, -11)])
+@pytest.mark.parametrize("text, delta", [(POLYTOPE_5D, 13), (POLYTOPE_7D, -11),
+                                         (TRIANGLE_456, None), (TRIANGLE_455, None)])
 def test_classify_eliminates_the_rescaled_form_once(monkeypatch, text, delta):
-    # the discriminant class reads the determinant that rational_form's
-    # elimination already produced
+    # the discriminant class and every conjugate signature read the pivots
+    # of rational_form's elimination; inertia's eliminations are counted too
     calls = []
 
     def counted(entries):
@@ -186,8 +193,75 @@ def test_classify_eliminates_the_rescaled_form_once(monkeypatch, text, delta):
         return eliminate(entries)
 
     monkeypatch.setattr(arithmeticity, "eliminate", counted)
+    monkeypatch.setattr(diagram, "eliminate", counted)
     assert classify(gram_matrix(parse_diagram(text))).delta == delta
     assert len(calls) == 1
+
+
+def test_classify_triangles_over_biquadratic_fields():
+    rep = classify(gram_matrix(parse_diagram(TRIANGLE_456)))
+    assert rep.field_name == "Q(sqrt 5, sqrt 6, sqrt 30)"
+    assert len(arithmeticity._field_automorphisms(rep.field_generators)) == 3
+    assert rep.classification is Classification.NOT_QUASI_ARITHMETIC
+    assert rep.witnesses == ("conjugate flipping sqrt of [5, 6] has signature (2,1,0), "
+                             "not definite",)
+    rep = classify(gram_matrix(parse_diagram(TRIANGLE_455)))
+    assert rep.field_name == "Q(sqrt 2, sqrt 5, sqrt 10)"
+    assert rep.classification is Classification.ARITHMETIC
+    assert rep.witnesses == ()
+
+
+_SURD_LABELS = [None, None, None, "3", "4", "5", "6", "inf", "dashed 3/2", "dashed sqrt(2)",
+                "dashed 1 + sqrt(5)", "dashed sqrt(6)", "dashed sqrt(26)/4"]
+
+
+def _random_surd_gram(rng: random.Random) -> GramMatrix | None:
+    """Gram matrix of a random diagram, its dimension set so its rank is n + 1,
+    or None unless exactly one eigenvalue is negative."""
+    facets = rng.choice([3, 3, 4, 5])
+    lines = ["n 2", f"facets {facets}"]
+    for i in range(facets):
+        for j in range(i + 1, facets):
+            label = rng.choice(_SURD_LABELS)
+            if label is not None:
+                lines.append(f"edge {i} {j} {label}")
+    G = gram_matrix(parse_diagram("\n".join(lines)))
+    pos, neg, _ = inertia(G.entries)
+    return GramMatrix(pos + neg - 1, G.entries) if neg == 1 else None
+
+
+def test_conjugate_signatures_match_the_conjugated_forms():
+    # the signs of the conjugated pivots of one elimination give every
+    # conjugate's inertia, as a fresh elimination of each conjugate does
+    rng = random.Random(7)
+    conjugates = nondefinite = 0
+    for _ in range(150):
+        G = _random_surd_gram(rng)
+        if G is None:
+            continue
+        try:
+            rep = classify(G)
+            form = rational_form(G)
+        except HypvolError:
+            continue
+        eliminated, pivots = eliminate(form.matrix)
+        assert pivots == form.pivots
+        assert sorted(eliminated) == list(range(len(form.matrix)))
+        expected = []
+        for (primes, flips), (oracle_flips, (pos, neg, zero)) in zip(
+                arithmeticity._field_automorphisms(rep.field_generators),
+                conjugate_signatures(form, rep.field_generators)):
+            assert flips == oracle_flips
+            signs = [p.conjugate_by_primes(primes).sign() for p in form.pivots]
+            assert (signs.count(1), signs.count(-1), 0) == (pos, neg, zero)
+            conjugates += 1
+            if pos and neg:
+                expected.append(f"conjugate flipping sqrt of {flips} has signature "
+                                f"({pos},{neg},{zero}), not definite")
+        assert [w for w in rep.witnesses if w.startswith("conjugate")] == expected
+        assert (rep.classification is Classification.NOT_QUASI_ARITHMETIC) == bool(expected)
+        nondefinite += len(expected)
+    assert conjugates >= 200 and 0 < nondefinite < conjugates
 
 
 def test_classify_7d():
@@ -239,8 +313,8 @@ def test_classify_relabel_invariance():
 
 def test_det_exact():
     rows = [[MultiSurd(2), MultiSurd(1)], [MultiSurd(1), MultiSurd(1)]]
-    _, eliminated, product = eliminate(rows)
+    eliminated, pivots = eliminate(rows)
     assert len(eliminated) == 2
-    assert product == MultiSurd(1)
+    assert pivots[0] * pivots[1] == MultiSurd(1)
     rows = [[MultiSurd(1), MultiSurd(1)], [MultiSurd(1), MultiSurd(1)]]
-    assert len(eliminate(rows)[1]) == 1
+    assert len(eliminate(rows)[0]) == 1

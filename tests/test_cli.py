@@ -1,5 +1,7 @@
 import inspect
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,25 @@ def test_analyze_integrates_when_no_assumed_volume(diagram_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["volume"]["source"] == "integrated"
     assert abs(payload["volume"]["value"] - 3.14159265) < 1e-2
+
+
+NOT_UTF8 = b"n 2\nfacets 3\nedge 0 1 inf \xff\xfe\n"
+
+
+def test_non_utf8_diagram_file_is_stage_error(tmp_path, capsys):
+    path = tmp_path / "bad.diagram"
+    path.write_bytes(NOT_UTF8)
+    code = main(["analyze", str(path)])
+    assert code == EXIT_STAGE_ERROR
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
+
+def test_non_utf8_strict_stdin_is_stage_error(monkeypatch, capsys):
+    # a UTF-8 locale other than C.UTF-8 decodes stdin strictly
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
+    code = main(["analyze", "-"])
+    assert code == EXIT_STAGE_ERROR
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
 
 
 def test_not_lorentzian_exit_code(diagram_file, capsys):

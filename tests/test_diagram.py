@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -175,7 +176,11 @@ def symmetric_surd_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(symmetric_surd_matrices())
 def test_elimination_kernel_against_floats(M):
-    (pos, neg, zero), eliminated, product = eliminate(M)
+    eliminated, pivots = eliminate(M)
+    pos = sum(p.sign() > 0 for p in pivots)
+    neg = sum(p.sign() < 0 for p in pivots)
+    zero = len(M) - len(pivots)
+    product = math.prod(pivots, start=MultiSurd(1))
     A = np.array([[float(e) for e in row] for row in M])
     assert pos + neg + zero == len(M)
     assert len(eliminated) == len(set(eliminated)) == pos + neg

@@ -394,6 +394,18 @@ def test_sobol_blocks_stratify_every_coordinate():
             assert (cells == np.arange(stop - start)).all()
 
 
+def test_sobol_replicate_means_are_unbiased():
+    # f = sum x_i^2 * prod x_j integrates to 5 * 1/4 * (1/2)^4 = 5/64 over
+    # the unit 5-cube; each scrambled replicate mean is an unbiased estimate
+    means = []
+    for seed in range(0, 200_000, 1000):
+        x = _Sobol(5, seed).points(0, 128, slice(0, 8))
+        means.append(((x ** 2).sum(axis=0) * x.prod(axis=0)).mean(axis=-1))
+    means = np.concatenate(means)
+    se = means.std(ddof=1) / math.sqrt(means.size)
+    assert abs(means.mean() - 5 / 64) < 4 * se
+
+
 def test_sobol_rejects_untabulated_dimension():
     with pytest.raises(ValueError, match="dimension 21"):
         simplex_volume(np.zeros((23, 22)))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypvol import surd
 from hypvol.diagram import parse_diagram
 from hypvol.errors import BadWeight
 from hypvol.surd import (
@@ -136,6 +137,26 @@ def test_inverse_and_integrality_need_no_conjugates(monkeypatch):
     y = MultiSurd({1: 1, 2: 1, 3: 1, 5: 1, 7: 1, 11: 1, 13: 1, 2 * 3 * 5 * 7 * 11 * 13: -4})
     assert y * y.inverse() == MultiSurd(1)
     assert y.is_integral()
+
+
+def test_ring_operations_factor_no_radicand(monkeypatch):
+    # radicands are factored where a value enters; ring operations keep
+    # them squarefree without factoring
+    x = MultiSurd({1: Fraction(1, 3), 2: 1, 3: -2, 5: Fraction(1, 2), 13: 1, 26: Fraction(-3, 4)})
+    y = MultiSurd({1: 2, 2: Fraction(2, 5), 5: Fraction(1, 2), 13: -1, 26: 1})
+
+    def results():
+        values = [x + y, x - y, -x, x * y, x * x - y * y, x * 2, x.inverse(), x / y]
+        return values, [v.sign() for v in values], [v.is_integral() for v in values]
+
+    expected = results()
+
+    def refuse(n):
+        raise AssertionError("squarefree_decompose called")
+
+    monkeypatch.setattr(surd, "squarefree_decompose", refuse)
+    assert results() == expected
+    assert x * x.inverse() == 1
 
 
 def test_is_integral_examples():
