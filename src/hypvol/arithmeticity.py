@@ -116,38 +116,33 @@ def enumerate_cycles(G: GramMatrix) -> list[CyclicProduct]:
                        f"{MAX_FACETS_FOR_CYCLES}")
     adj = nonorthogonality_graph(G)
     _check_connected(adj)
-
-    def doubled(i, j):
-        return G[i, j] * 2
-
+    doubled = {}
     out = []
     for i in range(N):
         for j in adj[i]:
             if j > i:
-                v = doubled(i, j)
+                v = doubled[i, j] = doubled[j, i] = G[i, j] * 2
                 out.append(CyclicProduct((i, j), v * v))
     # simple cycles of length >= 3, canonical: start at the smallest vertex,
-    # orient so the second vertex is smaller than the last
+    # orient so the second vertex is smaller than the last; the product of
+    # the path so far rides along the DFS
     for start in range(N):
         path = [start]
         on_path = {start}
 
-        def dfs(u):
+        def dfs(u, value):
             for w in adj[u]:
                 if w == start and len(path) >= 3:
                     if path[1] < path[-1]:
-                        value = MultiSurd(1)
-                        for a, b in zip(path, path[1:] + [start]):
-                            value = value * doubled(a, b)
-                        out.append(CyclicProduct(tuple(path), value))
+                        out.append(CyclicProduct(tuple(path), value * doubled[u, start]))
                 elif w > start and w not in on_path:
                     path.append(w)
                     on_path.add(w)
-                    dfs(w)
+                    dfs(w, value * doubled[u, w])
                     path.pop()
                     on_path.remove(w)
 
-        dfs(start)
+        dfs(start, MultiSurd(1))
     out.sort(key=lambda c: (len(c.cycle), c.cycle))
     return out
 

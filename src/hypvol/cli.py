@@ -71,7 +71,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_STAGE_ERROR
     try:
         if args.diagram == "-":
-            text = sys.stdin.read()
+            # stdin's bytes are decoded strictly, whatever error handler the
+            # locale gives the text layer; a text-only stand-in has no bytes
+            buffer = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
         else:
             with open(args.diagram, encoding="utf-8") as fh:
                 text = fh.read()

@@ -60,6 +60,7 @@ class TriangulationFailure(HypvolError):
 class NonConvergent(HypvolError):
     """A truncation could not meet its error target.
 
-    Shell subdivision at a cusp failed to produce a shrinking tail bound,
-    or the Euler-Maclaurin cutoff of a zeta or L-value outgrew its cap.
+    Shell subdivision at a cusp cannot shrink toward its ideal vertex, the
+    error bar's t quantile did not converge, or the Euler-Maclaurin cutoff
+    of a zeta or L-value outgrew its cap.
     """

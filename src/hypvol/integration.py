@@ -5,35 +5,51 @@ The hyperbolic volume element in the Klein ball is
     dV = (1 - |x|^2)^(-(n+1)/2) dx,
 
 so each simplex is integrated in barycentric coordinates through a smooth
-measure-preserving map from the unit cube, with scrambled Sobol points and
-replicate spread as the error estimate.  A simplex with an ideal vertex is
-cut into geometric shells toward the cusp (ratio 1/2); shell contributions
-shrink like 2^(-k(n-1)/2) and the remaining tail is bounded in closed form,
-so the reported error is the replicate spread plus a rigorous tail bound.
+measure-preserving map from the unit cube, with 8 replicates of scrambled
+Sobol points.  A simplex with an ideal vertex is cut into geometric shells
+toward the cusp (ratio 1/2).  The first K shells are summed per point; the
+shells left out are bracketed per point between two closed-form sums, and the
+bracket's midpoint joins the value while its integrated half-width joins the
+error bar.  Simplices with several ideal vertices are split on ideal-ideal
+edge midpoints first, so every integrated piece has at most one cusp.
 
-The points are scipy's, bit for bit, from an in-repo generator: replicate
-r of a piece is ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed + r)``,
-that is Joe-Kuo direction numbers (Joe & Kuo, SIAM J. Sci. Comput. 30,
-2008) in 30 bits under a random linear matrix scramble and a digital shift
-(Matousek 1998), drawn from ``numpy.random.default_rng(seed + r)``.  Point
-k is the shift XOR the scrambled direction numbers over the bits of the
-Gray code of k, so each block [2^k, 2^(k+1)) doubles out of its start point
-with one uint32 XOR pass and one float conversion, and there is no engine
-state: ``polytope_volume``'s refine pass asks for its sizing pass's points
-again.  One replicate loop extends each replicate's sequence each round,
-adding only the new points to its running sum.  Scrambled Sobol sequences
-are nested (Owen 1995), so an extended sequence equals a fresh draw of the
-same size.
+One design sizes every integration, ``simplex_volume`` being its one-piece
+case:
+
+1. pilot: 2^9 points per replicate on every piece, which give each piece's
+   spread sigma_k and pick its K;
+2. allocation (Neyman, JRSS 97, 1934): at the Monte Carlo rate, N_k points
+   per replicate with N_k proportional to sigma_k minimize the total subject
+   to 3 sqrt(sum se_k^2) fitting the budget the half-widths leave; each N_k
+   is rounded up to a power of two between the pilot's size and the cap
+   2^max_log2_samples;
+3. final pass: one fixed-size pass per piece on fresh seeds, with no
+   stopping rule, which alone gives the value;
+4. bar: q sqrt(sum se_k^2) plus the summed half-widths, with se_k the final
+   pass's replicate standard error and q the Student-t quantile of two-sided
+   tail 1e-4 at the Welch-Satterthwaite degrees of freedom.
+
+Scrambled nets beat the N^-1/2 rate on smooth integrands (Owen, Ann.
+Statist. 25, 1997), so the measured se_k lie well below the allocation's
+prediction and the t quantile costs no samples.  The final pass is never
+smaller than the pilot: below it the Monte Carlo rate would overstate what
+fewer points achieve.
+
+Piece k's pilot and final pass take the two children of
+``numpy.random.SeedSequence(seed).spawn(pieces)[k]``, and each pass's 8
+replicates the children of its own.  The points are scipy's, bit for bit,
+from an in-repo generator (see ``_Sobol``): Joe-Kuo direction numbers (Joe &
+Kuo, SIAM J. Sci. Comput. 30, 2008) in 30 bits under a random linear matrix
+scramble and a digital shift (Matousek 1998).  Point k is the shift XOR the
+scrambled direction numbers over the bits of the Gray code of k, so every
+aligned block of 2^j points doubles out of its start point with one uint32
+XOR pass and one float conversion.
 
 Points come as (n, replicates, m) arrays, one contiguous row per coordinate,
-and one integrand call evaluates as many whole replicates as fit in 2^14
-points, the largest single draw of a 5D analysis; a larger block goes one
-replicate per call, so no array outgrows one replicate's block.  The
-integrands raise 1 - |x|^2 to the power -(n+1)/2 as a product of
-reciprocals for odd n, which is cheaper than numpy's general power.
-
-Simplices with several ideal vertices are split on ideal-ideal edge
-midpoints first, so every integrated piece has at most one cusp.
+and one integrand call evaluates 2^14 points: as many whole replicates as
+fit, or one aligned block of one replicate.  The integrands raise 1 - |x|^2
+to the power -(n+1)/2 as a product of reciprocals for odd n, which is
+cheaper than numpy's general power.
 """
 
 from __future__ import annotations
@@ -41,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from .errors import NonConvergent
@@ -48,10 +65,16 @@ from .geometry import KleinPolytope
 
 DEFAULT_SEED = 20240
 _REPLICATES = 8
-_MIN_LOG2 = 7          # per-replicate sample count of the first round: 2^7
-DEFAULT_MAX_LOG2 = 19  # default per-replicate sample cap: 2^19
+_PILOT_LOG2 = 9        # per-replicate points of the pilot pass: 2^9
+DEFAULT_MAX_LOG2 = 19  # default per-replicate cap of a pass: 2^19
+_COVERAGE = 3.0        # MC-rate standard errors the allocation fits in the budget
+_TAIL = 1e-4           # two-sided tail probability of the bar's t quantile
+_Z_BELOW = 3.89        # below its normal quantile 3.8906, so below every t quantile
+_PILOT_SHELLS = 4      # cusp shells summed per point in the pilot
+_REMAINDER_SHARE = 1e-3  # share of the budget left to the cusp remainders' half-widths
+_EPS = 2.0 ** -52      # half-widths below this share of a piece's value are exact enough
 _IDEAL_NORM_TOL = 1e-9
-_BATCH = 1 << 14       # points per integrand call, in whole replicates
+_BATCH = 1 << 14       # points per integrand call
 _BITS = 30             # Sobol points are 30-bit fractions, as scipy's
 # Joe-Kuo primitive polynomials and initial direction numbers m_1..m_deg for
 # the first 21 dimensions (scipy's table, ``_sobol_direction_numbers.npz``)
@@ -77,14 +100,6 @@ class VolumeEstimate:
     @property
     def rel_error(self) -> float:
         return self.abs_error / self.value if self.value else math.inf
-
-    def __add__(self, other: "VolumeEstimate") -> "VolumeEstimate":
-        return VolumeEstimate(
-            self.value + other.value,
-            self.abs_error + other.abs_error,
-            self.samples + other.samples,
-            self.strategy,
-        )
 
 
 def _uniform_simplex(U: np.ndarray) -> np.ndarray:
@@ -149,7 +164,8 @@ def _density(X: np.ndarray, n: int) -> np.ndarray:
 def _compact_integrand(points, n):
     """Per-point volume integrand of a simplex without ideal vertices.
 
-    Returns (integrand, tail), with tail 0, or None for a flat simplex.
+    Returns (integrand, 0): the integrand maps a (n, m) array of cube points
+    to (values, 0.0), as it leaves no remainder; or None for a flat simplex.
     """
     v0 = points[0]
     Y = points[1:] - v0
@@ -159,17 +175,23 @@ def _compact_integrand(points, n):
     scale = det / math.factorial(n)
     v0 = v0[:, None]
     YT = Y.T.copy()
-    return (lambda U: scale * _density(YT @ _uniform_simplex(U) + v0, n)), 0.0
+    return (lambda U: (scale * _density(YT @ _uniform_simplex(U) + v0, n), 0.0)), 0
 
 
-def _cusp_integrand(points, ideal_index, n, tail_target):
+def _cusp_integrand(points, ideal_index, n, shells):
     """Telescoping shells toward the ideal vertex, summed per point.
 
-    Band k is shell 0 scaled by 2^-k toward the cusp, so one band point
-    serves every shell.  1 - |x|^2 is evaluated from the anchored expansion
-    around the cusp to avoid cancellation deep in the shells.  Returns
-    (integrand, tail) with tail half the rigorous bound on the shells left
-    out, or None for a flat simplex.
+    Band k is shell 0 scaled by s = 2^-k toward the cusp, so one band point
+    serves every shell: shell k is w_k f(s), with w_k = s^((n-1)/2) and
+    f(s) = (at - s dd)^(-(n+1)/2).  1 - |x|^2 = s (at - s dd) comes from the
+    anchored expansion around the cusp, which avoids cancellation deep in
+    the shells.  Shells 0..shells-1 are summed.  f is convex with convex
+    derivative, so for the shells k >= K = shells left out,
+    f(0) + f'(0) s <= f(s) <= f(0) + s (f(2^-K) - f(0)) / 2^-K, and their
+    sum is bracketed by sums of w_k and w_k 2^-k in closed form.  The
+    integrand maps a (n, m) array of cube points to (values, half-widths),
+    the bracket's midpoint being in the value.  Returns (integrand, shells),
+    or None for a flat simplex.
     """
     v = points[ideal_index]
     norm = np.linalg.norm(v)
@@ -181,40 +203,16 @@ def _cusp_integrand(points, ideal_index, n, tail_target):
     if det == 0.0:
         return None
     a = -2.0 * (Y @ v)
-    a_min = a.min()
-    b_max = (Y * Y).sum(axis=1).max()
-    if a_min <= 0:
+    if a.min() <= 0:
         raise NonConvergent("cusp shells cannot shrink: a base vertex touches "
                             "the sphere at the ideal point")
-
-    def tail_bound(k: int) -> float:
-        # remaining integral over the simplex scaled by 2^-k toward the cusp,
-        # using 1 - |x|^2 >= T * (2^-k a_min - 4^-k b_max) there
-        c = 0.5 ** k * a_min - 0.25 ** k * b_max
-        if c <= 0:
-            return math.inf
-        return float(det * 0.5 ** (k * n) * c ** (-(n + 1) / 2) * 2.0
-                     / ((n - 1) * math.factorial(n - 1)))
-
-    anchor = 1
-    while 0.5 ** anchor * a_min - 0.25 ** anchor * b_max <= 0:
-        anchor += 1
-        if anchor > 600:
-            raise NonConvergent("cusp shells cannot shrink")
-    # with no finite budget (sizing pass) stop once the tail is negligible
-    # relative to an upper bound for the whole cusp contribution
-    target = tail_target if math.isfinite(tail_target) else tail_bound(anchor) * 1e-7
-    shells = anchor
-    while tail_bound(shells) > target:
-        shells += 1
-        if shells > 600:
-            raise NonConvergent("cusp tail bound refuses to drop below target")
     scale = det * 0.5 / math.factorial(n - 1)
-
     YT = Y.T.copy()
-    # shell k at scale s = 2^-k: s^n (s*at - s^2*dd)^(-(n+1)/2), written as
-    # s^((n-1)/2) (at - s*dd)^(-(n+1)/2) so each shell is one power
     weights = [0.5 ** (k * (n - 1) / 2) for k in range(shells)]
+    last = 0.5 ** shells
+    # sums over k >= shells of w_k and (halved, for midpoint and half-width) w_k 2^-k
+    flat = 0.5 ** (shells * (n - 1) / 2) / (1.0 - 0.5 ** ((n - 1) / 2))
+    linear = 0.5 ** (shells * (n + 1) / 2) / (1.0 - 0.5 ** ((n + 1) / 2)) / 2.0
 
     def integrand(U):
         m = U.shape[1]
@@ -232,9 +230,19 @@ def _cusp_integrand(points, ideal_index, n, tail_target):
             np.multiply(dd, -0.5 ** k, out=shell)
             shell += at
             total += w * _inverse_power(shell, n)
-        return scale * T ** (n - 1) * total
+        np.multiply(dd, -last, out=shell)
+        shell += at
+        chord = _inverse_power(shell, n)          # f(2^-K), then the chord's slope
+        tangent = dd / at                         # then f'(0)
+        f0 = _inverse_power(at, n)
+        tangent *= (n + 1) / 2 * f0
+        chord -= f0
+        chord /= last
+        total += flat * f0 + linear * (chord + tangent)
+        factor = scale * T ** (n - 1)
+        return factor * total, factor * linear * (chord - tangent)
 
-    return integrand, tail_bound(shells) / 2.0
+    return integrand, shells
 
 
 def _direction_numbers() -> np.ndarray:
@@ -260,31 +268,35 @@ def _direction_numbers() -> np.ndarray:
 
 _DIRECTIONS = _direction_numbers()
 _MSB_SHIFT = np.arange(_BITS - 1, -1, -1, dtype=np.uint32)   # shift of MSB-first bit p
+_STRICT_LOWER = np.tri(_BITS, k=-1, dtype=np.uint32)
+_UNIT = np.eye(_BITS, dtype=np.uint32)
 
 
 class _Sobol:
-    """The scrambled Sobol points of the 8 replicates of one piece.
+    """The scrambled Sobol points of the 8 replicates of one pass.
 
-    Replicate r equals ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed + r)``
-    point for point.  Its bits come from ``numpy.random.default_rng(seed + r)``
-    in scipy's order: the shift bits, then a lower-triangular matrix whose
-    diagonal is set to 1.  Scrambled v_j has, at MSB-first bit p, the parity
-    of row p of the matrix AND v_j.
+    Replicate r is ``scipy.stats.qmc.Sobol(d, scramble=True,
+    seed=numpy.random.default_rng(child))`` point for point, where child is
+    the r-th of ``seed.spawn(8)``.  scipy's engine spawns a generator of its
+    own from the one it is given, so the bits come from
+    ``default_rng(child.spawn(1)[0])``, in scipy's order: the shift bits,
+    then a lower-triangular matrix whose diagonal is set to 1.  Scrambled
+    v_j has, at MSB-first bit p, the parity of row p of the matrix AND v_j.
     """
 
-    def __init__(self, d: int, seed: int):
+    def __init__(self, d: int, seed: np.random.SeedSequence):
         if d > len(_POLY):
             raise ValueError(f"Sobol points are tabulated up to dimension {len(_POLY)}, not {d}")
-        shift, ltm = [], []
-        for r in range(_REPLICATES):
-            rng = np.random.default_rng(seed + r)
-            shift.append(rng.integers(2, size=(d, _BITS), dtype=np.uint32))
-            ltm.append(rng.integers(2, size=(d, _BITS, _BITS), dtype=np.uint32))
-        j = np.arange(_BITS, dtype=np.uint32)
-        self._shift = (np.array(shift) << j).sum(axis=2, dtype=np.uint32).T     # (d, R)
-        # float products of 0/1 entries are exact and go through BLAS
-        ltm = np.tril(np.array(ltm, dtype=np.float64))
-        ltm[..., j, j] = 1.0
+        # one draw per replicate: numpy's integers(2) takes one 32-bit output
+        # per value, so this is scipy's two draws back to back
+        drawn = np.array([np.random.default_rng(child.spawn(1)[0]).integers(
+            2, size=d * _BITS * (_BITS + 1), dtype=np.uint32) for child in seed.spawn(_REPLICATES)])
+        shift = drawn[:, :d * _BITS].reshape(_REPLICATES, d, _BITS)
+        self._shift = (shift << np.arange(_BITS, dtype=np.uint32)).sum(axis=2, dtype=np.uint32).T
+        # lower-triangular with a unit diagonal; float products of 0/1 entries
+        # are exact and go through BLAS
+        ltm = drawn[:, d * _BITS:].reshape(_REPLICATES, d, _BITS, _BITS) & _STRICT_LOWER | _UNIT
+        ltm = ltm.astype(np.float64)
         bits = (_DIRECTIONS[:d, :, None] >> _MSB_SHIFT & 1).astype(np.float64)  # [i, k, p]
         parity = (bits @ ltm.swapaxes(2, 3)).astype(np.uint32) & 1             # [r, i, k, p]
         v = (parity << _MSB_SHIFT).sum(axis=3, dtype=np.uint32).transpose(1, 0, 2)
@@ -295,14 +307,18 @@ class _Sobol:
     def points(self, start: int, stop: int, replicates: slice) -> np.ndarray:
         """Points start..stop-1 as a (d, replicates, stop - start) float array.
 
-        [start, stop) is [0, 2^k) or [2^k, 2^(k+1)).  Point i is the shift
-        XOR the scrambled v_k over the bits of the Gray code i ^ (i >> 1), so
-        point 2^k + i is point i XOR step k: the block doubles out of its
-        start point, and point 0 is the shift.
+        [start, stop) is an aligned block: its length 2^k divides start.
+        Point i is the shift XOR the scrambled v_k over the bits of the Gray
+        code i ^ (i >> 1), that is the shift XOR step k over the bits of i,
+        so point start + i is point start XOR step k over the bits of i < 2^k:
+        the block doubles out of its start point.
         """
         shift, step = self._shift[:, replicates], self._step[:, replicates]
         x = np.empty(shift.shape + (stop - start,), np.uint32)
-        x[..., 0] = shift ^ step[..., start.bit_length() - 1] if start else shift
+        x[..., 0] = shift
+        for k in range(start.bit_length()):
+            if start >> k & 1:
+                x[..., 0] ^= step[..., k]
         size = 1
         for k in range((stop - start).bit_length() - 1):
             np.bitwise_xor(x[..., :size], step[..., k, None], out=x[..., size:2 * size])
@@ -310,42 +326,119 @@ class _Sobol:
         return x * 2.0 ** -_BITS
 
 
-def _replicates(pts, ideal_index, budget, sobol, max_log2_samples) -> VolumeEstimate:
-    """The replicate loop: one piece's volume from its Sobol points.
+def _pass(integrand, n: int, sobol: _Sobol, log2_pts: int) -> tuple[np.ndarray, float]:
+    """One fixed-size pass of 2^log2_pts points per replicate.
 
-    Each replicate starts at 2^7 points and is extended (never redrawn) to
-    4 times as many per round, until the replicate-spread error estimate
-    fits the absolute budget or the sample cap 2^max_log2_samples is
-    reached; every round is clamped to the cap, so no replicate draws more.
-    Only the new points of a round are evaluated, as many whole replicates
-    per integrand call as fit in 2^14 points.
+    Returns the 8 replicate means and the mean remainder half-width.  Each
+    integrand call takes 2^14 points, or all of a smaller pass: as many
+    whole replicates as fit, or one aligned block of one replicate.
     """
-    n = pts.shape[1]
-    piece = (_compact_integrand(pts, n) if ideal_index is None
-             else _cusp_integrand(pts, ideal_index, n, tail_target=budget / 8.0))
-    if piece is None:
-        return VolumeEstimate(0.0, 0.0, 0)
-    integrand, tail = piece
-
+    m = 1 << log2_pts
+    block = min(m, _BATCH)
+    group = max(1, _BATCH // m)
     sums = np.zeros(_REPLICATES)
+    width = 0.0
+    for r in range(0, _REPLICATES, group):
+        for start in range(0, m, block):
+            U = sobol.points(start, start + block, slice(r, r + group))
+            values, widths = integrand(U.reshape(n, -1))
+            # a row sum is the same pairwise sum as a replicate's own 1-D sum
+            sums[r:r + group] += values.reshape(-1, block).sum(axis=1)
+            width += float(np.sum(widths))
+    return sums / m, width / (_REPLICATES * m)
+
+
+def _t_quantile(nu: float) -> float:
+    """q with P(|T| > q) = 1e-4 for Student's t with nu degrees of freedom.
+
+    The two-sided tail is 1 - I_x(1/2, nu/2) at x = q^2 / (nu + q^2), the
+    regularized incomplete beta function (mpmath).  It is convex and falls
+    in q, so Newton's method from below q climbs to q monotonically; it
+    starts from the first Cornish-Fisher correction z + (z^3 + z) / (4 nu)
+    at a z below the normal quantile, which every later term would raise.
+    """
+    z = _Z_BELOW
+    q = z + (z ** 3 + z) / (4.0 * nu)
+    log_density = (math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2)
+                   - math.log(nu * math.pi) / 2)
+    for _ in range(50):
+        tail = float(1 - mpmath.betainc(0.5, nu / 2, 0, q * q / (nu + q * q), regularized=True))
+        step = (tail - _TAIL) / (2.0 * math.exp(log_density - (nu + 1) / 2 * math.log1p(q * q / nu)))
+        q += step
+        if step <= 1e-12 * q:
+            return q
+    raise NonConvergent(f"t quantile at {nu} degrees of freedom did not converge")
+
+
+def _integrand(pts, ideal, shells):
+    """The piece's (integrand, shells), or None for a flat simplex."""
+    n = pts.shape[1]
+    return _compact_integrand(pts, n) if ideal is None else _cusp_integrand(pts, ideal, n, shells)
+
+
+def _volume(pieces, budget, seed: int, max_log2_samples: int) -> VolumeEstimate:
+    """Pilot, Neyman allocation and one final pass over the pieces.
+
+    ``pieces`` are (points, ideal vertex index or None); ``budget`` maps the
+    pilot's total volume to the absolute error budget.  Piece k's pilot and
+    final pass are the two children of ``SeedSequence(seed).spawn(...)[k]``.
+    """
     cap = min(max_log2_samples, _BITS)
-    drawn, log2_pts = 0, min(_MIN_LOG2, cap)
-    while True:
-        # extend by doubling: every total stays a power of two
-        while drawn < 1 << log2_pts:
-            stop = 2 * drawn if drawn else 1 << log2_pts
-            group = max(1, _BATCH // (stop - drawn))
-            for r in range(0, _REPLICATES, group):
-                U = sobol.points(drawn, stop, slice(r, r + group))
-                values = integrand(U.reshape(n, -1)).reshape(-1, stop - drawn)
-                # a row sum is the same pairwise sum as a replicate's own 1-D sum
-                sums[r:r + len(values)] += values.sum(axis=1)
-            drawn = stop
-        means = sums / (1 << log2_pts)
-        err = 3.0 * float(np.std(means, ddof=1)) / math.sqrt(_REPLICATES) + tail
-        if err <= budget or log2_pts >= cap:
-            return VolumeEstimate(float(np.mean(means)) + tail, err, _REPLICATES << log2_pts)
-        log2_pts = min(log2_pts + 2, cap)
+    pilot_log2 = min(_PILOT_LOG2, cap)
+    live, samples, pilot_total, cusps = [], 0, 0.0, 0
+    for (pts, ideal), piece_seed in zip(pieces, np.random.SeedSequence(seed).spawn(len(pieces))):
+        n = pts.shape[1]
+        pilot_seed, final_seed = piece_seed.spawn(2)
+        sobol = _Sobol(n, pilot_seed)   # first: an untabulated dimension fails even if flat
+        made = _integrand(pts, ideal, _PILOT_SHELLS)
+        if made is None:
+            continue
+        integrand, shells = made
+        means, width = _pass(integrand, n, sobol, pilot_log2)
+        samples += _REPLICATES << pilot_log2
+        pilot_total += float(np.mean(means))
+        cusps += ideal is not None
+        live.append((pts, ideal, final_seed, shells, means, width))
+
+    total_budget = budget(pilot_total)
+    plans, predicted, sigma_sum = [], 0.0, 0.0
+    for pts, ideal, final_seed, shells, means, width in live:
+        # each further shell shrinks every point's half-width by 2^(-(n+3)/2)
+        # at least, since f' is convex too
+        target = max(_REMAINDER_SHARE * total_budget / max(cusps, 1),
+                     _EPS * abs(float(np.mean(means))))
+        rate = (pts.shape[1] + 3) / 2
+        if width > target > 0:
+            extra = math.ceil(math.log2(width / target) / rate)
+            shells += extra
+            width *= 0.5 ** (extra * rate)
+        predicted += width
+        sigma = float(np.std(means, ddof=1)) * math.sqrt(1 << pilot_log2)
+        sigma_sum += sigma
+        plans.append((pts, ideal, final_seed, shells, sigma))
+
+    # Neyman: N_k = sigma_k sum(sigma) / (R s^2) minimizes sum N_k subject to
+    # sum sigma_k^2 / (R N_k) <= s^2, with s the standard error the budget leaves
+    spread = (total_budget - predicted) / _COVERAGE
+    value = widths = 0.0
+    variances = []
+    for pts, ideal, final_seed, shells, sigma in plans:
+        n = pts.shape[1]
+        wanted = sigma * sigma_sum / (_REPLICATES * spread ** 2) if spread > 0 else math.inf
+        log2_pts = max(pilot_log2, math.ceil(math.log2(min(max(wanted, 1.0), 2.0 ** cap))))
+        integrand, _ = _integrand(pts, ideal, shells)
+        means, width = _pass(integrand, n, _Sobol(n, final_seed), log2_pts)
+        samples += _REPLICATES << log2_pts
+        value += float(np.mean(means))
+        variances.append(float(np.var(means, ddof=1)) / _REPLICATES)
+        widths += width
+    variance = sum(variances)
+    bar = 0.0
+    if variance > 0:
+        # Welch-Satterthwaite degrees of freedom of the summed variance
+        nu = (_REPLICATES - 1) / sum((v / variance) ** 2 for v in variances)
+        bar = _t_quantile(nu) * math.sqrt(variance)
+    return VolumeEstimate(value, bar + widths, samples)
 
 
 def simplex_volume(
@@ -360,7 +453,8 @@ def simplex_volume(
 
     ``points`` is an (n+1) x n array-like; at most one vertex may be ideal
     (on the unit sphere), and ``ideal_index=None`` detects it; n is at most
-    21.  The 8 replicates are seeded ``seed + r``; see ``_Sobol``.
+    21.  This is ``polytope_volume``'s design on one piece with an absolute
+    budget.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[1]
@@ -373,7 +467,7 @@ def simplex_volume(
             raise ValueError("more than one ideal vertex; split the simplex first")
         if len(on_sphere) == 1:
             ideal_index = int(on_sphere[0])
-    return _replicates(pts, ideal_index, budget, _Sobol(n, seed), max_log2_samples)
+    return _volume([(pts, ideal_index)], lambda _: budget, seed, max_log2_samples)
 
 
 def polytope_volume(
@@ -385,28 +479,13 @@ def polytope_volume(
 ) -> VolumeEstimate:
     """Total volume of the triangulated polytope.
 
-    A cheap first pass sizes every piece, then absolute error budgets are
-    allocated proportionally to the first-pass estimates and each piece is
-    refined independently.  Piece k's replicates are seeded seed + 7919 k
-    + r, and the refine pass evaluates the first pass's points again.  The
-    result carries the summed error, so a miss of the target still reports
-    an honest bound.
+    Simplices with several ideal vertices are split first; the budget is
+    ``target_rel_err`` times the pilot's total.  A miss of the target (at
+    the sample cap) still reports an honest bar.
     """
     pieces: list[tuple[np.ndarray, int | None]] = []
     for simplex in kp.simplices:
         pts = kp.simplex_points(simplex)
         flags = [kp.ideal_flags[k] if k >= 0 else False for k in simplex]
         pieces.extend(_split_multi_ideal(pts, flags))
-
-    sobol = [_Sobol(pts.shape[1], seed + 7919 * k) for k, (pts, _) in enumerate(pieces)]
-    first = [_replicates(pts, ideal_idx, math.inf, sobol[k], _MIN_LOG2)
-             for k, (pts, ideal_idx) in enumerate(pieces)]
-    rough_total = sum(e.value for e in first) or 1.0
-    budget_total = target_rel_err * rough_total
-
-    total = VolumeEstimate(0.0, 0.0, 0, "QMC")
-    for k, (pts, ideal_idx) in enumerate(pieces):
-        share = max(first[k].value / rough_total, 1.0 / (16 * len(pieces)))
-        total = total + _replicates(pts, ideal_idx, budget_total * share, sobol[k],
-                                    max_log2_samples)
-    return total
+    return _volume(pieces, lambda total: target_rel_err * abs(total), seed, max_log2_samples)

@@ -3,15 +3,18 @@
 Each computes the same quantity as a pipeline function by a slower,
 independent route: a truncated character series for Dirichlet L-values,
 the full characteristic polynomial over all Galois conjugates for
-algebraic integrality, and a fresh elimination of every conjugated form
-for the conjugate signatures.
+algebraic integrality, a fresh elimination of every conjugated form
+for the conjugate signatures, and every vertex sequence with each product
+rebuilt from its edges for the cycles.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from hypvol.arithmeticity import QuadraticFormQ, _field_automorphisms
+from hypvol.arithmeticity import (CyclicProduct, QuadraticFormQ, _field_automorphisms,
+                                  nonorthogonality_graph)
 from hypvol.diagram import inertia
 from hypvol.lseries import FundamentalDiscriminant, kronecker_chi
 from hypvol.surd import MultiSurd, prime_characters
@@ -60,4 +63,30 @@ def conjugate_signatures(form: QuadraticFormQ, gens: frozenset[int]) -> list:
     for primes, flips in _field_automorphisms(gens):
         conj = [[e.conjugate_by_primes(primes) for e in row] for row in form.matrix]
         out.append((flips, inertia(conj)))
+    return out
+
+
+def cycles_by_sequences(G) -> list[CyclicProduct]:
+    """Every simple cycle of the non-orthogonality graph, with its value.
+
+    Tries each vertex sequence that starts at its smallest vertex with the
+    second vertex below the last, keeps those whose consecutive vertices
+    (and last and first) are joined, and multiplies the doubled Gram entries
+    of its edges afresh.  Length-2 cycles are the edges, valued (2 g)^2.
+    """
+    adj = nonorthogonality_graph(G)
+    out = []
+    for start in range(G.size):
+        for k in range(1, G.size - start):
+            for rest in itertools.permutations(range(start + 1, G.size), k):
+                cycle = (start,) + rest
+                if k > 1 and rest[0] > rest[-1]:
+                    continue
+                edges = list(zip(cycle, cycle[1:] + (start,)))
+                if all(b in adj[a] for a, b in edges):
+                    value = MultiSurd(1)
+                    for a, b in edges:
+                        value = value * (G[a, b] * 2)
+                    out.append(CyclicProduct(cycle, value))
+    out.sort(key=lambda c: (len(c.cycle), c.cycle))
     return out

@@ -17,7 +17,7 @@ from hypvol.diagram import GramMatrix, eliminate, gram_matrix, inertia, parse_di
 from hypvol.errors import DisconnectedGraph, FieldNotQ, HypvolError, RankDeficient, TooLarge
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
 from hypvol.surd import MultiSurd, parse_surd
-from oracles import conjugate_signatures
+from oracles import conjugate_signatures, cycles_by_sequences
 
 # the (4,5,6) and (4,5,5) hyperbolic triangles, over Q(sqrt 5, sqrt 6) and
 # Q(sqrt 2, sqrt 5)
@@ -228,6 +228,40 @@ def _random_surd_gram(rng: random.Random) -> GramMatrix | None:
     G = gram_matrix(parse_diagram("\n".join(lines)))
     pos, neg, _ = inertia(G.entries)
     return GramMatrix(pos + neg - 1, G.entries) if neg == 1 else None
+
+
+def _outcome(fn, G):
+    """fn(G), or the type and message of the HypvolError it raises."""
+    try:
+        return fn(G)
+    except HypvolError as exc:
+        return type(exc), str(exc)
+
+
+def test_cycles_match_products_rebuilt_from_their_edges(monkeypatch):
+    # 500 seeded random surd diagrams of 3-6 facets, the connected ones
+    # compared: the DFS that carries each path's product finds the cycles and
+    # values of rebuilding every product from its edges, and classify reports
+    # the same with either
+    rng = random.Random(11)
+    compared = 0
+    for _ in range(500):
+        facets = rng.choice([3, 4, 5, 6])
+        lines = ["n 2", f"facets {facets}"]
+        lines += [f"edge {i} {j} {label}" for i in range(facets) for j in range(i + 1, facets)
+                  if (label := rng.choice(_SURD_LABELS)) is not None]
+        G = gram_matrix(parse_diagram("\n".join(lines)))
+        try:
+            cycles = arithmeticity.enumerate_cycles(G)
+        except DisconnectedGraph:
+            continue
+        assert cycles == cycles_by_sequences(G)
+        report = _outcome(classify, G)
+        with monkeypatch.context() as m:
+            m.setattr(arithmeticity, "enumerate_cycles", cycles_by_sequences)
+            assert report == _outcome(classify, G)
+        compared += 1
+    assert compared >= 300
 
 
 def test_conjugate_signatures_match_the_conjugated_forms():

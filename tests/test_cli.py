@@ -1,6 +1,8 @@
 import inspect
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -72,6 +74,26 @@ def test_non_utf8_strict_stdin_is_stage_error(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
 
 
+def test_surrogateescape_stdin_is_decoded_strictly(monkeypatch, capsys):
+    # the C and C.UTF-8 locales decode stdin with surrogateescape; its bytes
+    # are read instead
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8",
+                                                       errors="surrogateescape"))
+    code = main(["analyze", "-"])
+    assert code == EXIT_STAGE_ERROR
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
+
+def test_non_utf8_stdin_under_the_c_locale_is_stage_error():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C"}
+    env.pop("PYTHONIOENCODING", None)
+    done = subprocess.run([sys.executable, "-m", "hypvol.cli", "analyze", "-"], input=NOT_UTF8,
+                          env=env, capture_output=True, timeout=60)
+    assert done.returncode == EXIT_STAGE_ERROR
+    assert done.stderr.startswith(b"error: 'utf-8' codec can't decode")
+
+
 def test_not_lorentzian_exit_code(diagram_file, capsys):
     path = diagram_file("n 2\nfacets 3\n")  # all right angles: positive definite
     code = main(["analyze", path])
@@ -119,8 +141,7 @@ def test_unrecognized_json_is_strict(capsys):
 
 
 def test_stdin_input(diagram_file, capsys, monkeypatch):
-    import io
-
+    # a StringIO has no byte buffer and is read as text
     monkeypatch.setattr("sys.stdin", io.StringIO(POLYTOPE_5D))
     code = main(["analyze", "-", "--assume-volume", VOL_5D, "--assume-err", "1e-19"])
     assert code == EXIT_OK

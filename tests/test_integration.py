@@ -15,7 +15,6 @@ from hypvol.integration import (
     _DIRECTIONS,
     _POLY,
     _VINIT,
-    VolumeEstimate,
     _Sobol,
     _compact_integrand,
     _cusp_integrand,
@@ -95,14 +94,6 @@ def test_ideal_triangle_area_pi():
     assert abs(est.value - math.pi) <= est.abs_error
 
 
-def test_volume_estimate_add():
-    a = VolumeEstimate(1.0, 0.1, 10)
-    b = VolumeEstimate(2.0, 0.2, 20)
-    c = a + b
-    assert (c.value, c.abs_error, c.samples) == (3.0, 0.30000000000000004, 30)
-    assert c.rel_error == c.abs_error / 3.0
-
-
 def test_simplex_volume_validates_shape():
     with pytest.raises(ValueError):
         simplex_volume(np.zeros((3, 3)))
@@ -138,8 +129,8 @@ def test_additivity_under_bisection():
     mid = (pts[0] + pts[1]) / 2
     left = simplex_volume(np.array([pts[0], mid, pts[2]]), budget=1e-9, seed=2)
     right = simplex_volume(np.array([mid, pts[1], pts[2]]), budget=1e-9, seed=3)
-    split_total = left + right
-    assert abs(whole.value - split_total.value) <= whole.abs_error + split_total.abs_error
+    split = left.value + right.value
+    assert abs(whole.value - split) <= whole.abs_error + left.abs_error + right.abs_error
 
 
 def test_isometry_invariance():
@@ -199,36 +190,65 @@ CUSP_2D = np.array([[1.0, 0.0], [0.0, 0.3], [-0.2, -0.1]])
 
 @pytest.mark.parametrize("pts", [COMPACT_3D, CUSP_2D], ids=["compact", "cusp"])
 def test_simplex_volume_builds_each_replicate_engine_once(pts, sobol_rows):
-    # budget 0 runs all three rounds: 2^7, 2^9 and 2^11 points per replicate;
-    # one generator serves all 8 replicates
+    # the pilot (2^9 points per replicate) and the final pass (2^11 at budget
+    # 0) build one generator each, which serves all 8 replicates
     simplex_volume(pts, budget=0.0, max_log2_samples=11)
-    assert len(sobol_rows) == 1
+    assert sobol_rows == [8 * 2**9, 8 * 2**11]
 
 
 @pytest.mark.parametrize("pts", [COMPACT_3D, CUSP_2D], ids=["compact", "cusp"])
 def test_simplex_volume_draws_each_point_once(pts, sobol_rows):
+    # samples counts the pilot's points too
     est = simplex_volume(pts, budget=0.0, max_log2_samples=11)
-    assert est.samples == 8 * 2**11
+    assert est.samples == 8 * (2**9 + 2**11)
     assert sum(sobol_rows) == est.samples
 
 
+def final_pass_streams(seed):
+    """The replicate seeds of a one-piece integration's final pass."""
+    _pilot, final = np.random.SeedSequence(seed).spawn(1)[0].spawn(2)
+    return final.spawn(8)
+
+
 def test_extended_sequences_match_fresh_draws(qmc):
-    # scrambled Sobol sequences are nested, so extending each replicate by
-    # doubling evaluates the points of one fresh draw of the final size
+    # the final pass draws 2^15 points per replicate in aligned blocks of
+    # 2^14, which are the points of one fresh draw of that size; the value
+    # comes from the final pass alone
     integrand, _ = _compact_integrand(COMPACT_3D, 3)
-    fresh = [integrand(qmc.Sobol(3, scramble=True, seed=31 + r).random_base2(11).T.copy()).mean()
-             for r in range(8)]
-    est = simplex_volume(COMPACT_3D, budget=0.0, seed=31, max_log2_samples=11)
+    fresh = [integrand(qmc.Sobol(3, scramble=True, seed=np.random.default_rng(child))
+                       .random_base2(15).T.copy())[0].mean()
+             for child in final_pass_streams(31)]
+    est = simplex_volume(COMPACT_3D, budget=0.0, seed=31, max_log2_samples=15)
     assert est.value == pytest.approx(np.mean(fresh), rel=1e-14, abs=0)
+
+
+def test_ideal_triangle_mean_deviation_is_unbiased():
+    # 200 independent seeds at 1e-3: every bar covers pi, and the mean signed
+    # deviation lies within 3 of its standard errors of zero
+    kp = klein_polytope(IDEAL_TRIANGLE)
+    estimates = [polytope_volume(kp, 1e-3, seed=seed) for seed in range(200)]
+    dev = np.array([e.value - math.pi for e in estimates])
+    t = dev.mean() / (dev.std(ddof=1) / math.sqrt(dev.size))
+    assert abs(t) <= 3, f"mean deviation {dev.mean():.3g}, t = {t:.2f}"
+    assert all(abs(d) <= e.abs_error for d, e in zip(dev, estimates))
+
+
+VOLUME_5D = 0.0241330687945822699990   # README: vol(P5) from the L-series identity
+
+
+def test_5d_bars_cover_the_reference_volume():
+    kp = klein_polytope(POLYTOPE_5D)
+    estimates = [polytope_volume(kp, 1e-3, seed=seed) for seed in range(20)]
+    ratios = [e.abs_error / abs(e.value - VOLUME_5D) for e in estimates]
+    assert min(ratios) >= 1, f"minimum bar/|dev| {min(ratios):.3g}"
 
 
 def test_polytope_volume_5d_quick():
     # quick accuracy check against the externally computed high-precision value
     kp = klein_polytope(POLYTOPE_5D)
     est = polytope_volume(kp, 2e-3, seed=11)
-    ref = 0.0241330687945822699990
-    assert abs(est.value - ref) / ref < 2e-3
-    assert abs(est.value - ref) <= est.abs_error
+    assert abs(est.value - VOLUME_5D) / VOLUME_5D < 2e-3
+    assert abs(est.value - VOLUME_5D) <= est.abs_error
 
 
 # Reference integrands: one row per point and numpy's general power, the
@@ -253,24 +273,13 @@ def rowwise_compact(points, n, U):
     return scale * (1.0 - np.einsum("ij,ij->i", x, x)) ** (-(n + 1) / 2)
 
 
-def rowwise_cusp(points, ideal_index, n, tail_target, U):
-    # the same shells as _cusp_integrand, each as s^n (s*at - s^2*dd)^(-(n+1)/2)
+def rowwise_cusp(points, ideal_index, n, shells, U):
+    """(shell sum, low, high): shells 0..shells-1, each as
+    s^n (s*at - s^2*dd)^(-(n+1)/2), and the two bounds on all the others."""
     v = points[ideal_index]
     Y = np.delete(points, ideal_index, axis=0) - v
     det = abs(np.linalg.det(Y))
     a = -2.0 * (Y @ v)
-    a_min, b_max = a.min(), (Y * Y).sum(axis=1).max()
-
-    def tail_bound(k):
-        c = 0.5 ** k * a_min - 0.25 ** k * b_max
-        return (math.inf if c <= 0 else det * 0.5 ** (k * n) * c ** (-(n + 1) / 2) * 2.0
-                / ((n - 1) * math.factorial(n - 1)))
-
-    shells = 1
-    while 0.5 ** shells * a_min - 0.25 ** shells * b_max <= 0:
-        shells += 1
-    while tail_bound(shells) > tail_target:
-        shells += 1
     T = 0.5 * (1.0 + U[:, 0])
     parts = rowwise_uniform_simplex(U[:, 1:])
     t = T[:, None] * np.hstack([parts, 1.0 - parts.sum(axis=1, keepdims=True)])
@@ -280,7 +289,27 @@ def rowwise_cusp(points, ideal_index, n, tail_target, U):
     for k in range(shells):
         s = 0.5 ** k
         total += s ** n * (s * at - s * s * dd) ** (-(n + 1) / 2)
-    return det * 0.5 / math.factorial(n - 1) * T ** (n - 1) * total
+    # shell k >= shells is w_k f(2^-k), w_k = 2^(-k(n-1)/2), f(s) = (at - s dd)^(-(n+1)/2),
+    # and f(0) + f'(0) s <= f(s) <= f(0) + s (f(2^-shells) - f(0)) 2^shells
+    far = range(shells, 4000)
+    flat = sum(0.5 ** (k * (n - 1) / 2) for k in far)
+    linear = sum(0.5 ** (k * (n + 1) / 2) for k in far)
+    f0 = at ** (-(n + 1) / 2)
+    tangent = (n + 1) / 2 * dd * at ** (-(n + 3) / 2)
+    chord = ((at - 0.5 ** shells * dd) ** (-(n + 1) / 2) - f0) * 2.0 ** shells
+    factor = det * 0.5 / math.factorial(n - 1) * T ** (n - 1)
+    return factor * total, factor * (flat * f0 + linear * tangent), factor * (flat * f0 + linear * chord)
+
+
+def tail_bound(points, ideal_index, n, k):
+    """Closed-form bound on the shells k, k+1, ... of a cusp simplex: the
+    simplex scaled by 2^-k toward the cusp, with 1 - |x|^2 >= T * c there."""
+    v = points[ideal_index]
+    Y = np.delete(points, ideal_index, axis=0) - v
+    a = -2.0 * (Y @ v)
+    c = 0.5 ** k * a.min() - 0.25 ** k * (Y * Y).sum(axis=1).max()
+    return (math.inf if c <= 0 else abs(np.linalg.det(Y)) * 0.5 ** (k * n) * c ** (-(n + 1) / 2)
+            * 2.0 / ((n - 1) * math.factorial(n - 1)))
 
 
 def ball_points(n, ideal):
@@ -294,20 +323,53 @@ def ball_points(n, ideal):
 def test_compact_integrand_matches_power_formula(n, qmc):
     pts = ball_points(n, ideal=False)
     U = qmc.Sobol(n, scramble=True, seed=7).random_base2(10)
-    integrand, tail = _compact_integrand(pts, n)
-    assert tail == 0.0
-    np.testing.assert_allclose(integrand(U.T.copy()), rowwise_compact(pts, n, U),
-                               rtol=1e-13, atol=0)
+    integrand, shells = _compact_integrand(pts, n)
+    values, widths = integrand(U.T.copy())
+    assert shells == 0 and widths == 0.0
+    np.testing.assert_allclose(values, rowwise_compact(pts, n, U), rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("pts", [CUSP_2D, ball_points(3, ideal=True), ball_points(5, ideal=True)],
-                         ids=["CUSP_2D", "3d", "5d"])
+CUSP_PIECES = [CUSP_2D, ball_points(3, ideal=True), ball_points(5, ideal=True)]
+
+
+@pytest.mark.parametrize("pts", CUSP_PIECES, ids=["CUSP_2D", "3d", "5d"])
 def test_cusp_integrand_matches_power_formula(pts, qmc):
     n = pts.shape[1]
     U = qmc.Sobol(n, scramble=True, seed=7).random_base2(10)
-    integrand, _ = _cusp_integrand(pts, 0, n, 1e-9)
-    np.testing.assert_allclose(integrand(U.T.copy()), rowwise_cusp(pts, 0, n, 1e-9, U),
-                               rtol=1e-13, atol=0)
+    integrand, shells = _cusp_integrand(pts, 0, n, 9)
+    values, widths = integrand(U.T.copy())
+    total, low, high = rowwise_cusp(pts, 0, n, 9, U)
+    assert shells == 9
+    # the bracket's ends: midpoint -+ half-width
+    np.testing.assert_allclose(values - widths, total + low, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(values + widths, total + high, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("pts", CUSP_PIECES, ids=["CUSP_2D", "3d", "5d"])
+def test_cusp_bracket_holds_the_shells_left_out(pts):
+    # every point's midpoint lies within its half-width of the sum over 80
+    # shells, and one more shell shrinks every half-width by 2^(-(n+3)/2) at
+    # least (the shell term and its derivative are convex in 2^-k), which is
+    # how the number of shells is chosen
+    n = pts.shape[1]
+    U = np.random.default_rng(n).random((n, 4096))
+    deep, _ = _cusp_integrand(pts, 0, n, 80)[0](U.copy())
+    for shells in (1, 4, 7):
+        values, widths = _cusp_integrand(pts, 0, n, shells)[0](U.copy())
+        assert (np.abs(values - deep) <= widths * (1 + 1e-9) + 1e-15 * deep).all()
+        _, narrower = _cusp_integrand(pts, 0, n, shells + 1)[0](U.copy())
+        assert (narrower <= widths * 0.5 ** ((n + 3) / 2) * (1 + 1e-6)).all()
+
+
+@pytest.mark.parametrize("pts", CUSP_PIECES, ids=["CUSP_2D", "3d", "5d"])
+def test_cusp_remainder_stays_below_closed_form_tail_bound(pts, qmc):
+    # the closed-form bound of the shells left out checks the bracket: the
+    # integrated upper end stays below it wherever it is finite
+    n = pts.shape[1]
+    U = qmc.Sobol(n, scramble=True, seed=3).random_base2(12)
+    for shells in range(1, 12):
+        _, low, high = rowwise_cusp(pts, 0, n, shells, U)
+        assert 0 < low.mean() <= high.mean() <= tail_bound(pts, 0, n, shells)
 
 
 def triangle_pieces():
@@ -320,25 +382,35 @@ def triangle_pieces():
 
 
 def test_polytope_volume_builds_each_piece_engines_once(sobol_rows):
+    # one generator for each piece's pilot and one for its final pass
+    kp, pieces = triangle_pieces()
+    est = polytope_volume(kp, 1e-3, seed=5)
+    assert len(sobol_rows) == 2 * len(pieces)
+    assert sum(sobol_rows) == est.samples
+
+
+def test_polytope_volume_passes_draw_disjoint_streams(monkeypatch):
+    # every replicate of every pass, for seeds 5 and 6, has its own scramble:
+    # no two of the 2 * 2 * pieces * 8 random shifts agree
+    shifts = []
+
+    class RecordingSobol(_Sobol):
+        def __init__(self, *args):
+            super().__init__(*args)
+            shifts.extend(self._shift[0].tolist())
+
+    monkeypatch.setattr(integration, "_Sobol", RecordingSobol)
     kp, pieces = triangle_pieces()
     polytope_volume(kp, 1e-3, seed=5)
-    assert len(sobol_rows) == len(pieces)
+    polytope_volume(kp, 1e-3, seed=6)
+    assert len(shifts) == 2 * 2 * len(pieces) * 8
+    assert len(set(shifts)) == len(shifts)
 
 
-def test_polytope_volume_refine_pass_redraws_sizing_points():
-    # reset engines give the points of fresh ones: the sum of independent
-    # simplex_volume calls with the same seeds and budgets is the total
-    kp, pieces = triangle_pieces()
-    seeds = [5 + 7919 * k for k in range(len(pieces))]
-    first = [simplex_volume(p, math.inf, ideal_index=i, seed=s, max_log2_samples=7)
-             for (p, i), s in zip(pieces, seeds)]
-    rough = sum(e.value for e in first)
-    total = VolumeEstimate(0.0, 0.0, 0)
-    for (p, i), s, e in zip(pieces, seeds, first):
-        share = max(e.value / rough, 1.0 / (16 * len(pieces)))
-        total = total + simplex_volume(p, 1e-3 * rough * share, ideal_index=i, seed=s)
-    est = polytope_volume(kp, 1e-3, seed=5)
-    assert (est.value, est.abs_error, est.samples) == (total.value, total.abs_error, total.samples)
+@pytest.mark.parametrize("nu", [7, 7.5, 13.2, 41, 120, 938, 1e5])
+def test_t_quantile_matches_scipy(nu):
+    stats = pytest.importorskip("scipy.stats")
+    assert integration._t_quantile(nu) == pytest.approx(stats.t.isf(5e-5, nu), rel=1e-12)
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -352,20 +424,22 @@ def test_import_leaves_scipy_stats_unloaded():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 11, 21])
 def test_sobol_points_match_scipy_bit_for_bit(d, qmc):
-    # block 0 at 2^7 and every doubling up to 2^13, for replicate groups of 1, 2 and 8
-    blocks = [(0, 128)] + [(1 << k, 2 << k) for k in range(7, 13)]
+    # block 0 at 2^7, every doubling up to 2^13 and aligned blocks in between,
+    # for replicate groups of 1, 2 and 8; replicate r is scipy's engine on
+    # the r-th child of the pass's seed sequence
+    blocks = ([(0, 128)] + [(1 << k, 2 << k) for k in range(7, 13)]
+              + [(384, 512), (5 << 10, 6 << 10), (3 << 11, 4 << 11)])
     for seed in (0, 7, 20240):
-        engines = [qmc.Sobol(d, scramble=True, seed=seed + r) for r in range(8)]
-        expected = [[e.random_base2((stop - start).bit_length() - 1) for start, stop in blocks]
-                    for e in engines]
-        sobol = _Sobol(d, seed)
+        fresh = [qmc.Sobol(d, scramble=True, seed=np.random.default_rng(child)).random_base2(13)
+                 for child in np.random.SeedSequence(seed).spawn(8)]
+        sobol = _Sobol(d, np.random.SeedSequence(seed))
         for group in (1, 2, 8):
             for r in range(0, 8, group):
-                for b, (start, stop) in enumerate(blocks):
+                for start, stop in blocks:
                     U = sobol.points(start, stop, slice(r, r + group))
                     assert U.shape == (d, group, stop - start)
                     for i in range(group):
-                        assert np.array_equal(U[:, i].T, expected[r + i][b])
+                        assert np.array_equal(U[:, i].T, fresh[r + i][start:stop])
 
 
 def test_sobol_direction_table_matches_scipy_npz():
@@ -387,8 +461,9 @@ def test_sobol_blocks_stratify_every_coordinate():
     # each 2^k-point block of a replicate puts exactly one point in every
     # interval [i/2^k, (i+1)/2^k) of every coordinate
     for d, seed in ((2, 3), (5, 20240), (21, 9)):
-        sobol = _Sobol(d, seed)
-        for start, stop in [(0, 128), (0, 1024)] + [(1 << k, 2 << k) for k in range(11)]:
+        sobol = _Sobol(d, np.random.SeedSequence(seed))
+        for start, stop in ([(0, 128), (0, 1024), (768, 1024)]
+                            + [(1 << k, 2 << k) for k in range(11)]):
             U = sobol.points(start, stop, slice(0, 8))
             cells = np.sort(np.floor(U * (stop - start)).astype(np.int64), axis=-1)
             assert (cells == np.arange(stop - start)).all()
@@ -399,7 +474,7 @@ def test_sobol_replicate_means_are_unbiased():
     # the unit 5-cube; each scrambled replicate mean is an unbiased estimate
     means = []
     for seed in range(0, 200_000, 1000):
-        x = _Sobol(5, seed).points(0, 128, slice(0, 8))
+        x = _Sobol(5, np.random.SeedSequence(seed)).points(0, 128, slice(0, 8))
         means.append(((x ** 2).sum(axis=0) * x.prod(axis=0)).mean(axis=-1))
     means = np.concatenate(means)
     se = means.std(ddof=1) / math.sqrt(means.size)
@@ -412,25 +487,29 @@ def test_sobol_rejects_untabulated_dimension():
 
 
 @pytest.mark.parametrize("cap", [0, 3, 8, 10])
-def test_sample_cap_is_never_exceeded(cap):
-    # budget 0 runs every round, so each replicate draws exactly the cap
+def test_sample_cap_is_never_exceeded(cap, sobol_rows):
+    # the pilot draws 2^9 points per replicate, or the cap if smaller, and at
+    # budget 0 the final pass draws exactly the cap
     est = simplex_volume(COMPACT_3D, budget=0.0, max_log2_samples=cap)
-    assert est.samples == 8 * 2**cap
+    assert sobol_rows == [8 * 2**min(9, cap), 8 * 2**cap]
+    assert est.samples == sum(sobol_rows)
 
 
 def test_integrand_calls_hold_whole_replicates(monkeypatch):
-    # blocks of 2^7, 2^7, 2^8, 2^9 and 2^10 points, each for all 8 replicates in one call
+    # the pilot's 2^9 and the final pass's 2^11 points, each for all 8
+    # replicates in one call
     calls = []
 
     def counting(points, n):
-        integrand, tail = _compact_integrand(points, n)
-        return (lambda U: calls.append(U.shape[1]) or integrand(U)), tail
+        integrand, shells = _compact_integrand(points, n)
+        return (lambda U: calls.append(U.shape[1]) or integrand(U)), shells
 
     monkeypatch.setattr(integration, "_compact_integrand", counting)
     simplex_volume(COMPACT_3D, budget=0.0, max_log2_samples=11)
-    assert calls == [8 << 7, 8 << 7, 8 << 8, 8 << 9, 8 << 10]
-    # past 2^11 points a block, fewer replicates go per call, never over 2^14 points
+    assert calls == [8 << 9, 8 << 11]
+    # past 2^11 points a replicate, a call takes an aligned block of 2^14
+    # points of one replicate
     calls.clear()
     est = simplex_volume(COMPACT_3D, budget=0.0, max_log2_samples=15)
-    assert calls[5:] == [1 << 14] * (1 + 2 + 4 + 8)
+    assert calls[1:] == [1 << 14] * 16
     assert sum(calls) == est.samples
