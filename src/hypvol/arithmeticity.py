@@ -103,6 +103,13 @@ def _check_connected(adj: dict[int, list[int]]) -> None:
         raise DisconnectedGraph(f"facets {missing} are orthogonal to the rest")
 
 
+def check_facet_count(N: int) -> None:
+    """Raise ``TooLarge`` past the exhaustive cycle enumeration's facet limit."""
+    if N > MAX_FACETS_FOR_CYCLES:
+        raise TooLarge(f"{N} facets exceeds the cycle enumeration limit "
+                       f"{MAX_FACETS_FOR_CYCLES}")
+
+
 def enumerate_cycles(G: GramMatrix) -> list[CyclicProduct]:
     """All simple cycles of the non-orthogonality graph, with their values.
 
@@ -111,9 +118,7 @@ def enumerate_cycles(G: GramMatrix) -> list[CyclicProduct]:
     included, so the output is nonempty for any connected graph.
     """
     N = G.size
-    if N > MAX_FACETS_FOR_CYCLES:
-        raise TooLarge(f"{N} facets exceeds the cycle enumeration limit "
-                       f"{MAX_FACETS_FOR_CYCLES}")
+    check_facet_count(N)
     adj = nonorthogonality_graph(G)
     _check_connected(adj)
     doubled = {}

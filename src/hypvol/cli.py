@@ -27,9 +27,10 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--target-err", type=float, default=1e-3,
                     help="relative error target for the volume integrator (positive)")
     an.add_argument("--seed", type=int, default=integration.DEFAULT_SEED,
-                    help="integrator RNG seed (non-negative)")
+                    help="accepted for compatibility (non-negative); the integrator is "
+                         "deterministic and does not use it")
     an.add_argument("--max-samples", type=int, default=2**integration.DEFAULT_MAX_LOG2,
-                    help="per-replicate sample cap for one integrated piece, rounded down "
+                    help="cap on cubature nodes per integrated piece and order, rounded down "
                          f"to a power of two, 1 to 2^30 (default 2^{integration.DEFAULT_MAX_LOG2})")
     an.add_argument("--assume-volume", default=None,
                     help="externally computed volume (skips the integrator); "

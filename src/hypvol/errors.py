@@ -60,7 +60,9 @@ class TriangulationFailure(HypvolError):
 class NonConvergent(HypvolError):
     """A truncation could not meet its error target.
 
-    Shell subdivision at a cusp cannot shrink toward its ideal vertex, the
-    error bar's t quantile did not converge, or the Euler-Maclaurin cutoff
-    of a zeta or L-value outgrew its cap.
+    A cusp's radial integral diverges because a base vertex touches the
+    sphere at its ideal point, or a vertex taken as finite lies outside the
+    ball; the cubature's changes did not shrink by half twice within the
+    node cap; or the Euler-Maclaurin cutoff of a zeta or L-value outgrew
+    its cap.
     """

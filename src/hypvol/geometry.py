@@ -37,7 +37,8 @@ class PolytopeRealization:
     <x, x> = -1 with x0 > 0; ideal vertices are light-cone rays normalized
     to x0 = 1.  ``vertex_facets`` holds the facet set of each finite, then
     each ideal vertex, and ``faces`` every elliptic facet set, i.e. every
-    face not at infinity.
+    face not at infinity.  Enumerating the vertices centres the frame (see
+    ``centring_boost``).
     """
 
     dimension: int
@@ -59,17 +60,33 @@ class KleinPolytope:
 
     ``vertices`` is a (V, n) array whose rows carry an ideal flag (on the
     unit sphere).  Simplices index into its rows, with -1 denoting the
-    interior Steiner point used by the fan.
+    origin, the polytope's centre, from which the fan is coned.
     """
 
     dimension: int
     vertices: np.ndarray
     ideal_flags: list[bool]
     simplices: list[list[int]]
-    steiner_point: np.ndarray
 
     def simplex_points(self, simplex: list[int]) -> np.ndarray:
-        return np.array([self.vertices[k] if k >= 0 else self.steiner_point for k in simplex])
+        origin = np.zeros(self.dimension)
+        return np.array([self.vertices[k] if k >= 0 else origin for k in simplex])
+
+
+def centring_boost(finite, ideal) -> np.ndarray:
+    """The Lorentz boost B that sends the vertices' centre c to e0.
+
+    c is the normalized sum of the finite vertices, or of the ideal ones
+    when there are none, so every isometry of the polytope fixes it.  It
+    lies in the relative interior of those vertices' convex hull: inside
+    the polytope, or on the facets through all of them.  For c = (c0, u)
+    with <c, c> = -1, B is [[c0, -u'], [-u, I + u u' / (1 + c0)]].
+    """
+    c = np.sum(finite if len(finite) else ideal, axis=0)
+    c = c / np.sqrt(-(_flip_time(c) @ c))
+    c0, u = c[0], c[1:]
+    return np.block([[np.array([[c0]]), -u[None]],
+                     [-u[:, None], np.eye(len(u)) + np.outer(u, u) / (1.0 + c0)]])
 
 
 def realize(G: GramMatrix) -> PolytopeRealization:
@@ -147,7 +164,8 @@ def enumerate_vertices(realization: PolytopeRealization) -> PolytopeRealization:
     of the frame is fixed by the first vertex: if it violates a facet
     inequality, every normal is flipped.  Every vertex must then lie
     strictly inside each facet half-space not through it, and every edge
-    must have two ends, as in a finite-volume polytope.
+    must have two ends, as in a finite-volume polytope.  Last, normals and
+    vertices move to the centred frame of ``centring_boost``.
     """
     n, N = realization.dimension, realization.facet_count
     faces, cusps = census(realization.gram)
@@ -175,8 +193,11 @@ def enumerate_vertices(realization: PolytopeRealization) -> PolytopeRealization:
         if (row[out] >= 0).any():
             raise NoVertices(f"the vertex on facets {sorted(S)} violates a facet "
                              "inequality; the input is not a polytope")
+    B = centring_boost(finite, ideal)
+    realization.normals = normals @ B.T
+    finite = [x / np.sqrt(-(_flip_time(x) @ x)) for x in (B @ x for x in finite)]
     realization.finite_vertices = finite
-    realization.ideal_vertices = ideal
+    realization.ideal_vertices = [x / x[0] for x in (B @ x for x in ideal)]
     realization.vertex_facets = sets
     realization.faces = {frozenset(S) for level in faces for S in level}
     return realization
@@ -188,7 +209,8 @@ def to_klein(realization: PolytopeRealization) -> KleinPolytope:
     Finite vertices map inside the ball, ideal ones onto the sphere (they
     are renormalized to unit length so the cusp integrand sees an exactly
     ideal point).  The triangulation cones every facet's recursive fan to
-    the Steiner point at the vertex centroid.
+    the origin, the centre of the frame, leaving out the facets through it,
+    whose cones are flat.
     """
     n = realization.dimension
     finite, ideal = realization.finite_vertices, realization.ideal_vertices
@@ -197,15 +219,11 @@ def to_klein(realization: PolytopeRealization) -> KleinPolytope:
     verts = np.array([x[1:] / x[0] for x in finite]
                      + [x[1:] / np.linalg.norm(x[1:]) for x in ideal])
     flags = [False] * len(finite) + [True] * len(ideal)
-    if len(verts) == n + 1:
-        simplices = [list(range(n + 1))]  # the polytope is one simplex
-    else:
-        simplices = _fan_triangulation(n, realization)
-    return KleinPolytope(n, verts, flags, simplices, verts.mean(axis=0))
+    return KleinPolytope(n, verts, flags, _fan_triangulation(n, realization))
 
 
 def _fan_triangulation(n, realization: PolytopeRealization) -> list[list[int]]:
-    """Steiner-point fan over facets, recursively fanned from the smallest
+    """Fan from the origin over facets, recursively fanned from the smallest
     vertex index within each face.  A face is its elliptic facet set, and
     its vertices are those whose facet set contains it."""
     vertex_facets, faces = realization.vertex_facets, realization.faces
@@ -229,4 +247,8 @@ def _fan_triangulation(n, realization: PolytopeRealization) -> list[list[int]]:
             raise TriangulationFailure(f"face {sorted(ids)} has no usable sub-facets")
         return pieces
 
-    return [s + [-1] for i in range(N) for s in triangulate_face(frozenset([i]), n - 1)]
+    # the centre lies on the facets through every vertex it is the centre of
+    centred = vertex_facets[:len(realization.finite_vertices)] or vertex_facets
+    through_centre = frozenset.intersection(*centred)
+    return [s + [-1] for i in range(N) if i not in through_centre
+            for s in triangulate_face(frozenset([i]), n - 1)]

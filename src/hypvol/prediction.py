@@ -24,7 +24,7 @@ import mpmath
 from mpmath import mp
 
 from . import geometry, integration
-from .arithmeticity import ArithmeticityReport, Classification, classify
+from .arithmeticity import ArithmeticityReport, Classification, check_facet_count, classify
 from .diagram import CoxeterDiagram, assert_lorentzian, gram_matrix, parse_diagram
 from .errors import EvenDimension
 from .lseries import (
@@ -327,8 +327,9 @@ def analyze(
     integrator's accuracy, which limits how large a denominator can be
     certified.  The assumed volume must parse to a finite positive number
     and its error be finite and positive; ``target_rel_err`` must be finite
-    and positive, ``seed`` non-negative (numpy seeds the Sobol scrambles),
-    and ``max_log2_samples`` within the 30-bit Sobol sequence, 0 to 30.
+    and positive, ``seed`` non-negative, and ``max_log2_samples``, the cap
+    of 2^max_log2_samples cubature nodes per piece and order, 0 to 30.  The
+    integrator is deterministic: ``seed`` is validated and otherwise unused.
     """
     if (assume_volume is None) != (assume_err is None):
         raise ValueError("assume_volume and assume_err must be given together")
@@ -348,6 +349,7 @@ def analyze(
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     diagram = parse_diagram(diagram_text)
+    check_facet_count(diagram.facets)  # before the exact N x N Gram matrix and its signature
     G = gram_matrix(diagram)
     sig = assert_lorentzian(G)
     timings["gram"] = time.perf_counter() - t0
@@ -385,9 +387,7 @@ def analyze(
         kp = geometry.to_klein(realization)
         timings["geometry"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        est = integration.polytope_volume(
-            kp, target_rel_err, seed=seed, max_log2_samples=max_log2_samples
-        )
+        est = integration.polytope_volume(kp, target_rel_err, max_log2_samples=max_log2_samples)
         timings["volume"] = time.perf_counter() - t0
         report.volume = est
         report.volume_source = "integrated"

@@ -126,13 +126,13 @@ def test_criterion_6_integrator_low_dimension():
     t0 = time.perf_counter()
     r = realize(gram_matrix(parse_diagram(TRIANGLE_245)))
     enumerate_vertices(r)
-    est = polytope_volume(to_klein(r), 1e-4, seed=6)
+    est = polytope_volume(to_klein(r), 1e-4)
     ref = math.pi / 20
     assert abs(est.value - ref) / ref < 1e-4
 
     r = realize(gram_matrix(parse_diagram(IDEAL_TRIANGLE)))
     enumerate_vertices(r)
-    est_ideal = polytope_volume(to_klein(r), 1e-3, seed=6)
+    est_ideal = polytope_volume(to_klein(r), 1e-3)
     assert abs(est_ideal.value - math.pi) / math.pi < 1e-3
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
@@ -145,7 +145,7 @@ def test_criterion_7_integrator_paper_scale():
     t0 = time.perf_counter()
     r = realize(gram_matrix(parse_diagram(POLYTOPE_5D)))
     enumerate_vertices(r)
-    est5 = polytope_volume(to_klein(r), 1e-3, seed=1)
+    est5 = polytope_volume(to_klein(r), 1e-3)
     t5 = time.perf_counter() - t0
     dev5 = abs(est5.value - ref5)
     assert t5 < 600.0
@@ -155,7 +155,7 @@ def test_criterion_7_integrator_paper_scale():
     t0 = time.perf_counter()
     r = realize(gram_matrix(parse_diagram(POLYTOPE_7D)))
     enumerate_vertices(r)
-    est7 = polytope_volume(to_klein(r), 5e-3, seed=1)
+    est7 = polytope_volume(to_klein(r), 5e-3)
     t7 = time.perf_counter() - t0
     dev7 = abs(est7.value - ref7)
     assert t7 < 1800.0
@@ -234,12 +234,12 @@ def test_criterion_8_property_suites():
         assert rec.status == "recognized"
         assert Fraction(rec.numerator, rec.denominator) == x
 
-    # seeded determinism of volume estimates
+    # determinism of volume estimates
     r = realize(gram_matrix(parse_diagram(IDEAL_TRIANGLE)))
     enumerate_vertices(r)
     kp = to_klein(r)
-    e1 = polytope_volume(kp, 1e-3, seed=99)
-    e2 = polytope_volume(kp, 1e-3, seed=99)
+    e1 = polytope_volume(kp, 1e-3)
+    e2 = polytope_volume(kp, 1e-3)
     assert (e1.value, e1.abs_error, e1.samples) == (e2.value, e2.abs_error, e2.samples)
 
     elapsed = time.perf_counter() - t0

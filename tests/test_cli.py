@@ -101,6 +101,15 @@ def test_not_lorentzian_exit_code(diagram_file, capsys):
     assert "not Lorentzian" in capsys.readouterr().err
 
 
+def test_too_many_facets_is_stage_error(diagram_file, capsys):
+    # checked before the signature, so a 13-facet positive definite diagram
+    # exits 2 (TooLarge), not 3 (not Lorentzian)
+    path = diagram_file("n 2\nfacets 13\n")
+    code = main(["analyze", path])
+    assert code == EXIT_STAGE_ERROR
+    assert "TooLarge" in capsys.readouterr().err
+
+
 def test_stage_error_exit_code(diagram_file, capsys):
     path = diagram_file("n 2\nfacets 3\nedge 0 1 7\n")
     code = main(["analyze", path])
@@ -197,7 +206,13 @@ def test_negative_seed_is_stage_error(diagram_file, capsys):
 
 @pytest.mark.parametrize("samples", ["1", str(2**30)])
 def test_max_samples_bounds_are_accepted(diagram_file, capsys, samples):
+    # both bounds pass the option check; one node per piece allows one order
+    # at most, which gives no change to bound the error with
     path = diagram_file(IDEAL_TRIANGLE)
     code = main(["analyze", path, "--target-err", "0.1", f"--max-samples={samples}", "--json"])
-    assert code == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["volume"]["samples"] > 0
+    if samples == "1":
+        assert code == EXIT_STAGE_ERROR
+        assert "error [NonConvergent]" in capsys.readouterr().err
+    else:
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["volume"]["samples"] > 0

@@ -102,9 +102,29 @@ def test_no_vertices_error():
 
 
 def test_klein_triangle_single_simplex():
+    # a simplex too is fanned from the origin, one piece per side
     kp = to_klein(realized_polytope(TRIANGLE_245))
-    assert len(kp.simplices) == 1
-    assert sorted(kp.simplices[0]) == [0, 1, 2]
+    assert sorted(sorted(s) for s in kp.simplices) == [[-1, 0, 1], [-1, 0, 2], [-1, 1, 2]]
+
+
+@pytest.mark.parametrize("text", [IDEAL_TRIANGLE, TRIANGLE_245, POLYTOPE_5D, POLYTOPE_7D],
+                         ids=["ideal-triangle", "245", "5d", "7d"])
+def test_frame_is_centred(text):
+    # the finite vertices (or, with none, the ideal ones) sum to a multiple
+    # of e0, so their centre is the Klein origin
+    r = realized_polytope(text)
+    total = np.sum(r.finite_vertices or r.ideal_vertices, axis=0)
+    assert np.abs(total[1:]).max() < 1e-13 * total[0]
+
+
+def test_fan_leaves_out_facets_through_the_centre():
+    # the two finite vertices of a triangle with one ideal vertex lie on
+    # facet 0, and so does their centre: only facets 1 and 2 are coned
+    r = realized_polytope("n 2\nfacets 3\nedge 0 2 3\nedge 1 2 inf\n")
+    kp = to_klein(r)
+    assert len(kp.simplices) == 2
+    for s in kp.simplices:
+        assert abs(np.linalg.det(kp.simplex_points(s)[:-1])) > 1e-3
 
 
 def test_klein_vertex_placement():
@@ -173,10 +193,13 @@ def test_vertex_enumeration_solves_each_subset_once(monkeypatch):
     assert len(calls) == 12 + 1  # one solve per vertex, not one per facet 5-subset
 
 
-def reference_klein_vertices(G):
-    """The census vertices in the Klein ball at 128 bits: the frame from
-    mp.eigsy as in ``realize``, then one mp.lu_solve per vertex of its
-    first n-set together with x0 = 1."""
+def reference_klein_gram(G):
+    """Gram matrix of the census vertices in the centred Klein ball at 128
+    bits: the frame from mp.eigsy as in ``realize``, one mp.lu_solve per
+    vertex of its first n-set together with x0 = 1, and then, with no boost,
+    K_ij = 1 + <x_i, x_j> / (<x_i, c> <x_j, c>), the dot product of the
+    Klein images in the frame whose time axis is the unit centre c: the
+    normalized sum of the finite vertices, or of the ideal ones."""
     n, N = G.dimension, G.size
     faces, cusps = census(G)
     with mp.workprec(128):
@@ -189,8 +212,16 @@ def reference_klein_vertices(G):
         for T in faces[n] + [first for first, _ in cusps]:
             A = mp.matrix([[-E[i][0]] + E[i][1:] for i in T] + [[1] + [0] * n])
             x = mp.lu_solve(A, mp.matrix([0] * n + [1]))
-            verts.append([float(x[k]) for k in range(1, n + 1)])
-    return np.array(verts)
+            verts.append([x[k] for k in range(n + 1)])
+
+        def form(x, y):
+            return -x[0] * y[0] + mp.fsum(a * b for a, b in zip(x[1:], y[1:]))
+
+        finite = [[a / mp.sqrt(-form(x, x)) for a in x] for x in verts[:len(faces[n])]]
+        c = [mp.fsum(col) for col in zip(*(finite or verts))]
+        c = [a / mp.sqrt(-form(c, c)) for a in c]
+        return np.array([[float(1 + form(x, y) / (form(x, c) * form(y, c))) for y in verts]
+                         for x in verts])
 
 
 @pytest.mark.parametrize("text", [IDEAL_TRIANGLE, TRIANGLE_245, POLYTOPE_5D, POLYTOPE_7D],
@@ -199,10 +230,9 @@ def test_float_geometry_matches_128_bit_reference(text):
     G = gram_matrix(parse_diagram(text))
     r = enumerate_vertices(realize(G))
     V = to_klein(r).vertices
-    ref = reference_klein_vertices(G)
     # the two frames may differ by a rotation fixing the time axis, which
     # leaves the Gram matrix of the Klein vertices unchanged
-    assert np.abs(V @ V.T - ref @ ref.T).max() < 1e-13
+    assert np.abs(V @ V.T - reference_klein_gram(G)).max() < 1e-13
     for x, S in zip(r.finite_vertices + r.ideal_vertices, r.vertex_facets):
         for j in S:
             assert abs(mink(x, r.normals[j])) < 1e-13

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from hypvol.errors import EvenDimension, HypvolError, NonConvergent
+from hypvol.errors import EvenDimension, HypvolError, NonConvergent, TooLarge
 from hypvol.lseries import PrecisionContext, dirichlet_L, fundamental_discriminant, riemann_zeta
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
 from hypvol.prediction import (
@@ -208,6 +209,21 @@ def test_unreachable_lseries_target_is_typed():
     ctx = PrecisionContext(1024, Fraction(1, 10**250))
     with pytest.raises(NonConvergent):
         analyze(POLYTOPE_5D, assume_volume=VOL_5D, assume_err=1e-19, lseries_context=ctx)
+
+
+def test_facet_count_is_checked_before_the_gram_matrix():
+    # 13 mutually orthogonal facets: not Lorentzian, but too many facets for
+    # the cycle enumeration, which is what analyze reports first
+    with pytest.raises(TooLarge):
+        analyze("n 2\nfacets 13\n")
+
+
+def test_huge_facet_count_fails_fast():
+    # no 100000 x 100000 exact Gram matrix is built
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge):
+        analyze("n 2\nfacets 100000\n")
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_analyze_rejects_negative_seed():
