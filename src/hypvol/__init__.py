@@ -5,64 +5,14 @@ computes the exact Gram matrix, decides (quasi-)arithmeticity of the
 associated reflection group, evaluates the number-theoretic factor that its
 covolume must be a rational multiple of, integrates the hyperbolic volume
 numerically in the Klein model, and recognizes the rational multiplier.
+
+The package exports the pipeline, ``analyze``, its ``AnalysisReport`` and
+the ``PrecisionContext`` of its L-values; each stage is a module of its own.
 """
 
-from .surd import MultiSurd, parse_surd
-from .diagram import CoxeterDiagram, GramMatrix, parse_diagram, gram_matrix, signature
-from .arithmeticity import ArithmeticityReport, Classification, classify
-from .lseries import (
-    PrecisionContext,
-    FundamentalDiscriminant,
-    fundamental_discriminant,
-    kronecker_chi,
-    riemann_zeta,
-    hurwitz_zeta,
-    dirichlet_L,
-)
-from .geometry import PolytopeRealization, KleinPolytope, realize, enumerate_vertices, to_klein
-from .integration import VolumeEstimate, simplex_volume, polytope_volume
-from .prediction import (
-    VolumePrediction,
-    RationalRecognition,
-    AnalysisReport,
-    transcendental_factor,
-    recognize_rational,
-    analyze,
-)
+from .lseries import PrecisionContext
+from .prediction import AnalysisReport, analyze
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MultiSurd",
-    "parse_surd",
-    "CoxeterDiagram",
-    "GramMatrix",
-    "parse_diagram",
-    "gram_matrix",
-    "signature",
-    "ArithmeticityReport",
-    "Classification",
-    "classify",
-    "PrecisionContext",
-    "FundamentalDiscriminant",
-    "fundamental_discriminant",
-    "kronecker_chi",
-    "riemann_zeta",
-    "hurwitz_zeta",
-    "dirichlet_L",
-    "PolytopeRealization",
-    "KleinPolytope",
-    "realize",
-    "enumerate_vertices",
-    "to_klein",
-    "VolumeEstimate",
-    "simplex_volume",
-    "polytope_volume",
-    "VolumePrediction",
-    "RationalRecognition",
-    "AnalysisReport",
-    "transcendental_factor",
-    "recognize_rational",
-    "analyze",
-    "__version__",
-]
+__all__ = ["AnalysisReport", "PrecisionContext", "analyze", "__version__"]

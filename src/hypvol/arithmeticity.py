@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import enum
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import GramMatrix, eliminate
 from .errors import DisconnectedGraph, FieldNotQ, RankDeficient, TooLarge
-from .surd import MultiSurd, prime_characters, prime_factors, solve_gf2, squarefree_decompose
+from .surd import MultiSurd, prime_characters, squarefree_decompose
 
 MAX_FACETS_FOR_CYCLES = 12
 
@@ -160,27 +159,19 @@ def field_of_definition(cycles: list[CyclicProduct]) -> frozenset[int]:
     return frozenset(gens)
 
 
-def _spanning_tree(adj: dict[int, list[int]], rng: random.Random | None = None) -> dict[int, int]:
-    """Parent map of a spanning tree rooted at facet 0.
-
-    Deterministic BFS in index order by default; a seeded rng shuffles the
-    exploration order to exercise tree-choice invariance.
-    """
+def _spanning_tree(adj: dict[int, list[int]]) -> dict[int, int]:
+    """Parent map of the BFS spanning tree rooted at facet 0, in index order."""
     parent = {0: -1}
     frontier = [0]
-    while frontier:
-        u = frontier.pop(0 if rng is None else rng.randrange(len(frontier)))
-        nbrs = sorted(adj[u])
-        if rng is not None:
-            rng.shuffle(nbrs)
-        for v in nbrs:
+    for u in frontier:
+        for v in sorted(adj[u]):
             if v not in parent:
                 parent[v] = u
                 frontier.append(v)
     return parent
 
 
-def rational_form(G: GramMatrix, rng: random.Random | None = None) -> QuadraticFormQ:
+def rational_form(G: GramMatrix) -> QuadraticFormQ:
     """Rescale normals along a spanning tree so all pairings land in K.
 
     Scaling factors multiply along tree edges by the doubled Gram entry, so
@@ -194,7 +185,7 @@ def rational_form(G: GramMatrix, rng: random.Random | None = None) -> QuadraticF
     """
     adj = nonorthogonality_graph(G)
     _check_connected(adj)
-    parent = _spanning_tree(adj, rng)
+    parent = _spanning_tree(adj)
     lam: dict[int, MultiSurd] = {0: MultiSurd(1)}
 
     def scale(v):
@@ -214,20 +205,6 @@ def rational_form(G: GramMatrix, rng: random.Random | None = None) -> QuadraticF
         raise RankDeficient(f"rescaled form has rank {len(basis)}, expected "
                             f"{G.dimension + 1} for a Lorentzian Gram matrix")
     return QuadraticFormQ([[F[i][j] for j in basis] for i in basis], tuple(basis), pivots)
-
-
-def _field_contains(radicand: int, gens: frozenset[int]) -> bool:
-    """Is sqrt(radicand) in the multiquadratic field generated by gens?
-
-    Square classes form a GF(2) vector space with primes as coordinates;
-    sqrt(radicand) lies in the field iff its prime support is a sum of
-    generator supports: one equation per prime, one unknown per generator.
-    """
-    gens = sorted(gens)
-    primes = {p for r in (radicand, *gens) for p in prime_factors(r)}
-    rows = [(sum(1 << i for i, g in enumerate(gens) if g % p == 0), int(radicand % p == 0))
-            for p in primes]
-    return solve_gf2(rows) is not None
 
 
 def squarefree_class(x: Fraction) -> int:
@@ -287,9 +264,6 @@ def classify(G: GramMatrix) -> ArithmeticityReport:
     automorphisms = _field_automorphisms(gens)
     odd_over_q = not gens and G.dimension % 2 == 1
     form = rational_form(G) if automorphisms or odd_over_q else None
-    if form is not None and any(not _field_contains(r, gens)
-                                for row in form.matrix for e in row for r in e.radicands()):
-        raise RankDeficient("rescaled form leaves the field of definition")
     for primes, flips in automorphisms:
         pos = sum(p.conjugate_by_primes(primes).sign() > 0 for p in form.pivots)
         neg = len(form.pivots) - pos

@@ -26,9 +26,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("diagram", help="path to a diagram file, or - for stdin")
     an.add_argument("--target-err", type=float, default=1e-3,
                     help="relative error target for the volume integrator (positive)")
-    an.add_argument("--seed", type=int, default=integration.DEFAULT_SEED,
-                    help="accepted for compatibility (non-negative); the integrator is "
-                         "deterministic and does not use it")
     an.add_argument("--max-samples", type=int, default=2**integration.DEFAULT_MAX_LOG2,
                     help="cap on cubature nodes per integrated piece and order, rounded down "
                          f"to a power of two, 1 to 2^30 (default 2^{integration.DEFAULT_MAX_LOG2})")
@@ -57,8 +54,6 @@ def _bad_option(args) -> str | None:
                     f"range, not {args.assume_volume}")
         if not (math.isfinite(args.assume_err) and args.assume_err > 0):
             return f"--assume-err must be finite and positive, not {args.assume_err}"
-    if args.seed < 0:
-        return f"--seed must be non-negative, not {args.seed}"
     if not 1 <= args.max_samples <= 2**30:
         return f"--max-samples must lie between 1 and 2^30, not {args.max_samples}"
     return None
@@ -87,7 +82,6 @@ def main(argv: list[str] | None = None) -> int:
         report = analyze(
             text,
             target_rel_err=args.target_err,
-            seed=args.seed,
             assume_volume=args.assume_volume,
             assume_err=args.assume_err,
             max_log2_samples=args.max_samples.bit_length() - 1,

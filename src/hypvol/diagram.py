@@ -66,14 +66,6 @@ class CoxeterDiagram:
             if not (0 <= i < j < self.facets):
                 raise ValueError(f"bad edge indices ({i}, {j})")
 
-    def relabeled(self, perm: list[int]) -> "CoxeterDiagram":
-        """Diagram with facet i renamed to perm[i]."""
-        edges = {}
-        for (i, j), lab in self.edges.items():
-            a, b = perm[i], perm[j]
-            edges[(min(a, b), max(a, b))] = lab
-        return CoxeterDiagram(self.dimension, self.facets, edges)
-
 
 class GramMatrix:
     """Symmetric matrix of exact Minkowski products of unit facet normals."""

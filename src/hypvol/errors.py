@@ -22,7 +22,12 @@ class DisconnectedGraph(HypvolError):
 
 
 class TooLarge(HypvolError):
-    """Facet count exceeds the exhaustive cycle enumeration guard."""
+    """Input exceeds a fixed guard.
+
+    The facet count exceeds the exhaustive cycle enumeration's limit, or an
+    integer from the input has a cofactor too large to factor by trial
+    division.
+    """
 
 
 class RankDeficient(HypvolError):

@@ -33,7 +33,6 @@ import numpy as np
 from .errors import NonConvergent
 from .geometry import KleinPolytope, centring_boost
 
-DEFAULT_SEED = 20240   # accepted by analyze and the CLI; the cubature draws nothing
 DEFAULT_MAX_LOG2 = 19  # default cap of 2^19 nodes per piece and order
 _IDEAL_NORM_TOL = 1e-9
 _BATCH = 1 << 14       # nodes per evaluation block
@@ -215,25 +214,23 @@ def simplex_volume(
     points,
     budget: float = 1e-7,
     *,
-    ideal_index: int | None = None,
     max_log2_samples: int = DEFAULT_MAX_LOG2,
 ) -> VolumeEstimate:
     """Hyperbolic volume of one Klein simplex to roughly the given budget.
 
     ``points`` is an (n+1) x n array-like; at most one vertex may be ideal
-    (on the unit sphere), and ``ideal_index=None`` detects it.  The simplex
-    is centred by ``geometry.centring_boost`` and its facets coned from the
-    origin: ``polytope_volume``'s design with an absolute budget.
+    (on the unit sphere, within 1e-9).  The simplex is centred by
+    ``geometry.centring_boost`` and its facets coned from the origin:
+    ``polytope_volume``'s design with an absolute budget.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[1]
     if pts.shape[0] != n + 1:
         raise ValueError("need n+1 points in dimension n")
-    if ideal_index is None:
-        on_sphere = np.flatnonzero(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= _IDEAL_NORM_TOL)
-        if len(on_sphere) > 1:
-            raise ValueError("more than one ideal vertex; split the simplex first")
-        ideal_index = int(on_sphere[0]) if len(on_sphere) else None
+    on_sphere = np.flatnonzero(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= _IDEAL_NORM_TOL)
+    if len(on_sphere) > 1:
+        raise ValueError("more than one ideal vertex; split the simplex first")
+    ideal_index = int(on_sphere[0]) if len(on_sphere) else None
     flags = [k == ideal_index for k in range(n + 1)]
     finite = np.logical_not(flags)
     gap = 1.0 - np.einsum("ij,ij->i", pts[finite], pts[finite])

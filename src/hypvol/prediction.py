@@ -15,6 +15,8 @@ identities are suggestions backed by numerics, never proofs.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -132,28 +134,32 @@ def _continued_fraction_convergents(x: Fraction):
         x = 1 / frac
 
 
-def _smooth_denominators(limit: int, primes: tuple[int, ...]) -> list[int]:
+@functools.cache
+def _smooth_denominators() -> tuple[int, ...]:
+    """The RECOGNITION_SMOOTH_PRIMES-smooth integers up to
+    RECOGNITION_SMOOTH_QMAX, ascending; built on first use."""
     out = [1]
-    for p in primes:
+    for p in RECOGNITION_SMOOTH_PRIMES:
         grown = []
         for q in out:
             v = q * p
-            while v <= limit:
+            while v <= RECOGNITION_SMOOTH_QMAX:
                 grown.append(v)
                 v *= p
         out.extend(grown)
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def _smooth_candidates(x: Fraction, err: Fraction) -> list[Fraction]:
+    """Every p/q within err of x with q smooth, 1 <= p <= the numerator cap
+    and p the nearest integer to x*q.  For each p, |x - p/q| <= err is the q
+    range [p/(x + err), p/(x - err)], open at the top when x <= err."""
+    table = _smooth_denominators()
     found = set()
-    for q in _smooth_denominators(RECOGNITION_SMOOTH_QMAX, RECOGNITION_SMOOTH_PRIMES):
-        p = round(x * q)
-        if p == 0 or p > RECOGNITION_MAX_NUMERATOR:
-            continue
-        cand = Fraction(p, q)
-        if abs(x - cand) <= err:
-            found.add(cand)
+    for p in range(1, RECOGNITION_MAX_NUMERATOR + 1):
+        lo = bisect.bisect_left(table, p / (x + err))
+        hi = bisect.bisect_right(table, p / (x - err)) if x > err else len(table)
+        found.update(Fraction(p, q) for q in table[lo:hi] if round(x * q) == p)
     return sorted(found)
 
 
@@ -312,7 +318,7 @@ def analyze(
     diagram_text: str,
     *,
     target_rel_err: float = 1e-3,
-    seed: int = integration.DEFAULT_SEED,
+    seed: int = 0,
     assume_volume: str | float | None = None,
     assume_err: float | None = None,
     lseries_context: PrecisionContext = DEFAULT_CONTEXT,
@@ -329,7 +335,8 @@ def analyze(
     and its error be finite and positive; ``target_rel_err`` must be finite
     and positive, ``seed`` non-negative, and ``max_log2_samples``, the cap
     of 2^max_log2_samples cubature nodes per piece and order, 0 to 30.  The
-    integrator is deterministic: ``seed`` is validated and otherwise unused.
+    integrator is deterministic: ``seed`` is validated and otherwise unused,
+    kept only for callers that still pass one.
     """
     if (assume_volume is None) != (assume_err is None):
         raise ValueError("assume_volume and assume_err must be given together")

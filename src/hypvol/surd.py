@@ -20,7 +20,11 @@ from typing import Iterable, Mapping
 
 from mpmath import mp
 
+from .errors import TooLarge
+
 _Rat = int | Fraction
+TRIAL_DIVISION_LIMIT = 10**6   # largest trial divisor: cofactors up to 10^12 factor
+MAX_NESTING = 100              # parentheses a surd literal may nest
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -35,14 +39,21 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 
 
 def prime_factors(n: int) -> dict[int, int]:
-    """Prime factorization {p: exponent} of n > 0 by trial division, primes ascending."""
+    """Prime factorization {p: exponent} of n > 0 by trial division, primes ascending.
+
+    Raises ``TooLarge`` when the divisors up to TRIAL_DIVISION_LIMIT leave a
+    cofactor above the limit's square, which could be composite.
+    """
     out = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= TRIAL_DIVISION_LIMIT:
         while n % d == 0:
             n //= d
             out[d] = out.get(d, 0) + 1
         d += 1 if d == 2 else 2
+    if d * d <= n:
+        raise TooLarge(f"an integer of {n.bit_length()} bits has no prime factor up to "
+                       f"{TRIAL_DIVISION_LIMIT} and is too large to factor")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
@@ -217,18 +228,6 @@ class MultiSurd:
             return NotImplemented
         return other * self.inverse()
 
-    def __pow__(self, k: int) -> "MultiSurd":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = MultiSurd(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
@@ -269,7 +268,7 @@ class MultiSurd:
     def __float__(self) -> float:
         return float(self.to_mpf(64))
 
-    # -- comparisons -------------------------------------------------------
+    # -- sign --------------------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, decided down the field tower.
@@ -289,18 +288,6 @@ class MultiSurd:
         if sa in (0, sb):
             return sb
         return sa * (a * a - b * b * p).sign()
-
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
 
     def __repr__(self):
         if self.is_zero():
@@ -324,40 +311,6 @@ def _coerce(x):
     return NotImplemented
 
 
-def solve_gf2(rows: list[tuple[int, int]]) -> int | None:
-    """Solve a GF(2) linear system given as (bitmask, rhs) rows.
-
-    Returns one solution as a bitmask (free variables set to 0), or None.
-    Pivot rows are keyed by their leading bit, so reduction always clears
-    the current leading bit and terminates.
-    """
-    pivots: dict[int, tuple[int, int]] = {}
-    for vec, rhs in rows:
-        while vec:
-            col = vec.bit_length() - 1
-            if col not in pivots:
-                pivots[col] = (vec, rhs)
-                break
-            pvec, prhs = pivots[col]
-            vec ^= pvec
-            rhs ^= prhs
-        else:
-            if rhs:
-                return None
-    sol = 0
-    for col in sorted(pivots):  # ascending: lower bits of each row are resolved
-        vec, rhs = pivots[col]
-        acc = rhs
-        low = vec & ((1 << col) - 1)
-        while low:
-            j = low.bit_length() - 1
-            acc ^= sol >> j & 1
-            low ^= 1 << j
-        if acc:
-            sol |= 1 << col
-    return sol
-
-
 # -- literal syntax ---------------------------------------------------------
 
 def parse_surd(text: str) -> MultiSurd:
@@ -376,12 +329,14 @@ def parse_surd(text: str) -> MultiSurd:
         pos[0] += 1
         return tok
 
-    def factor() -> MultiSurd:
+    def factor(depth: int) -> MultiSurd:
         tok = take()
         if tok is None:
             raise ValueError(f"unexpected end of surd literal {text!r}")
         if tok == "(":
-            v = expr()
+            if depth == MAX_NESTING:
+                raise ValueError(f"surd literal nests parentheses deeper than {MAX_NESTING}")
+            v = expr(depth + 1)
             if take() != ")":
                 raise ValueError(f"unbalanced parentheses in {text!r}")
             return v
@@ -398,26 +353,26 @@ def parse_surd(text: str) -> MultiSurd:
             return MultiSurd(tok)
         raise ValueError(f"unexpected token {tok!r} in {text!r}")
 
-    def term() -> MultiSurd:
-        v = factor()
+    def term(depth: int) -> MultiSurd:
+        v = factor(depth)
         while peek() in ("*", "/"):
             op = take()
-            rhs = factor()
+            rhs = factor(depth)
             v = v * rhs if op == "*" else v / rhs
         return v
 
-    def expr() -> MultiSurd:
+    def expr(depth: int) -> MultiSurd:
         sgn = 1
         while peek() in ("+", "-"):
             if take() == "-":
                 sgn = -sgn
-        v = term() * MultiSurd(sgn)
+        v = term(depth) * MultiSurd(sgn)
         while peek() in ("+", "-"):
             op = take()
-            v = v + term() * MultiSurd(-1 if op == "-" else 1)
+            v = v + term(depth) * MultiSurd(-1 if op == "-" else 1)
         return v
 
-    value = expr()
+    value = expr(0)
     if pos[0] != len(tokens):
         raise ValueError(f"trailing tokens in surd literal {text!r}")
     return value

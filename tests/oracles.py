@@ -4,20 +4,24 @@ Each computes the same quantity as a pipeline function by a slower,
 independent route: a truncated character series for Dirichlet L-values,
 the full characteristic polynomial over all Galois conjugates for
 algebraic integrality, a fresh elimination of every conjugated form
-for the conjugate signatures, and every vertex sequence with each product
-rebuilt from its edges for the cycles.
+for the conjugate signatures, every vertex sequence with each product
+rebuilt from its edges for the cycles, and a scan of every smooth
+denominator for the recognition window.  Besides them: a GF(2) solver for
+field membership of square roots, and facet relabeling of a diagram.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from hypvol.arithmeticity import (CyclicProduct, QuadraticFormQ, _field_automorphisms,
                                   nonorthogonality_graph)
-from hypvol.diagram import inertia
+from hypvol.diagram import CoxeterDiagram, inertia
 from hypvol.lseries import FundamentalDiscriminant, kronecker_chi
-from hypvol.surd import MultiSurd, prime_characters
+from hypvol.prediction import RECOGNITION_MAX_NUMERATOR, _smooth_denominators
+from hypvol.surd import MultiSurd, prime_characters, prime_factors
 
 
 def dirichlet_L_direct(s: int, D: FundamentalDiscriminant, terms: int = 10**6) -> float:
@@ -90,3 +94,71 @@ def cycles_by_sequences(G) -> list[CyclicProduct]:
                     out.append(CyclicProduct(cycle, value))
     out.sort(key=lambda c: (len(c.cycle), c.cycle))
     return out
+
+
+def smooth_candidates_by_scan(x: Fraction, err: Fraction) -> list[Fraction]:
+    """Every p/q within err of x, p = round(x q) in 1..the numerator cap,
+    found by trying each smooth denominator q in turn."""
+    found = set()
+    for q in _smooth_denominators():
+        p = round(x * q)
+        if 0 < p <= RECOGNITION_MAX_NUMERATOR and abs(x - Fraction(p, q)) <= err:
+            found.add(Fraction(p, q))
+    return sorted(found)
+
+
+def solve_gf2(rows: list[tuple[int, int]]) -> int | None:
+    """Solve a GF(2) linear system given as (bitmask, rhs) rows.
+
+    Returns one solution as a bitmask (free variables set to 0), or None.
+    Pivot rows are keyed by their leading bit, so reduction always clears
+    the current leading bit and terminates.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for vec, rhs in rows:
+        while vec:
+            col = vec.bit_length() - 1
+            if col not in pivots:
+                pivots[col] = (vec, rhs)
+                break
+            pvec, prhs = pivots[col]
+            vec ^= pvec
+            rhs ^= prhs
+        else:
+            if rhs:
+                return None
+    sol = 0
+    for col in sorted(pivots):  # ascending: lower bits of each row are resolved
+        vec, rhs = pivots[col]
+        acc = rhs
+        low = vec & ((1 << col) - 1)
+        while low:
+            j = low.bit_length() - 1
+            acc ^= sol >> j & 1
+            low ^= 1 << j
+        if acc:
+            sol |= 1 << col
+    return sol
+
+
+def field_contains(radicand: int, gens: frozenset[int]) -> bool:
+    """Is sqrt(radicand) in the multiquadratic field generated by gens?
+
+    Square classes form a GF(2) vector space with primes as coordinates;
+    sqrt(radicand) lies in the field iff its prime support is a sum of
+    generator supports: one equation per prime, one unknown per generator.
+    """
+    gens = sorted(gens)
+    primes = {p for r in (radicand, *gens) for p in prime_factors(r)}
+    rows = [(sum(1 << i for i, g in enumerate(gens) if g % p == 0), int(radicand % p == 0))
+            for p in primes]
+    return solve_gf2(rows) is not None
+
+
+def relabeled(diagram: CoxeterDiagram, perm: list[int]) -> CoxeterDiagram:
+    """The diagram with facet i renamed to perm[i]."""
+    edges = {}
+    for (i, j), label in diagram.edges.items():
+        a, b = perm[i], perm[j]
+        edges[min(a, b), max(a, b)] = label
+    return CoxeterDiagram(diagram.dimension, diagram.facets, edges)

@@ -17,7 +17,7 @@ from hypvol.diagram import GramMatrix, eliminate, gram_matrix, inertia, parse_di
 from hypvol.errors import DisconnectedGraph, FieldNotQ, HypvolError, RankDeficient, TooLarge
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
 from hypvol.surd import MultiSurd, parse_surd
-from oracles import conjugate_signatures, cycles_by_sequences
+from oracles import conjugate_signatures, cycles_by_sequences, field_contains, relabeled
 
 # the (4,5,6) and (4,5,5) hyperbolic triangles, over Q(sqrt 5, sqrt 6) and
 # Q(sqrt 2, sqrt 5)
@@ -152,12 +152,22 @@ def test_discriminant_delta_requires_rational_form():
 
 
 def test_delta_spanning_tree_invariance():
-    # 20 random spanning trees per diagram must give the same class
+    # the BFS tree's root and order follow the facet labels, so 20 random
+    # relabelings per diagram give several spanning trees, and every one
+    # must give the same class
+    rng = random.Random(0)
     for text, n, expected in [(POLYTOPE_5D, 5, 13), (POLYTOPE_7D, 7, -11)]:
-        G = gram_matrix(parse_diagram(text))
-        for k in range(20):
-            F = rational_form(G, rng=random.Random(k))
-            assert discriminant_delta(F, n) == expected
+        d = parse_diagram(text)
+        trees = set()
+        for _ in range(20):
+            perm = list(range(d.facets))
+            rng.shuffle(perm)
+            G = gram_matrix(relabeled(d, perm))
+            assert discriminant_delta(rational_form(G), n) == expected
+            parent = arithmeticity._spanning_tree(arithmeticity.nonorthogonality_graph(G))
+            back = {new: old for old, new in enumerate(perm)}
+            trees.add(frozenset(frozenset((back[v], back[u])) for v, u in parent.items() if u >= 0))
+        assert len(trees) > 1
 
 
 def test_classify_5d():
@@ -264,6 +274,29 @@ def test_cycles_match_products_rebuilt_from_their_edges(monkeypatch):
     assert compared >= 300
 
 
+def test_rational_form_entries_lie_in_the_field_of_definition():
+    # every rescaled entry is half a cyclic product times squared doubled
+    # entries, so its radicands lie in the GF(2) span of the generators
+    assert field_contains(30, frozenset({5, 6})) and field_contains(1, frozenset())
+    assert not field_contains(2, frozenset({5, 6})) and not field_contains(3, frozenset())
+    rng = random.Random(17)
+    checked = irrational = 0
+    while checked < 500:
+        G = _random_surd_gram(rng)
+        if G is None:
+            continue
+        try:
+            form = rational_form(G)
+        except HypvolError:
+            continue
+        gens = field_of_definition(enumerate_cycles(G))
+        assert all(field_contains(r, gens) for row in form.matrix for e in row
+                   for r in e.radicands())
+        checked += 1
+        irrational += bool(gens)
+    assert irrational >= 100
+
+
 def test_conjugate_signatures_match_the_conjugated_forms():
     # the signs of the conjugated pivots of one elimination give every
     # conjugate's inertia, as a fresh elimination of each conjugate does
@@ -340,7 +373,7 @@ def test_classify_relabel_invariance():
     for _ in range(3):
         perm = list(range(d.facets))
         rng.shuffle(perm)
-        rep = classify(gram_matrix(d.relabeled(perm)))
+        rep = classify(gram_matrix(relabeled(d, perm)))
         assert rep.classification is Classification.PROPERLY_QUASI_ARITHMETIC
         assert rep.delta == 13
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -48,7 +49,7 @@ def test_analyze_json_output(diagram_file, capsys):
 
 def test_analyze_integrates_when_no_assumed_volume(diagram_file, capsys):
     path = diagram_file(IDEAL_TRIANGLE)
-    code = main(["analyze", path, "--target-err", "1e-3", "--seed", "5", "--json"])
+    code = main(["analyze", path, "--target-err", "1e-3", "--json"])
     assert code == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["volume"]["source"] == "integrated"
@@ -183,7 +184,6 @@ def test_bad_assumed_error_is_stage_error(diagram_file, capsys, err):
 
 def test_defaults_come_from_the_integrator():
     args = build_parser().parse_args(["analyze", "poly.diagram"])
-    assert args.seed == integration.DEFAULT_SEED
     assert args.max_samples == 2**integration.DEFAULT_MAX_LOG2
     assert (inspect.signature(analyze).parameters["max_log2_samples"].default
             == integration.DEFAULT_MAX_LOG2)
@@ -197,11 +197,38 @@ def test_max_samples_outside_the_sobol_sequence_is_stage_error(diagram_file, cap
     assert "--max-samples must lie between 1 and 2^30" in capsys.readouterr().err
 
 
-def test_negative_seed_is_stage_error(diagram_file, capsys):
+@pytest.mark.parametrize("seed", ["1", "-1"])
+def test_seed_option_is_rejected(diagram_file, capsys, seed):
+    # the integrator is deterministic; the CLI has no --seed
     path = diagram_file(IDEAL_TRIANGLE)
-    code = main(["analyze", path, "--seed=-1"])
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", path, f"--seed={seed}"])
+    assert exc.value.code == EXIT_STAGE_ERROR
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+DEEP = "(" * 3000 + "2" + ")" * 3000
+STALLING_INPUTS = {
+    "deep-nesting": ("BadWeight", f"n 2\nfacets 3\nedge 0 1 dashed {DEEP}\nedge 1 2 3\nedge 0 2 3\n"),
+    "large-sqrt": ("TooLarge", "n 2\nfacets 3\nedge 0 1 dashed sqrt(1000000000000000000000000000057)\n"
+                               "edge 1 2 3\nedge 0 2 3\n"),
+    "large-det": ("TooLarge", "n 3\nfacets 4\nedge 0 1 dashed 1000000007/1000\nedge 1 2 3\n"
+                              "edge 2 3 3\nedge 0 3 3\n"),
+}
+
+
+@pytest.mark.parametrize("name", STALLING_INPUTS)
+def test_hostile_weights_end_in_a_typed_error_within_a_second(diagram_file, capsys, name):
+    # a weight nested past Python's recursion limit, and integers from the
+    # input too large to factor by trial division, are stage errors, found
+    # at once
+    error, text = STALLING_INPUTS[name]
+    path = diagram_file(text)
+    t0 = time.perf_counter()
+    code = main(["analyze", path])
+    assert time.perf_counter() - t0 < 1.0
     assert code == EXIT_STAGE_ERROR
-    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert f"error [{error}]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("samples", ["1", str(2**30)])

@@ -17,11 +17,14 @@ from hypvol.lseries import PrecisionContext, dirichlet_L, fundamental_discrimina
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
 from hypvol.prediction import (
     AnalysisReport,
+    _smooth_candidates,
+    _smooth_denominators,
     analyze,
     recognize_rational,
     render_text,
     transcendental_factor,
 )
+from oracles import relabeled, smooth_candidates_by_scan
 
 CTX = PrecisionContext(256)
 
@@ -131,6 +134,28 @@ def test_recognize_7d_identity_smooth_window():
     assert rec.method == "smooth-denominator"
     assert (rec.numerator, rec.denominator) == (1, 2**13 * 3**4 * 5 * 7)
     assert rec.q_factorization == {2: 13, 3: 4, 5: 1, 7: 1}
+
+
+def test_smooth_window_matches_a_scan_of_every_denominator():
+    # bisecting each numerator's q range finds the candidates that trying
+    # every smooth denominator finds, for relative errors from 1e-12 to 0.3,
+    # near smooth fractions and away from them, and with x <= err
+    rng = random.Random(23)
+    table = _smooth_denominators()
+    pairs = [(Fraction(1, 10**6), Fraction(2, 10**6)), (Fraction(1, 23040), Fraction(1, 23040))]
+    for k in range(60):
+        rel = Fraction(10 ** rng.uniform(-12, math.log10(0.3)))
+        if k % 2:
+            x = Fraction(rng.randint(1, 16), rng.choice(table)) * (1 + rel * Fraction(rng.random() - 0.5))
+        else:
+            x = Fraction(rng.getrandbits(64) + 1, 2 ** rng.randint(40, 80))
+        pairs.append((x, x * rel))
+    sizes = []
+    for x, err in pairs:
+        cands = _smooth_candidates(x, err)
+        assert cands == smooth_candidates_by_scan(x, err)
+        sizes.append(len(cands))
+    assert sizes.count(1) >= 10 and sum(size > 1 for size in sizes) >= 5
 
 
 def test_analyze_5d_assumed():
@@ -311,7 +336,7 @@ def test_analyze_relabel_invariance():
     perm = list(range(d.facets))
     rng.shuffle(perm)
     lines = ["n 5", "facets 8"]
-    for (i, j), lab in d.relabeled(perm).edges.items():
+    for (i, j), lab in relabeled(d, perm).edges.items():
         from hypvol.diagram import Dashed, Finite
 
         if isinstance(lab, Finite):

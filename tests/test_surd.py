@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from hypvol import surd
 from hypvol.diagram import parse_diagram
-from hypvol.errors import BadWeight
+from hypvol.errors import BadWeight, TooLarge
 from hypvol.surd import (
+    MAX_NESTING,
+    TRIAL_DIVISION_LIMIT,
     MultiSurd,
     parse_surd,
     prime_characters,
+    prime_factors,
     squarefree_decompose,
 )
 from oracles import char_poly_is_integral
@@ -188,13 +191,6 @@ def test_inverse_and_integrality_agree_with_conjugates(x, y):
         assert z.is_integral() == char_poly_is_integral(z)
 
 
-def test_pow():
-    x = MultiSurd({1: 1, 2: 1})
-    assert x ** 0 == MultiSurd(1)
-    assert x ** 3 == x * x * x
-    assert x ** -2 == (x * x).inverse()
-
-
 def test_interval_contains_value_at_every_precision():
     rng = random.Random(42)
     for _ in range(50):
@@ -275,7 +271,17 @@ def test_parse_surd_rejects(bad):
         parse_surd(bad)
 
 
-def test_comparison_operators():
-    assert MultiSurd.sqrt(2) < MultiSurd(2)
-    assert MultiSurd.sqrt(2) > 1
-    assert MultiSurd(Fraction(3, 2)) <= MultiSurd(Fraction(3, 2))
+def test_parse_surd_nesting_is_bounded():
+    assert parse_surd("(" * MAX_NESTING + "2" + ")" * MAX_NESTING) == MultiSurd(2)
+    deeper = "(" * (MAX_NESTING + 1) + "2" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(ValueError, match="deeper than"):
+        parse_surd(deeper)
+
+
+def test_prime_factors_give_up_past_the_trial_division_limit():
+    limit = TRIAL_DIVISION_LIMIT
+    assert prime_factors(2**200 * 3**50 * 999983) == {2: 200, 3: 50, 999983: 1}
+    assert prime_factors(999999999989) == {999999999989: 1}   # a prime below limit^2
+    with pytest.raises(TooLarge):
+        prime_factors(1000003 * 1000033)                       # two primes above the limit
+    assert squarefree_decompose(limit**2 * 7) == (7, limit)
