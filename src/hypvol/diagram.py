@@ -68,12 +68,15 @@ class CoxeterDiagram:
 
 
 class GramMatrix:
-    """Symmetric matrix of exact Minkowski products of unit facet normals."""
+    """Symmetric matrix of exact Minkowski products of unit facet normals.
+
+    Its signature is eliminated once, when ``signature`` first asks."""
 
     def __init__(self, dimension: int, entries: list[list[MultiSurd]]):
         self.dimension = dimension
         self.entries = entries
         self.size = len(entries)
+        self._signature: tuple[int, int, int] | None = None
 
     def __getitem__(self, ij: tuple[int, int]) -> MultiSurd:
         return self.entries[ij[0]][ij[1]]
@@ -236,7 +239,9 @@ def inertia(entries: list[list[MultiSurd]]) -> tuple[int, int, int]:
 
 def signature(G: GramMatrix) -> tuple[int, int, int]:
     """Exact signature (positive, negative, zero) of the Gram matrix."""
-    return inertia(G.entries)
+    if G._signature is None:
+        G._signature = inertia(G.entries)
+    return G._signature
 
 
 def assert_lorentzian(G: GramMatrix) -> tuple[int, int, int]:

@@ -21,6 +21,12 @@ order p serves every piece, raised from 2, and the bar is
 sum_k |Q_k,p - Q_k,p-1|: once the last two such changes each shrank by at
 least half, the change bounds the error left in Q_p.  A float64 rounding
 floor of 1e-14 of the volume bounds the bar from below.
+
+The pieces are evaluated in bulk: the base matrices of the pieces without
+cusp are stacked into one (K, n, d+1) array, those of the cusp pieces and
+their a likewise, and each order's rule runs over a whole stack at once,
+in blocks of at most _BATCH (piece, node) pairs, so that neither the
+order nor the number of pieces grows the memory of a block.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .geometry import KleinPolytope, centring_boost
 
 DEFAULT_MAX_LOG2 = 19  # default cap of 2^19 nodes per piece and order
 _IDEAL_NORM_TOL = 1e-9
-_BATCH = 1 << 14       # nodes per evaluation block
+_BATCH = 1 << 14       # (piece, node) pairs per evaluation block
 _SERIES_BELOW = 0.3    # h(c) by its power series below this c
 _ROUNDING = 1e-14      # relative float64 error of the cubature: a floor under the bar
 
@@ -140,35 +146,38 @@ def _split_multi_ideal(points: np.ndarray, ideal: list[bool]) -> list[tuple[np.n
     return out
 
 
-def _integrand(points: np.ndarray, ideal: int | None):
-    """(f, |det Y|) for one piece, f mapping nodes T to the radial integral,
-    or None for a flat piece.  ``points`` end with the origin, the apex of a
-    piece without ideal vertex; a cusp piece is coned from its ideal vertex."""
-    n = points.shape[1]
+def _piece(points: np.ndarray, ideal: int | None) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """(YT, a, |det Y|) for one piece: the base points' (n, n) matrix, a for
+    a cusp piece or None, and its determinant, 0 for a flat piece.
+    ``points`` end with the origin, the apex of a piece without ideal
+    vertex; a cusp piece is coned from its ideal vertex."""
     if ideal is None:
         YT = points[:-1].T.copy()
-
-        def f(T):
-            y = YT @ T
-            return _radial(np.einsum("ij,ij->j", y, y), n)
-    else:
-        v = points[ideal]
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > _IDEAL_NORM_TOL:
-            raise NonConvergent(f"designated ideal vertex is off the sphere by {norm - 1.0:.2e}")
-        YT = (np.delete(points, ideal, axis=0) - v / norm).T.copy()
-        a = -2.0 * (v / norm) @ YT
-        if np.linalg.det(YT) and a.min() <= 0:
-            raise NonConvergent("a base vertex touches the sphere at the ideal point, "
-                                "so the cusp's radial integral diverges")
-
-        def f(T):
-            at = a @ T
-            tY = YT @ T
-            gap = at - np.einsum("ij,ij->j", tY, tY)
-            return 2.0 / (n - 1) / (at * _half_power(gap, n - 1))
+        return YT, None, abs(np.linalg.det(YT))
+    v = points[ideal]
+    norm = np.linalg.norm(v)
+    if abs(norm - 1.0) > _IDEAL_NORM_TOL:
+        raise NonConvergent(f"designated ideal vertex is off the sphere by {norm - 1.0:.2e}")
+    YT = (np.delete(points, ideal, axis=0) - v / norm).T.copy()
+    a = -2.0 * (v / norm) @ YT
     det = abs(np.linalg.det(YT))
-    return (f, det) if det else None
+    if det and a.min() <= 0:
+        raise NonConvergent("a base vertex touches the sphere at the ideal point, "
+                            "so the cusp's radial integral diverges")
+    return YT, a, det
+
+
+def _kernel(YT: np.ndarray, a: np.ndarray | None, T: np.ndarray) -> np.ndarray:
+    """The radial integral at nodes T, (d + 1, m), for a stack of K pieces
+    of one kind, (K, n, d + 1) base matrices and (K, d + 1) a or None:
+    a (K, m) array."""
+    n = YT.shape[1]
+    y = YT @ T
+    yy = np.einsum("kij,kij->kj", y, y)
+    if a is None:
+        return _radial(yy, n)
+    at = a @ T
+    return 2.0 / (n - 1) / (at * _half_power(at - yy, n - 1))
 
 
 def _shrinking(changes: list[float]) -> bool:
@@ -183,17 +192,26 @@ def _volume(kp: KleinPolytope, budget, max_log2_samples: int) -> VolumeEstimate:
     changes shrank, and ``NonConvergent`` is raised otherwise."""
     pieces = [piece for s in kp.simplices for piece in _split_multi_ideal(
         kp.simplex_points(s), [k >= 0 and kp.ideal_flags[k] for k in s])]
-    integrands = [made for made in (_integrand(*piece) for piece in pieces) if made]
+    built = [made for made in (_piece(*piece) for piece in pieces) if made[2]]
+    stacks = []    # per kind: indices into built, stacked YT, stacked a or None
+    for cusp in (False, True):
+        index = [k for k, (_, a, _) in enumerate(built) if (a is not None) == cusp]
+        if index:
+            a = np.stack([built[k][1] for k in index]) if cusp else None
+            stacks.append((np.array(index), np.stack([built[k][0] for k in index]), a))
     d = kp.dimension - 1
     changes: list[float] = []
     previous, samples, p = None, 0, 2
     while p ** d <= 2 ** max_log2_samples:
-        values = np.zeros(len(integrands))
+        values = np.zeros(len(built))
         for T, w in _simplex_rule(d, p):
-            for k, (f, _) in enumerate(integrands):
-                values[k] += f(T) @ w
-        values *= [det for _, det in integrands]
-        samples += len(integrands) * p ** d
+            chunk = max(1, _BATCH // len(w))    # pieces per block of (piece, node) pairs
+            for index, YT, a in stacks:
+                for start in range(0, len(index), chunk):
+                    part = slice(start, start + chunk)
+                    values[index[part]] += _kernel(YT[part], None if a is None else a[part], T) @ w
+        values *= [det for _, _, det in built]
+        samples += len(built) * p ** d
         floor, allowed = _ROUNDING * float(np.abs(values).sum()), budget(float(values.sum()))
         if floor > allowed:
             raise NonConvergent(f"the error budget {allowed:.2g} lies below the rounding floor {floor:.2g}")

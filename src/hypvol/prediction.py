@@ -28,7 +28,7 @@ from mpmath import mp
 from . import geometry, integration
 from .arithmeticity import ArithmeticityReport, Classification, check_facet_count, classify
 from .diagram import CoxeterDiagram, assert_lorentzian, gram_matrix, parse_diagram
-from .errors import EvenDimension
+from .errors import EvenDimension, TooLarge
 from .lseries import (
     DEFAULT_CONTEXT,
     PrecisionContext,
@@ -163,6 +163,15 @@ def _smooth_candidates(x: Fraction, err: Fraction) -> list[Fraction]:
     return sorted(found)
 
 
+def _denominator_factors(q: int) -> dict[int, int]:
+    """The report's factorization of a recognized denominator, empty when
+    trial division cannot factor it: the fraction stands either way."""
+    try:
+        return prime_factors(q)
+    except TooLarge:
+        return {}
+
+
 def recognize_rational(x, err) -> RationalRecognition:
     """Identify a positive real x, known to absolute error err, as a fraction.
 
@@ -177,7 +186,8 @@ def recognize_rational(x, err) -> RationalRecognition:
     These multipliers typically come out of index and covolume formulas as
     products of small primes, which is what makes the window search
     meaningful; an ambiguous window stays unrecognized, with no fraction
-    and an infinite residual.
+    and an infinite residual.  A recognized denominator too large for trial
+    division is reported with an empty factorization.
     """
     x = _to_fraction(x)
     err = _to_fraction(err)
@@ -207,7 +217,7 @@ def recognize_rational(x, err) -> RationalRecognition:
             residual=float(abs(x - best)),
             confidence=float(nxt_gap / float(err)) if err else math.inf,
             method="continued-fraction",
-            q_factorization=prime_factors(best.denominator),
+            q_factorization=_denominator_factors(best.denominator),
         )
 
     cands = _smooth_candidates(x, err)
@@ -220,7 +230,7 @@ def recognize_rational(x, err) -> RationalRecognition:
             residual=float(abs(x - cand)),
             confidence=1.0,
             method="smooth-denominator",
-            q_factorization=prime_factors(cand.denominator),
+            q_factorization=_denominator_factors(cand.denominator),
         )
 
     return RationalRecognition("unrecognized", None, None, math.inf, 0.0, "none")
@@ -447,6 +457,7 @@ def render_text(report: AnalysisReport) -> str:
         if r.status == "recognized":
             fact = " * ".join(f"{p}^{e}" if e > 1 else str(p)
                               for p, e in sorted(r.q_factorization.items()))
+            fact = fact or ("1" if r.denominator == 1 else "not factored")
             lines.append(
                 f"suggested identity: volume = {r.numerator}/{r.denominator} * T "
                 f"(denominator = {fact}; method {r.method}; residual {r.residual:.2g})"

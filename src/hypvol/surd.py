@@ -14,6 +14,7 @@ left.  The canonical form makes the zero test syntactic.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -41,9 +42,17 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 def prime_factors(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} of n > 0 by trial division, primes ascending.
 
-    Raises ``TooLarge`` when the divisors up to TRIAL_DIVISION_LIMIT leave a
-    cofactor above the limit's square, which could be composite.
+    The last 2^12 integers factored are memoized (``_factorization``), and
+    every call returns a fresh dict.  Raises ``TooLarge`` when the divisors
+    up to TRIAL_DIVISION_LIMIT leave a cofactor above the limit's square,
+    which could be composite.
     """
+    return dict(_factorization(n))
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _factorization(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n, primes ascending, memoized."""
     out = {}
     d = 2
     while d * d <= n and d <= TRIAL_DIVISION_LIMIT:
@@ -56,7 +65,7 @@ def prime_factors(n: int) -> dict[int, int]:
                        f"{TRIAL_DIVISION_LIMIT} and is too large to factor")
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
+    return tuple(out.items())
 
 
 def prime_characters(radicands: Iterable[int]) -> list[frozenset[int]]:
@@ -137,7 +146,7 @@ class MultiSurd:
         radicand p does not divide, b the others divided by sqrt(p), so
         neither involves sqrt(p) and b is nonzero.
         """
-        p = max(q for r in self.radicands() for q in prime_factors(r))
+        p = max(_factorization(r)[-1][0] for r in self.radicands())
         a = MultiSurd._canonical({r: c for r, c in self._terms.items() if r % p})
         b = MultiSurd._canonical({r // p: c for r, c in self._terms.items() if r % p == 0})
         return p, a, b

@@ -5,9 +5,11 @@ independent route: a truncated character series for Dirichlet L-values,
 the full characteristic polynomial over all Galois conjugates for
 algebraic integrality, a fresh elimination of every conjugated form
 for the conjugate signatures, every vertex sequence with each product
-rebuilt from its edges for the cycles, and a scan of every smooth
-denominator for the recognition window.  Besides them: a GF(2) solver for
-field membership of square roots, and facet relabeling of a diagram.
+rebuilt from its edges for the cycles, a scan of every smooth
+denominator for the recognition window, and a full elimination of every
+candidate's principal Gram submatrix for the face census.  Besides them:
+a GF(2) solver for field membership of square roots, and facet
+relabeling of a diagram.
 """
 
 import itertools
@@ -153,6 +155,40 @@ def field_contains(radicand: int, gens: frozenset[int]) -> bool:
     rows = [(sum(1 << i for i, g in enumerate(gens) if g % p == 0), int(radicand % p == 0))
             for p in primes]
     return solve_gf2(rows) is not None
+
+
+def census_by_inertia(G):
+    """``geometry.census`` with the inertia of every candidate's principal
+    Gram submatrix eliminated afresh: a k-set is elliptic iff its
+    (k-1)-subsets are and its inertia is (k, 0, 0), an ideal vertex's first
+    n-set has inertia (n - 1, 0, 1), and it merges into a parabolic set
+    while the union keeps rank n - 1 with no negative part."""
+    n, N = G.dimension, G.size
+
+    def sub_inertia(S):
+        return inertia([[G[i, j] for j in S] for i in S])
+
+    faces = [[()]]
+    for k in range(1, n + 1):
+        below = set(faces[-1])
+        faces.append([S + (j,) for S in faces[-1] for j in range(S[-1] + 1 if S else 0, N)
+                      if all(S[:i] + S[i + 1:] + (j,) in below for i in range(k - 1))
+                      and sub_inertia(S + (j,)) == (k, 0, 0)])
+    finite = set(faces[n])
+    cusps = []
+    for T in itertools.combinations(range(N), n):
+        if T in finite or any(set(T) <= set(P) for _, P in cusps):
+            continue
+        if sub_inertia(T) != (n - 1, 0, 1):
+            continue
+        for c, (first, P) in enumerate(cusps):
+            U = tuple(sorted({*P, *T}))
+            if sub_inertia(U) == (n - 1, 0, len(U) - n + 1):
+                cusps[c] = (first, U)
+                break
+        else:
+            cusps.append((T, T))
+    return faces, cusps
 
 
 def relabeled(diagram: CoxeterDiagram, perm: list[int]) -> CoxeterDiagram:

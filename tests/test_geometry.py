@@ -11,12 +11,14 @@ from hypvol.diagram import assert_lorentzian, gram_matrix, parse_diagram
 from hypvol.errors import HypvolError, NotLorentzian, NoVertices
 from hypvol.geometry import census, enumerate_vertices, realize, to_klein
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
-from oracles import relabeled
+from oracles import census_by_inertia, relabeled
 
 
 # angles pi/4, pi/5, pi/2: the smallest compact triangle labels {3,4,5,6} allow
 TRIANGLE_245 = "n 2\nfacets 3\nedge 0 1 4\nedge 1 2 5\n"
 TRIANGLE_444 = "n 2\nfacets 3\nedge 0 1 4\nedge 1 2 4\nedge 0 2 4\n"
+# the compact Coxeter 4-simplex [5,3,3,4]
+SIMPLEX_5334 = "n 4\nfacets 5\nedge 0 1 5\nedge 1 2 3\nedge 2 3 3\nedge 3 4 4\n"
 
 
 def mink(x, y):
@@ -271,6 +273,57 @@ def test_census_euler_under_relabeling(text):
         assert [len(level) for level in faces] == [len(level) for level in base_faces]
         assert len(cusps) == len(base_cusps)
         assert _euler(faces, cusps) == 1
+
+
+@pytest.mark.parametrize("text", [IDEAL_TRIANGLE, TRIANGLE_245, TRIANGLE_444, SIMPLEX_5334,
+                                  POLYTOPE_5D, POLYTOPE_7D],
+                         ids=["ideal-triangle", "245", "444", "5334", "5d", "7d"])
+def test_census_matches_full_eliminations(text):
+    # one Schur complement per candidate decides what a full elimination of
+    # its principal submatrix does, on the diagram and 5 relabelings; both
+    # bundled polytopes merge an n-set into their cusp's parabolic set
+    d = parse_diagram(text)
+    rng = random.Random(18)
+    for relabeling in range(6):
+        perm = list(range(d.facets))
+        if relabeling:
+            rng.shuffle(perm)
+        G = gram_matrix(relabeled(d, perm))
+        assert census(G) == census_by_inertia(G)
+
+
+_CENSUS_LABELS = [None, None, "3", "4", "5", "6", "inf", "dashed 2", "dashed 3/2"]
+
+
+def random_lorentzian_grams(count, seed):
+    """``count`` Gram matrices of signature (n, 1, N - n - 1) from seeded
+    random diagrams with n <= 4 and N <= n + 3; a float inertia screens out
+    most others before the exact check."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 4)
+        N = rng.randint(n + 1, n + 3)
+        edges = [f"edge {i} {j} {label}" for i in range(N) for j in range(i + 1, N)
+                 if (label := rng.choice(_CENSUS_LABELS))]
+        G = gram_matrix(parse_diagram("\n".join([f"n {n}", f"facets {N}", *edges])))
+        eigvals = np.linalg.eigvalsh([[float(G[i, j]) for j in range(N)] for i in range(N)])
+        if ((eigvals < -1e-9).sum(), (eigvals > 1e-9).sum()) != (1, n):
+            continue
+        try:
+            assert_lorentzian(G)
+        except NotLorentzian:
+            continue
+        out.append(G)
+    return out
+
+
+def test_census_matches_full_eliminations_on_random_diagrams():
+    grams = random_lorentzian_grams(500, seed=18)
+    found = [census(G) for G in grams]
+    assert sum(bool(cusps) for _, cusps in found) >= 50   # some have ideal vertices
+    for G, got in zip(grams, found):
+        assert got == census_by_inertia(G), G.entries
 
 
 def test_infinite_volume_rejected():

@@ -16,7 +16,8 @@ from hypvol.errors import NonConvergent
 from hypvol.geometry import enumerate_vertices, realize, to_klein
 from hypvol.integration import (
     _gauss_jacobi,
-    _integrand,
+    _kernel,
+    _piece,
     _radial,
     _simplex_rule,
     _split_multi_ideal,
@@ -152,7 +153,7 @@ def test_cusp_piece_touching_its_ideal_point_is_nonconvergent():
     # there, where the cusp's radial integral diverges
     pts = np.array([[1.0, 0.0], [1.0, 0.5], [0.0, 0.5]])
     with pytest.raises(NonConvergent):
-        _integrand(pts, 0)
+        _piece(pts, 0)
 
 
 def test_seeded_determinism():
@@ -215,54 +216,64 @@ def test_target_below_the_rounding_floor_is_nonconvergent():
 
 
 def count_evaluations(monkeypatch):
-    """Node counts of every integrand call made while the test runs."""
+    """(pieces, nodes) of every kernel call made while the test runs."""
     calls = []
+    kernel = integration._kernel
 
-    def counting(points, ideal):
-        made = _integrand(points, ideal)
-        if made is None:
-            return None
-        f, det = made
-        return (lambda T: calls.append(T.shape[1]) or f(T)), det
+    def counting(YT, a, T):
+        calls.append((len(YT), T.shape[1]))
+        return kernel(YT, a, T)
 
-    monkeypatch.setattr(integration, "_integrand", counting)
+    monkeypatch.setattr(integration, "_kernel", counting)
     return calls
 
 
 @pytest.mark.parametrize("pts, pieces", [(COMPACT_3D, 4), (CUSP_2D, 2)], ids=["compact", "cusp"])
 def test_simplex_volume_draws_each_point_once(pts, pieces, monkeypatch):
     # samples counts each node of each order once per piece: one piece per
-    # facet, but for the facet opposite an ideal vertex, where the centre is
+    # facet, but for the facet opposite an ideal vertex, where the centre
+    # is; the pieces are of one kind, so each order is one stacked call
     calls = count_evaluations(monkeypatch)
     est = simplex_volume(pts, budget=1e-9)
     d = pts.shape[1] - 1
-    last = 1 + len(calls) // pieces
+    last = 1 + len(calls)
     assert last >= 5
-    assert calls == [p ** d for p in range(2, last + 1) for _ in range(pieces)]
-    assert sum(calls) == est.samples
+    assert calls == [(pieces, p ** d) for p in range(2, last + 1)]
+    assert sum(k * m for k, m in calls) == est.samples
 
 
 def count_builds(monkeypatch):
-    """(pieces, rules): the pieces whose integrand is built and the
-    (order, alpha) of every Gauss-Jacobi rule built while the test runs."""
-    pieces, rules = [], []
-    make, gauss = integration._integrand, integration._gauss_jacobi
-    monkeypatch.setattr(integration, "_integrand", lambda *piece: pieces.append(piece) or make(*piece))
-    monkeypatch.setattr(integration, "_gauss_jacobi", lambda p, alpha: rules.append((p, alpha)) or gauss(p, alpha))
-    return pieces, rules
+    """(events, pieces): in order, ("piece",) for every piece built and
+    ("rule", order, alpha) for every Gauss-Jacobi rule built while the test
+    runs, and the (points, ideal) of each piece built."""
+    events, pieces = [], []
+    make, gauss = integration._piece, integration._gauss_jacobi
+
+    def piece(*args):
+        events.append(("piece",))
+        pieces.append(args)
+        return make(*args)
+
+    def rule(p, alpha):
+        events.append(("rule", p, alpha))
+        return gauss(p, alpha)
+
+    monkeypatch.setattr(integration, "_piece", piece)
+    monkeypatch.setattr(integration, "_gauss_jacobi", rule)
+    return events, pieces
 
 
 @pytest.mark.parametrize("pts, pieces", [(COMPACT_3D, 4), (CUSP_2D, 2)], ids=["compact", "cusp"])
 def test_simplex_volume_builds_each_replicate_engine_once(pts, pieces, monkeypatch):
-    # each piece's integrand is built once, before the orders, and each
-    # order builds one Gauss-Jacobi rule per collapsed coordinate, which
-    # serves every piece
-    built, rules = count_builds(monkeypatch)
+    # each piece is built once, before the orders, and each order builds
+    # one Gauss-Jacobi rule per collapsed coordinate, which serves every piece
+    events, built = count_builds(monkeypatch)
     est = simplex_volume(pts, budget=1e-9)
     d = pts.shape[1] - 1
-    assert len(built) == pieces
-    last = rules[-1][0]
-    assert rules == [(p, d - 1 - i) for p in range(2, last + 1) for i in range(d)]
+    assert events[:pieces] == [("piece",)] * pieces and len(built) == pieces
+    rules = events[pieces:]
+    last = rules[-1][1]
+    assert rules == [("rule", p, d - 1 - i) for p in range(2, last + 1) for i in range(d)]
     assert est.samples == pieces * sum(p ** d for p in range(2, last + 1))
 
 
@@ -283,24 +294,27 @@ def test_sample_cap_is_never_exceeded(cap, monkeypatch):
 
 
 def test_integrand_calls_hold_at_most_one_block(monkeypatch):
-    # an order of p^d nodes is evaluated in blocks of _BATCH nodes, so memory
-    # does not grow with p; here 5^2 = 25 nodes in blocks of 8
+    # an order of p^d nodes is evaluated in blocks of at most _BATCH
+    # (piece, node) pairs, so memory grows with neither p nor the number of
+    # pieces; here 4 pieces of up to 5^2 = 25 nodes in blocks of 8
     monkeypatch.setattr(integration, "_BATCH", 8)
     calls = count_evaluations(monkeypatch)
     est = simplex_volume(COMPACT_3D, budget=1e-13, max_log2_samples=5)
-    assert max(calls) == 8 and sum(calls) == est.samples
-    assert est.samples == 4 * (4 + 9 + 16 + 25)
+    assert max(k * m for k, m in calls) == 8
+    assert sum(k * m for k, m in calls) == est.samples == 4 * (4 + 9 + 16 + 25)
 
 
 def test_integrand_calls_hold_whole_replicates(monkeypatch):
-    # an order that fits one block is evaluated whole, in one call per
-    # piece; a larger one in aligned blocks of _BATCH nodes, the last one
-    # partial: orders 2 to 5 of 4, 9, 16 and 25 nodes in blocks of 8
+    # a block of nodes is evaluated over as many pieces as fit in _BATCH
+    # pairs, at least one: orders 2 to 5 of 4, 9, 16 and 25 nodes come in
+    # aligned blocks of 8 nodes, the last one partial, and the 4 pieces in
+    # chunks of 8 // nodes
     monkeypatch.setattr(integration, "_BATCH", 8)
     calls = count_evaluations(monkeypatch)
     simplex_volume(COMPACT_3D, budget=1e-13, max_log2_samples=5)
     blocks = [[4], [8, 1], [8, 8], [8, 8, 8, 1]]
-    assert calls == [size for order in blocks for size in order for _ in range(4)]
+    assert calls == [(min(4, 8 // m), m) for order in blocks for m in order
+                     for _ in range(0, 4, 8 // m)]
 
 
 def triangle_pieces():
@@ -313,17 +327,19 @@ def triangle_pieces():
 
 
 def test_polytope_volume_builds_each_piece_engines_once(monkeypatch):
-    # one integrand for each piece of the split fan, built before the
-    # orders; one rule per order (d = 1) serves all of them
-    built, rules = count_builds(monkeypatch)
+    # each piece of the split fan is built once, before the orders; one
+    # rule per order (d = 1) serves all of them
+    events, built = count_builds(monkeypatch)
     kp, pieces = triangle_pieces()
     est = polytope_volume(kp, 1e-3)
     assert len(built) == len(pieces) == 6
+    assert events[:6] == [("piece",)] * 6
     for (points, ideal), (expected, index) in zip(built, pieces):
         np.testing.assert_array_equal(points, expected)
         assert ideal == index
-    last = rules[-1][0]
-    assert rules == [(p, 0) for p in range(2, last + 1)]
+    rules = events[6:]
+    last = rules[-1][1]
+    assert rules == [("rule", p, 0) for p in range(2, last + 1)]
     assert est.samples == len(pieces) * sum(range(2, last + 1))
 
 
@@ -419,16 +435,36 @@ def test_cusp_integrand_matches_power_formula(pts):
     # the closed radial form 2 / ((n-1) a.t (a.t - |tY|^2)^((n-1)/2)) against
     # quadrature of s^(n-1) (1 - |v + s tY|^2)^(-(n+1)/2) over s in [0, 1]
     n = pts.shape[1]
-    f, det = _integrand(pts, 0)
+    YT, a, det = _piece(pts, 0)
     v, Y = pts[0], pts[1:] - pts[0]
     assert det == pytest.approx(abs(np.linalg.det(Y)), rel=1e-14)
     T = np.random.default_rng(n).dirichlet(np.ones(n), size=5).T
     with mpmath.workdps(30):
-        for t, value in zip(T.T, f(T)):
+        for t, value in zip(T.T, _kernel(YT[None], a[None], T)[0]):
             x = [mpmath.mpf(c) for c in t @ Y]
             exact = mpmath.quad(lambda s: s ** (n - 1) * (1 - sum((vi + s * xi) ** 2 for vi, xi in zip(v, x)))
                                 ** (-mpmath.mpf(n + 1) / 2), [0, 1])
             assert value == pytest.approx(float(exact), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("ideal", [False, True], ids=["compact", "cusp"])
+def test_stacked_kernel_matches_each_piece_alone(ideal):
+    # a stack of pieces gives each piece's values as if it were alone, up to
+    # the length of the power series, which follows the stack's largest c
+    n = 5
+    rng = np.random.default_rng(5)
+    built = []
+    for reach in (0.1, 0.3, 0.4):
+        pts = rng.uniform(-reach, reach, (n + 1, n))
+        pts[0 if ideal else n] = np.eye(n)[0] if ideal else 0.0
+        built.append(_piece(pts, 0 if ideal else None))
+    YT = np.stack([b[0] for b in built])
+    a = np.stack([b[1] for b in built]) if ideal else None
+    T = rng.dirichlet(np.ones(n), size=7).T
+    stacked = _kernel(YT, a, T)
+    for k in range(len(built)):
+        alone = _kernel(YT[k:k + 1], None if a is None else a[k:k + 1], T)[0]
+        np.testing.assert_allclose(stacked[k], alone, rtol=1e-15, atol=0)
 
 
 def test_import_leaves_scipy_stats_unloaded():

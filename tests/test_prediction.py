@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from hypvol import arithmeticity, diagram
+from hypvol.diagram import eliminate, gram_matrix, parse_diagram
 from hypvol.errors import EvenDimension, HypvolError, NonConvergent, TooLarge
 from hypvol.lseries import PrecisionContext, dirichlet_L, fundamental_discriminant, riemann_zeta
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
@@ -234,6 +236,36 @@ def test_unreachable_lseries_target_is_typed():
     ctx = PrecisionContext(1024, Fraction(1, 10**250))
     with pytest.raises(NonConvergent):
         analyze(POLYTOPE_5D, assume_volume=VOL_5D, assume_err=1e-19, lseries_context=ctx)
+
+
+def test_recognized_denominator_too_large_to_factor_is_reported():
+    # 1000003 * 1000033 has no prime factor up to the trial-division limit:
+    # the fraction stands, with its factorization left empty
+    q = 7 * 1000003 * 1000033
+    rec = recognize_rational(Fraction(1, q), Fraction(1, 10**40))
+    assert (rec.status, rec.fraction, rec.q_factorization) == ("recognized", Fraction(1, q), {})
+    report = analyze(POLYTOPE_5D, assume_volume=VOL_5D, assume_err=1e-20)
+    report.recognition = rec
+    assert f"volume = 1/{q} * T (denominator = not factored;" in render_text(report)
+    assert report.to_dict()["recognition"]["q_factorization"] == {}
+
+
+def test_integrated_analysis_eliminates_the_gram_matrix_once(monkeypatch):
+    # analyze and geometry.realize both check the signature, which the Gram
+    # matrix keeps; the other full-size elimination is the rational form's
+    G = gram_matrix(parse_diagram(POLYTOPE_5D))
+    calls = []
+
+    def counted(entries):
+        calls.append(entries)
+        return eliminate(entries)
+
+    monkeypatch.setattr(diagram, "eliminate", counted)
+    monkeypatch.setattr(arithmeticity, "eliminate", counted)
+    report = analyze(POLYTOPE_5D)
+    assert report.volume_source == "integrated"
+    assert sum(len(entries) == G.size for entries in calls) == 2
+    assert sum(entries == G.entries for entries in calls) == 1
 
 
 def test_facet_count_is_checked_before_the_gram_matrix():

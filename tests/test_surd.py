@@ -1,12 +1,14 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypvol import surd
-from hypvol.diagram import parse_diagram
+from hypvol.arithmeticity import classify
+from hypvol.diagram import gram_matrix, parse_diagram
 from hypvol.errors import BadWeight, TooLarge
 from hypvol.surd import (
     MAX_NESTING,
@@ -285,3 +287,23 @@ def test_prime_factors_give_up_past_the_trial_division_limit():
     with pytest.raises(TooLarge):
         prime_factors(1000003 * 1000033)                       # two primes above the limit
     assert squarefree_decompose(limit**2 * 7) == (7, limit)
+
+
+def test_each_radicand_is_divided_out_once():
+    # a radicand's trial division runs once per process, not on every sign,
+    # inverse or integrality step down the tower; a prime near 10^12 costs
+    # about 0.1 s of division each time
+    surd._factorization.cache_clear()
+    text = "n 2\nfacets 3\nedge 0 1 dashed sqrt(999999999989)\nedge 1 2 3\nedge 0 2 3\n"
+    G = gram_matrix(parse_diagram(text))
+    t0 = time.perf_counter()
+    classify(G)
+    assert time.perf_counter() - t0 < 0.1
+    info = surd._factorization.cache_info()
+    assert info.hits > 0 and info.misses == info.currsize   # no integer divided out twice
+
+
+def test_prime_factors_returns_a_fresh_dict():
+    # reports keep the factorization, so the memo must not be shared
+    prime_factors(360)[2] = 0
+    assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
