@@ -96,11 +96,12 @@ def realize(G: GramMatrix) -> PolytopeRealization:
     The signature is checked exactly.  In the symmetric eigendecomposition
     of the float image, the most negative eigenmode becomes the timelike
     coordinate and the n largest the spacelike ones; the N - n - 1 zero
-    modes are dropped.
+    modes are dropped.  Each distinct entry is converted to float once.
     """
     assert_lorentzian(G)
     n, N = G.dimension, G.size
-    eigvals, Q = np.linalg.eigh([[float(G[i, j]) for j in range(N)] for i in range(N)])
+    image = {e: float(e) for e in {e for row in G.entries for e in row}}
+    eigvals, Q = np.linalg.eigh([[image[e] for e in row] for row in G.entries])
     cols = [0, *range(N - n, N)]  # eigenvalues come in ascending order
     return PolytopeRealization(n, Q[:, cols] * np.sqrt(np.abs(eigvals[cols])), G)
 

@@ -1,11 +1,11 @@
 """High-precision zeta and Dirichlet L-values with explicit error bounds.
 
 Everything is built on the Euler-Maclaurin expansion of the Hurwitz zeta
-function at integer s >= 2, with the classical remainder bound (first
-omitted term, doubled here for safety).  Bernoulli numbers are computed
-exactly as fractions, so the only error sources are the truncation bound
-and floating-point rounding, which the guard bits make negligible against
-the reported bound.
+function at integer s >= 2 and rational a, with the classical remainder
+bound (first omitted term, doubled here for safety), summed in integer
+fixed point with exact Bernoulli coefficients.  The only error sources are
+the truncation bound and one unit of the last fixed-point bit per term,
+which the guard bits make negligible against the reported bound.
 
 The quadratic L-value is assembled from Hurwitz values,
 
@@ -120,62 +120,52 @@ def bernoulli_fraction(m: int) -> Fraction:
 _EM_TERMS = 16  # fixed number of Bernoulli correction terms
 
 
-def _hurwitz_mpf(s: int, a: Fraction, target: float) -> tuple[mpmath.mpf, float]:
-    """Euler-Maclaurin value of zeta(s, a) and its truncation bound.
-
-    Requires integer s >= 2 and rational a in (0, 1].  The cutoff M is
-    doubled until the remainder bound (twice the first omitted Bernoulli
-    term) falls below the target.
-    """
+@lru_cache(maxsize=None)
+def _em_tail(s: int) -> tuple[tuple[tuple[int, Fraction], ...], float]:
+    """Tail terms (m, c_m), the tail at X = M + a being sum c_m X^(-m), and
+    the constant C of the remainder bound C X^(-s-2J-1)."""
     J = _EM_TERMS
-    # remainder bound: 2 * |B_{2J+2}|/(2J+2)! * (s)_{2J+1} * (M+a)^(-s-2J-1)
-    b_next = abs(bernoulli_fraction(2 * J + 2))
-    pochhammer = 1
-    for i in range(2 * J + 1):
-        pochhammer *= s + i
-    coeff = 2.0 * float(b_next) / factorial(2 * J + 2) * pochhammer
-
-    M = 16
-    while coeff * float(M + a) ** (-(s + 2 * J + 1)) > target / 2:
-        M *= 2
-        if M > 1 << 24:
-            raise NonConvergent("Euler-Maclaurin cutoff exploded; target too small?")
-    bound = coeff * float(M + a) ** (-(s + 2 * J + 1))
-
-    an = mp.mpf(a.numerator) / a.denominator
-    total = mp.mpf(0)
-    for k in range(M):
-        total += (k + an) ** (-s)
-    x = M + an
-    total += x ** (1 - s) / (s - 1)
-    total += x ** (-s) / 2
-    term_pow = x ** (-s - 1)
-    rising = mp.mpf(s)
+    tail = [(s - 1, Fraction(1, s - 1)), (s, Fraction(1, 2))]
+    rising = s  # (s)_(2j-1) at step j
     for j in range(1, J + 1):
-        b = bernoulli_fraction(2 * j)
-        total += mp.mpf(b.numerator) / b.denominator / factorial(2 * j) * rising * term_pow
+        tail.append((s + 2 * j - 1, bernoulli_fraction(2 * j) / factorial(2 * j) * rising))
         rising *= (s + 2 * j - 1) * (s + 2 * j)
-        term_pow /= x * x
-    return total, bound
+    # twice the first omitted term: 2 |B_(2J+2)|/(2J+2)! (s)_(2J+1)
+    return tuple(tail), 2.0 * float(abs(bernoulli_fraction(2 * J + 2))) / factorial(2 * J + 2) * rising
 
 
 def hurwitz_zeta(s: int, a: Fraction | int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:
-    """zeta(s, a) for integer s >= 2 and rational a in (0, 1].
+    """zeta(s, a) for integer s >= 2 and rational a = p/q in (0, 1].
 
-    The absolute error is at most ctx.target_error (truncation bound plus
-    rounding margin absorbed by guard bits); NonConvergent if the cutoff
-    needed for that target outgrows its cap.
+    The cutoff M doubles from 16 until the remainder bound is below half of
+    ctx.target_error (NonConvergent past M = 2^24).  At wp = ctx.workprec()
+    bits, each term (k + a)^(-s) is the integer (q^s 2^wp) // (k q + p)^s
+    and each tail term c_m (M + a)^(-m) one floor division of
+    num(c_m) q^m 2^wp by den(c_m) (M q + p)^m.  Each floor is off by less
+    than 2^-wp, so with J = 16 Bernoulli terms rounding adds less than
+    (M + J + 2) 2^-wp, below 2^-22 of the target since wp >= log2(1/target)
+    + 47; the sum becomes an mpf by an exact shift.  The absolute error is
+    thus below ctx.target_error.
     """
     if s < 2:
         raise ValueError("only integer s >= 2 is supported")
     a = Fraction(a)
     if not 0 < a <= 1:
         raise ValueError("a must lie in (0, 1]")
-    with mp.workprec(ctx.workprec()):
-        value, bound = _hurwitz_mpf(s, a, float(ctx.target_error))
-        if bound > float(ctx.target_error):
-            raise NonConvergent("remainder bound failed to meet target")
-        return +value
+    tail, coeff = _em_tail(s)
+    M = 16
+    while coeff * float(M + a) ** (-(s + 2 * _EM_TERMS + 1)) > float(ctx.target_error) / 2:
+        M *= 2
+        if M > 1 << 24:
+            raise NonConvergent("Euler-Maclaurin cutoff exploded; target too small?")
+    wp = ctx.workprec()
+    p, q = a.numerator, a.denominator
+    scaled = q ** s << wp
+    total = sum(scaled // (k * q + p) ** s for k in range(M))
+    X = M * q + p
+    for m, c in tail:
+        total += (c.numerator * q ** m << wp) // (c.denominator * X ** m)
+    return mpmath.ldexp(total, -wp)
 
 
 def riemann_zeta(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:

@@ -2,6 +2,7 @@
 
 Each computes the same quantity as a pipeline function by a slower,
 independent route: a truncated character series for Dirichlet L-values,
+the Euler-Maclaurin sum for Hurwitz zeta values in mpmath floating point,
 the full characteristic polynomial over all Galois conjugates for
 algebraic integrality, a fresh elimination of every conjugated form
 for the conjugate signatures, every vertex sequence with each product
@@ -17,11 +18,13 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from mpmath import mp
 
 from hypvol.arithmeticity import (CyclicProduct, QuadraticFormQ, _field_automorphisms,
                                   nonorthogonality_graph)
 from hypvol.diagram import CoxeterDiagram, inertia
-from hypvol.lseries import FundamentalDiscriminant, kronecker_chi
+from hypvol.lseries import (_EM_TERMS, FundamentalDiscriminant, PrecisionContext,
+                            bernoulli_fraction, kronecker_chi)
 from hypvol.prediction import RECOGNITION_MAX_NUMERATOR, _smooth_denominators
 from hypvol.surd import MultiSurd, prime_characters, prime_factors
 
@@ -37,6 +40,40 @@ def dirichlet_L_direct(s: int, D: FundamentalDiscriminant, terms: int = 10**6) -
     n = np.arange(1, terms + 1, dtype=np.float64)
     chi = table[np.arange(terms) % q]
     return math.fsum(chi / n ** s)
+
+
+def hurwitz_zeta_mpf(s: int, a: Fraction, ctx: PrecisionContext):
+    """zeta(s, a) by the Euler-Maclaurin sum in mpf arithmetic.
+
+    The same cutoff M, J Bernoulli terms and remainder bound as
+    ``lseries.hurwitz_zeta``, but every term and tail coefficient is an
+    mpf at ``ctx.workprec()`` bits, so rounding is relative to the running
+    sum rather than fixed point.
+    """
+    J = _EM_TERMS
+    target = float(ctx.target_error)
+    # remainder bound: 2 * |B_{2J+2}|/(2J+2)! * (s)_{2J+1} * (M+a)^(-s-2J-1)
+    pochhammer = math.prod(range(s, s + 2 * J + 1))
+    coeff = 2.0 * float(abs(bernoulli_fraction(2 * J + 2))) / math.factorial(2 * J + 2) * pochhammer
+    M = 16
+    while coeff * float(M + a) ** (-(s + 2 * J + 1)) > target / 2:
+        M *= 2
+    with mp.workprec(ctx.workprec()):
+        an = mp.mpf(a.numerator) / a.denominator
+        total = mp.mpf(0)
+        for k in range(M):
+            total += (k + an) ** (-s)
+        x = M + an
+        total += x ** (1 - s) / (s - 1)
+        total += x ** (-s) / 2
+        term_pow = x ** (-s - 1)
+        rising = mp.mpf(s)
+        for j in range(1, J + 1):
+            b = bernoulli_fraction(2 * j)
+            total += mp.mpf(b.numerator) / b.denominator / math.factorial(2 * j) * rising * term_pow
+            rising *= (s + 2 * j - 1) * (s + 2 * j)
+            term_pow /= x * x
+        return +total
 
 
 def char_poly_is_integral(x: MultiSurd) -> bool:

@@ -11,6 +11,7 @@ from hypvol.diagram import assert_lorentzian, gram_matrix, parse_diagram
 from hypvol.errors import HypvolError, NotLorentzian, NoVertices
 from hypvol.geometry import census, enumerate_vertices, realize, to_klein
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
+from hypvol.surd import MultiSurd
 from oracles import census_by_inertia, relabeled
 
 
@@ -57,6 +58,22 @@ def test_realize_5d():
     assert len(r.normals) == 8
     assert len(r.normals[0]) == 6
     assert gram_residual(r, G) < 1e-14
+
+
+@pytest.mark.parametrize("text", [POLYTOPE_5D, POLYTOPE_7D, TRIANGLE_245], ids=["5d", "7d", "245"])
+def test_realize_converts_each_distinct_entry_once(text, monkeypatch):
+    G = gram_matrix(parse_diagram(text))
+    N = G.size
+    # reference: every entry converted on its own
+    eigvals, Q = np.linalg.eigh([[float(G[i, j]) for j in range(N)] for i in range(N)])
+    cols = [0, *range(N - G.dimension, N)]
+    expected = Q[:, cols] * np.sqrt(np.abs(eigvals[cols]))
+    conversions = []
+    to_float = MultiSurd.__float__
+    monkeypatch.setattr(MultiSurd, "__float__", lambda e: conversions.append(e) or to_float(e))
+    r = realize(G)
+    assert np.array_equal(r.normals, expected)
+    assert len(conversions) == len({G[i, j] for i in range(N) for j in range(N)})
 
 
 def test_vertices_237_compact():

@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from mpmath import mp
@@ -15,7 +17,7 @@ from hypvol.lseries import (
     kronecker_chi,
     riemann_zeta,
 )
-from oracles import dirichlet_L_direct
+from oracles import dirichlet_L_direct, hurwitz_zeta_mpf
 
 CTX = PrecisionContext(256)
 
@@ -186,3 +188,39 @@ def test_precision_context_validation():
     with pytest.raises(ValueError, match="below the float64 range"):
         PrecisionContext(1024, Fraction(1, 10**400))
     assert PrecisionContext(64, 1e-40).workprec() >= 133
+
+
+GRID_DIGITS = (20, 30, 40, 60)  # targets 10^-digits
+# a = 1 and, for every q <= 24, the smallest, a middle and the largest p/q
+GRID_A = sorted({Fraction(1)} | {Fraction(p, q) for q in range(2, 25)
+                                 for p in (1, next(p for p in range(q // 2, q) if math.gcd(p, q) == 1), q - 1)})
+
+
+@pytest.mark.parametrize("s", range(2, 9))
+def test_hurwitz_grid_against_mpf_sum_and_mpmath(s):
+    for a in GRID_A:
+        with mp.workprec(600):
+            reference = mpmath.zeta(s, mp.mpf(a.numerator) / a.denominator)
+        for digits in GRID_DIGITS:
+            ctx = PrecisionContext(256, Fraction(1, 10**digits))
+            value = hurwitz_zeta(s, a, ctx)
+            oracle = hurwitz_zeta_mpf(s, a, ctx)
+            with mp.workprec(600):
+                # the mpf sum rounds relative to its running total
+                assert abs(value - oracle) <= mp.mpf(2) ** (8 - ctx.workprec()) * max(1, abs(oracle)), (s, a, digits)
+                assert abs(value - reference) <= mp.mpf(10) ** -digits, (s, a, digits)
+
+
+@pytest.mark.parametrize("D", (-4, -3, 5, -7, 8, -11, 12, 13, -20, 21, 24))
+def test_dirichlet_L_grid_against_mpmath(D):
+    delta = D // 4 if D % 4 == 0 else D
+    disc = fundamental_discriminant(delta)
+    assert disc.D == D
+    chi = [0] + [kronecker_chi(disc, n) for n in range(1, abs(D))]
+    for s in range(2, 9):
+        with mp.workprec(600):
+            reference = mpmath.dirichlet(s, chi)
+        for digits in GRID_DIGITS:
+            value = dirichlet_L(s, disc, PrecisionContext(256, Fraction(1, 10**digits)))
+            with mp.workprec(600):
+                assert abs(value - reference) <= mp.mpf(10) ** -digits, (D, s, digits)

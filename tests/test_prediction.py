@@ -62,6 +62,25 @@ def test_transcendental_factor_rational_field():
         assert abs(pred.factor - riemann_zeta(3, CTX)) == 0
 
 
+# the report's factor string and factor_error, as computed by the mpf
+# Euler-Maclaurin sum that the fixed-point kernel replaced
+FACTOR_LITERALS = {
+    (256, 5, 13): ("556.025905027175500776985822087", 1.2186763311068286e-27),
+    (256, 7, -11): ("4211.46166992958402607823470857", 8.828855191926074e-27),
+    (256, 5, 1): ("1.20205690315959428539973816151", 1e-30),
+    (320, 5, 13): ("556.025905027175500776985822087", 1.2186763311068284e-37),
+    (320, 7, -11): ("4211.46166992958402607823470857", 8.828855191926074e-37),
+    (320, 5, 1): ("1.20205690315959428539973816151", 1e-40),
+}
+
+
+@pytest.mark.parametrize("bits, n, delta", list(FACTOR_LITERALS))
+def test_transcendental_factor_report_literals(bits, n, delta):
+    ctx = PrecisionContext(bits, Fraction(1, 10 ** (30 if bits == 256 else 40)))
+    pred = transcendental_factor(n, delta, ctx)
+    assert (mp.nstr(pred.factor, 30), pred.factor_error) == FACTOR_LITERALS[bits, n, delta]
+
+
 def test_transcendental_factor_rejects():
     with pytest.raises(EvenDimension):
         transcendental_factor(6, 13, CTX)
