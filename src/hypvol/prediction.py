@@ -463,6 +463,9 @@ def render_text(report: AnalysisReport) -> str:
                 f"(denominator = {fact}; method {r.method}; residual {r.residual:.2g})"
             )
             lines.append("  (numerical suggestion, not a proof)")
+            if r.method == "smooth-denominator":
+                lines.append("  (weaker evidence: the continued-fraction guard rejected the "
+                             "convergent; this is the window's only smooth candidate)")
         else:
             lines.append("no rational multiplier recognized at this accuracy")
     return "\n".join(lines)

@@ -6,10 +6,16 @@ This ring is closed under multiplication because
 sqrt(D1)*sqrt(D2) = g*sqrt(D1*D2/g^2) with g = gcd(D1, D2), and it is in
 fact a field.
 
+An element is stored as integer numerators n_D over one shared denominator
+den, c_D = n_D / den, kept canonical: den > 0, no n_D is zero, and
+gcd(den, all n_D) = 1.  A sum or product is then a pass over integers and
+one gcd reduction, with no rational arithmetic per coefficient; Fractions
+appear only where values enter (the constructor) and leave (``as_rational``).
+
 Signs, inverses and integrality are exact and share one step down the
 field tower: split off the largest prime's square root, x = a + b*sqrt(p),
 and go on with a^2 - p*b^2, which has one prime fewer, until a rational is
-left.  The canonical form makes the zero test syntactic.
+left.  The canonical form makes the zero test and equality syntactic.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .errors import TooLarge
 _Rat = int | Fraction
 TRIAL_DIVISION_LIMIT = 10**6   # largest trial divisor: cofactors up to 10^12 factor
 MAX_NESTING = 100              # parentheses a surd literal may nest
+MAX_LITERAL_DIGITS = 4300      # Python's default limit on int() of a decimal string
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -84,18 +91,22 @@ def prime_characters(radicands: Iterable[int]) -> list[frozenset[int]]:
 class MultiSurd:
     """Canonical element of the multi-quadratic ring, immutable.
 
-    The term map never stores zero coefficients and every radicand is
-    squarefree, so equality of canonical forms is equality of values and
-    the zero test is just emptiness of the map.  ``__init__`` factors the
-    radicands of outside input; results of ring operations have squarefree
-    radicands already and go through ``_canonical``, which drops zeros.
+    ``_nums`` maps each squarefree radicand D to its numerator n_D and
+    ``_den`` is the shared denominator, in the canonical form of the module
+    docstring (zero is the empty map over 1), so equality of forms is
+    equality of values and the zero test is emptiness of the map.
+    ``__init__`` takes rational coefficients and factors the radicands of
+    outside input; results of ring operations have squarefree radicands
+    already and go through ``_reduced``, which drops zeros and divides out
+    the common gcd.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[int, _Rat] | _Rat = 0):
         if isinstance(terms, (int, Fraction)):
-            self._terms = {1: Fraction(terms)} if terms else {}
+            self._nums = {1: terms.numerator} if terms else {}
+            self._den = terms.denominator
             return
         clean: dict[int, Fraction] = {}
         for rad, coeff in terms.items():
@@ -106,13 +117,21 @@ class MultiSurd:
             clean[s] = clean.get(s, Fraction(0)) + c * f
             if clean[s] == 0:
                 del clean[s]
-        self._terms = clean
+        # over the lcm of lowest-terms denominators the form is already reduced
+        self._den = math.lcm(*(c.denominator for c in clean.values()))
+        self._nums = {r: c.numerator * (self._den // c.denominator) for r, c in clean.items()}
 
     @staticmethod
-    def _canonical(terms: dict[int, Fraction]) -> "MultiSurd":
-        """The surd over terms whose radicands are already squarefree."""
+    def _reduced(nums: dict[int, int], den: int) -> "MultiSurd":
+        """The surd over squarefree radicands and den > 0, made canonical."""
+        if 0 in nums.values():
+            nums = {r: c for r, c in nums.items() if c}
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {r: c // g for r, c in nums.items()}
+            den //= g
         out = object.__new__(MultiSurd)
-        out._terms = {r: c for r, c in terms.items() if c}
+        out._nums, out._den = nums, den
         return out
 
     # -- constructors ------------------------------------------------------
@@ -126,18 +145,19 @@ class MultiSurd:
 
     def radicands(self) -> frozenset[int]:
         """Squarefree radicands with nonzero coefficient, excluding 1."""
-        return frozenset(r for r in self._terms if r != 1)
+        return frozenset(r for r in self._nums if r != 1)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def is_rational(self) -> bool:
-        return not self.radicands()
+        nums = self._nums
+        return not nums or (len(nums) == 1 and 1 in nums)
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
-        return self._terms.get(1, Fraction(0))
+        return Fraction(self._nums.get(1, 0), self._den)
 
     def _split(self) -> tuple[int, "MultiSurd", "MultiSurd"]:
         """(p, a, b) with self = a + b*sqrt(p), for an irrational self.
@@ -146,9 +166,10 @@ class MultiSurd:
         radicand p does not divide, b the others divided by sqrt(p), so
         neither involves sqrt(p) and b is nonzero.
         """
-        p = max(_factorization(r)[-1][0] for r in self.radicands())
-        a = MultiSurd._canonical({r: c for r, c in self._terms.items() if r % p})
-        b = MultiSurd._canonical({r // p: c for r, c in self._terms.items() if r % p == 0})
+        nums, den = self._nums, self._den
+        p = max(_factorization(r)[-1][0] for r in nums if r != 1)
+        a = MultiSurd._reduced({r: c for r, c in nums.items() if r % p}, den)
+        b = MultiSurd._reduced({r // p: c for r, c in nums.items() if r % p == 0}, den)
         return p, a, b
 
     def is_integral(self) -> bool:
@@ -161,7 +182,7 @@ class MultiSurd:
         relative trace 2a and norm a^2 - p*b^2 are.
         """
         if self.is_rational():
-            return self.as_rational().denominator == 1
+            return self._den == 1
         p, a, b = self._split()
         return (a * 2).is_integral() and (a * a - b * b * p).is_integral()
 
@@ -171,15 +192,18 @@ class MultiSurd:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = dict(self._terms)
-        for r, c in other._terms.items():
-            acc[r] = acc.get(r, Fraction(0)) + c
-        return MultiSurd._canonical(acc)
+        d1, d2 = self._den, other._den
+        g = math.gcd(d1, d2)
+        m1, m2 = d2 // g, d1 // g
+        acc = {r: c * m1 for r, c in self._nums.items()}
+        for r, c in other._nums.items():
+            acc[r] = acc.get(r, 0) + c * m2
+        return MultiSurd._reduced(acc, d1 * m1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiSurd":
-        return MultiSurd._canonical({r: -c for r, c in self._terms.items()})
+        return MultiSurd._reduced({r: -c for r, c in self._nums.items()}, self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -197,13 +221,20 @@ class MultiSurd:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc: dict[int, Fraction] = {}
-        for r1, c1 in self._terms.items():
-            for r2, c2 in other._terms.items():
-                g = math.gcd(r1, r2)
-                rad = (r1 // g) * (r2 // g)
-                acc[rad] = acc.get(rad, Fraction(0)) + c1 * c2 * g
-        return MultiSurd._canonical(acc)
+        n1, n2 = self._nums, other._nums
+        if len(n1) == 1 and 1 in n1:
+            n1, n2 = n2, n1
+        if len(n2) == 1 and 1 in n2:
+            c2 = n2[1]
+            acc = {r: c * c2 for r, c in n1.items()}
+        else:
+            acc = {}
+            for r1, c1 in n1.items():
+                for r2, c2 in n2.items():
+                    g = math.gcd(r1, r2)
+                    rad = (r1 // g) * (r2 // g)
+                    acc[rad] = acc.get(rad, 0) + c1 * c2 * g
+        return MultiSurd._reduced(acc, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -221,7 +252,7 @@ class MultiSurd:
         numer, x = MultiSurd(1), self
         while not x.is_rational():
             p, a, b = x._split()
-            numer = numer * (a - b * MultiSurd._canonical({p: Fraction(1)}))
+            numer = numer * (a - b * MultiSurd._reduced({p: 1}, 1))
             x = a * a - b * b * p
         return numer * MultiSurd(1 / x.as_rational())
 
@@ -241,10 +272,10 @@ class MultiSurd:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._nums.items())))
 
     # -- conjugation -------------------------------------------------------
 
@@ -255,19 +286,25 @@ class MultiSurd:
         parity of the flipped primes dividing D.
         """
         out = {}
-        for r, c in self._terms.items():
+        for r, c in self._nums.items():
             parity = sum(1 for p in neg_primes if r % p == 0)
             out[r] = -c if parity % 2 else c
-        return MultiSurd._canonical(out)
+        return MultiSurd._reduced(out, self._den)
 
     # -- numeric evaluation ------------------------------------------------
 
     def to_mpf(self, prec: int) -> mp.mpf:
-        """Floating approximation, accurate to roughly the working precision."""
+        """Floating approximation, accurate to roughly the working precision.
+
+        Each term's coefficient is reduced to lowest terms before its
+        numerator and denominator become mpfs, so the value rounded does
+        not depend on how large the shared denominator has grown.
+        """
         with mp.workprec(prec + 16):
             total = mp.mpf(0)
-            for r, c in sorted(self._terms.items()):
-                t = mp.mpf(c.numerator) / mp.mpf(c.denominator)
+            for r, c in sorted(self._nums.items()):
+                g = math.gcd(c, self._den)
+                t = mp.mpf(c // g) / mp.mpf(self._den // g)
                 if r != 1:
                     t = t * mp.sqrt(r)
                 total += t
@@ -290,7 +327,7 @@ class MultiSurd:
         if self.is_zero():
             return 0
         if self.is_rational():
-            return 1 if self.as_rational() > 0 else -1
+            return 1 if self._nums[1] > 0 else -1
         p, a, b = self._split()
         sb = b.sign()
         sa = a.sign()
@@ -302,7 +339,8 @@ class MultiSurd:
         if self.is_zero():
             return "MultiSurd(0)"
         parts = []
-        for r, c in sorted(self._terms.items()):
+        for r, c in sorted(self._nums.items()):
+            c = Fraction(c, self._den)
             if r == 1:
                 parts.append(str(c))
             elif c == 1:
@@ -398,6 +436,8 @@ def _tokenize(text: str):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise ValueError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits")
             out.append(int(text[i:j]))
             i = j
         elif text.startswith("sqrt", i):

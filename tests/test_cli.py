@@ -231,6 +231,21 @@ def test_hostile_weights_end_in_a_typed_error_within_a_second(diagram_file, caps
     assert f"error [{error}]" in capsys.readouterr().err
 
 
+def test_integer_literal_past_the_digit_limit_is_bad_weight(diagram_file, capsys):
+    # int() refuses more than 4300 decimal digits; the error names the limit
+    # rather than the interpreter setting that lifts it
+    text = f"n 2\nfacets 3\nedge 0 1 dashed {'7' * 4301}/3\nedge 1 2 3\nedge 0 2 3\n"
+    path = diagram_file(text)
+    t0 = time.perf_counter()
+    code = main(["analyze", path])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_STAGE_ERROR == 2
+    err = capsys.readouterr().err
+    assert "error [BadWeight]" in err
+    assert "integer literal longer than 4300 digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
 @pytest.mark.parametrize("samples", ["1", str(2**30)])
 def test_max_samples_bounds_are_accepted(diagram_file, capsys, samples):
     # both bounds pass the option check; one node per piece allows one order

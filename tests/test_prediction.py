@@ -191,6 +191,20 @@ def test_analyze_5d_assumed():
     assert "not a proof" in text
 
 
+def test_text_report_marks_a_smooth_denominator_recognition_as_weaker():
+    # seven digits of the 5D volume are too coarse for the continued-fraction
+    # guard; the JSON report is the same as without the note
+    coarse = analyze(POLYTOPE_5D, assume_volume="0.0241331", assume_err=7e-7)
+    assert coarse.recognition.method == "smooth-denominator"
+    assert (coarse.recognition.numerator, coarse.recognition.denominator) == (1, 23040)
+    text = render_text(coarse)
+    assert "weaker evidence: the continued-fraction guard rejected the convergent" in text
+    assert "weaker evidence" not in json.dumps(coarse.to_dict())
+    fine = analyze(POLYTOPE_5D, assume_volume=VOL_5D, assume_err=1e-19)
+    assert fine.recognition.method == "continued-fraction"
+    assert "weaker evidence" not in render_text(fine)
+
+
 def test_analyze_assumed_volume_requires_error():
     with pytest.raises(ValueError):
         analyze(POLYTOPE_5D, assume_volume=VOL_5D)

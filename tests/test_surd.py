@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 from hypvol import surd
 from hypvol.arithmeticity import classify
 from hypvol.diagram import gram_matrix, parse_diagram
 from hypvol.errors import BadWeight, TooLarge
 from hypvol.surd import (
+    MAX_LITERAL_DIGITS,
     MAX_NESTING,
     TRIAL_DIVISION_LIMIT,
     MultiSurd,
@@ -206,6 +208,95 @@ def test_interval_contains_value_at_every_precision():
         assert abs(float(x) - ref) <= slack
 
 
+ORACLE_RADICANDS = [1, 2, 3, 5, 6, 7, 10, 15, 30]
+
+
+def random_terms(rng: random.Random) -> dict[int, Fraction]:
+    """Up to five terms over ORACLE_RADICANDS, numerators and denominators up to 10^6."""
+    return {r: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            for r in rng.sample(ORACLE_RADICANDS, rng.randint(0, 5))}
+
+
+def terms_of(x: MultiSurd) -> dict[int, Fraction]:
+    """The rational coefficient of each radicand, read off the integer form."""
+    return {r: Fraction(c, x._den) for r, c in x._nums.items()}
+
+
+def mpf_of(terms: dict[int, Fraction]):
+    """sum c * sqrt(r) at the working precision."""
+    return mp.fsum(mp.mpf(c.numerator) / c.denominator * mp.sqrt(r) for r, c in terms.items())
+
+
+def size_of(terms: dict[int, Fraction]):
+    return mp.fsum(abs(mp.mpf(c.numerator) / c.denominator) * mp.sqrt(r)
+                   for r, c in terms.items())
+
+
+def assert_canonical(x: MultiSurd):
+    assert x._den > 0
+    assert all(x._nums.values())
+    assert math.gcd(x._den, *x._nums.values()) == 1   # also den == 1 for zero
+    assert all(squarefree_decompose(r)[1] == 1 for r in x._nums)
+
+
+def test_ring_operations_match_300_bit_evaluation():
+    rng = random.Random(20)
+    with mp.workprec(300):
+        tol = mp.mpf(2) ** -200
+        for _ in range(150):
+            tx, ty = random_terms(rng), random_terms(rng)
+            x, y = MultiSurd(tx), MultiSurd(ty)
+            vx, vy = mpf_of(tx), mpf_of(ty)
+            sx, sy = size_of(tx), size_of(ty)
+            cases = [(x + y, vx + vy, sx + sy), (x - y, vx - vy, sx + sy),
+                     (x * y, vx * vy, sx * sy), (x * 3, 3 * vx, 3 * sx)]
+            if not x.is_zero():
+                cases.append((x.inverse(), 1 / vx, abs(1 / vx)))
+            for z, want, scale in [(x, vx, sx)] + cases:
+                assert_canonical(z)
+                assert abs(mpf_of(terms_of(z)) - want) <= tol * (scale + 1)
+                assert z.sign() == mp.sign(want)
+
+
+def test_equal_values_by_different_routes_are_equal_and_hash_equal():
+    # geometry.realize keys a dict by MultiSurd
+    rng = random.Random(21)
+    for _ in range(100):
+        x, y, z = (MultiSurd(random_terms(rng)) for _ in range(3))
+        pairs = [((x * y) * z, x * (y * z)), ((x + y) - y, x), (x * y - y * x, MultiSurd(0)),
+                 (MultiSurd.sqrt(8), MultiSurd.sqrt(2, 2)),
+                 (MultiSurd(Fraction(6, 4)), MultiSurd({1: 3, 4: Fraction(-3, 4)}))]
+        if not x.is_zero():
+            pairs.append((x * x.inverse(), MultiSurd(1)))
+        for a, b in pairs:
+            assert_canonical(a)
+            assert a == b and hash(a) == hash(b)
+
+
+def per_term_mpf(x: MultiSurd, prec: int):
+    """The value rounded term by term from each coefficient in lowest terms."""
+    with mp.workprec(prec + 16):
+        total = mp.mpf(0)
+        for r, c in sorted(terms_of(x).items()):
+            t = mp.mpf(c.numerator) / mp.mpf(c.denominator)
+            if r != 1:
+                t = t * mp.sqrt(r)
+            total += t
+        total = +total
+    return total
+
+
+def test_float_image_rounds_each_coefficient_in_lowest_terms():
+    # products grow numerators and the shared denominator past 80 bits; the
+    # conversion must not round them before reducing each term
+    rng = random.Random(22)
+    for _ in range(100):
+        x, y, z = (MultiSurd(random_terms(rng)) for _ in range(3))
+        for w in (x, x * y, x * y * z, x + y * z):
+            assert w.to_mpf(64) == per_term_mpf(w, 64)
+            assert float(w) == float(per_term_mpf(w, 64))
+
+
 @settings(max_examples=200, deadline=None)
 @given(surds, surds, surds)
 def test_ring_axioms(a, b, c):
@@ -278,6 +369,12 @@ def test_parse_surd_nesting_is_bounded():
     deeper = "(" * (MAX_NESTING + 1) + "2" + ")" * (MAX_NESTING + 1)
     with pytest.raises(ValueError, match="deeper than"):
         parse_surd(deeper)
+
+
+def test_integer_literals_are_bounded():
+    assert parse_surd("1" * MAX_LITERAL_DIGITS) == MultiSurd(int("1" * MAX_LITERAL_DIGITS))
+    with pytest.raises(ValueError, match=f"integer literal longer than {MAX_LITERAL_DIGITS} digits"):
+        parse_surd("sqrt(2)/" + "1" * (MAX_LITERAL_DIGITS + 1))
 
 
 def test_prime_factors_give_up_past_the_trial_division_limit():
