@@ -6,7 +6,9 @@ products of doubled Gram entries.  The group is quasi-arithmetic when K is
 totally real (automatic for surd entries) and every nontrivial Galois
 conjugate of the form is definite, and arithmetic when additionally every
 cyclic product is an algebraic integer.  Witnesses for each failed
-condition are collected in the report.
+condition are collected in the report.  The form is the Gram matrix
+rescaled along a BFS spanning forest of the non-orthogonality graph, one
+tree per component; ``diagram.rescaled_form`` builds and eliminates it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagram import GramMatrix, eliminate
+from .diagram import GramMatrix, rescaled_form
 from .errors import DisconnectedGraph, FieldNotQ, RankDeficient, TooLarge
 from .surd import MultiSurd, prime_characters, squarefree_decompose
 
@@ -78,27 +80,17 @@ class ArithmeticityReport:
 
 
 def nonorthogonality_graph(G: GramMatrix) -> dict[int, list[int]]:
-    N = G.size
-    adj = {i: [] for i in range(N)}
-    for i in range(N):
-        for j in range(i + 1, N):
-            if not G[i, j].is_zero():
-                adj[i].append(j)
-                adj[j].append(i)
-    return adj
+    """Each facet's non-orthogonal neighbours, ascending."""
+    return {i: [j for j in range(G.size) if j != i and not G[i, j].is_zero()]
+            for i in range(G.size)}
 
 
-def _check_connected(adj: dict[int, list[int]]) -> None:
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != len(adj):
-        missing = sorted(set(adj) - seen)
+def _check_connected(G: GramMatrix) -> None:
+    """Raise DisconnectedGraph unless the rescaling forest is a single tree."""
+    forest = rescaled_form(G)[0]
+    roots = [k for k, u in enumerate(forest.values()) if u < 0]
+    if len(roots) > 1:  # BFS order: facet 0's tree comes first
+        missing = sorted(list(forest)[roots[1]:])
         raise DisconnectedGraph(f"facets {missing} are orthogonal to the rest")
 
 
@@ -119,7 +111,7 @@ def enumerate_cycles(G: GramMatrix) -> list[CyclicProduct]:
     N = G.size
     check_facet_count(N)
     adj = nonorthogonality_graph(G)
-    _check_connected(adj)
+    _check_connected(G)
     doubled = {}
     out = []
     for i in range(N):
@@ -159,47 +151,19 @@ def field_of_definition(cycles: list[CyclicProduct]) -> frozenset[int]:
     return frozenset(gens)
 
 
-def _spanning_tree(adj: dict[int, list[int]]) -> dict[int, int]:
-    """Parent map of the BFS spanning tree rooted at facet 0, in index order."""
-    parent = {0: -1}
-    frontier = [0]
-    for u in frontier:
-        for v in sorted(adj[u]):
-            if v not in parent:
-                parent[v] = u
-                frontier.append(v)
-    return parent
-
-
 def rational_form(G: GramMatrix) -> QuadraticFormQ:
-    """Rescale normals along a spanning tree so all pairings land in K.
+    """The rescaled form of a connected G (``diagram.rescaled_form``) on a
+    basis of its span.
 
-    Scaling factors multiply along tree edges by the doubled Gram entry, so
-    every rescaled pairing is a product of cyclic products and lies in the
-    field of definition.  The rescaled form has rank n + 1 (Vinberg); the
-    returned form is its nonsingular principal submatrix on the facets one
-    exact elimination pivots on, with that run's pivots, which are its own:
-    no other facet is a pivot or enters the basis' Schur complements.  Any
-    two such bases of the span differ by a change of basis over K, so the
-    discriminant class and the conjugate signatures do not depend on it.
+    The rescaled form has rank n + 1 (Vinberg); the returned form is its
+    nonsingular principal submatrix on the facets its one exact elimination
+    pivots on, with that run's pivots, which are its own: no other facet is
+    a pivot or enters the basis' Schur complements.  Any two such bases of
+    the span differ by a change of basis over K, so the discriminant class
+    and the conjugate signatures do not depend on it.
     """
-    adj = nonorthogonality_graph(G)
-    _check_connected(adj)
-    parent = _spanning_tree(adj)
-    lam: dict[int, MultiSurd] = {0: MultiSurd(1)}
-
-    def scale(v):
-        if v not in lam:
-            u = parent[v]
-            lam[v] = scale(u) * (G[u, v] * 2)
-        return lam[v]
-
-    N = G.size
-    for v in range(N):
-        scale(v)
-    F = [[lam[i] * lam[j] * G[i, j] for j in range(N)] for i in range(N)]
-
-    eliminated, pivots = eliminate(F)
+    _check_connected(G)
+    _, F, eliminated, pivots = rescaled_form(G)
     basis = sorted(eliminated)
     if len(basis) != G.dimension + 1:
         raise RankDeficient(f"rescaled form has rank {len(basis)}, expected "
@@ -261,10 +225,8 @@ def classify(G: GramMatrix) -> ArithmeticityReport:
     witnesses: list[str] = []
 
     quasi = True
-    automorphisms = _field_automorphisms(gens)
-    odd_over_q = not gens and G.dimension % 2 == 1
-    form = rational_form(G) if automorphisms or odd_over_q else None
-    for primes, flips in automorphisms:
+    form = rational_form(G)
+    for primes, flips in _field_automorphisms(gens):
         pos = sum(p.conjugate_by_primes(primes).sign() > 0 for p in form.pivots)
         neg = len(form.pivots) - pos
         if pos and neg:
@@ -287,6 +249,7 @@ def classify(G: GramMatrix) -> ArithmeticityReport:
     else:
         cls = Classification.PROPERLY_QUASI_ARITHMETIC
 
+    odd_over_q = not gens and G.dimension % 2 == 1
     delta = discriminant_delta(form, G.dimension) if odd_over_q else None
 
     return ArithmeticityReport(

@@ -70,13 +70,13 @@ class CoxeterDiagram:
 class GramMatrix:
     """Symmetric matrix of exact Minkowski products of unit facet normals.
 
-    Its signature is eliminated once, when ``signature`` first asks."""
+    ``rescaled_form`` eliminates it once, when first asked."""
 
     def __init__(self, dimension: int, entries: list[list[MultiSurd]]):
         self.dimension = dimension
         self.entries = entries
         self.size = len(entries)
-        self._signature: tuple[int, int, int] | None = None
+        self._rescaled: tuple | None = None
 
     def __getitem__(self, ij: tuple[int, int]) -> MultiSurd:
         return self.entries[ij[0]][ij[1]]
@@ -203,12 +203,13 @@ def eliminate(entries: list[list[MultiSurd]]) -> tuple[list[int], list[MultiSurd
             eliminated.append(i)
             pivots.append(pivot)
             inv = pivot.inverse()
+            row = [(v, A[i][v]) for v in active if not A[i][v].is_zero()]
             for u in active:
                 if A[u][i].is_zero():
                     continue
                 factor = A[u][i] * inv
-                for v in active:
-                    A[u][v] = A[u][v] - factor * A[i][v]
+                for v, a in row:
+                    A[u][v] = A[u][v] - factor * a
             continue
         off = next(((i, j) for k, i in enumerate(active) for j in active[k + 1:]
                     if not A[i][j].is_zero()), None)
@@ -237,11 +238,46 @@ def inertia(entries: list[list[MultiSurd]]) -> tuple[int, int, int]:
     return pos, len(pivots) - pos, len(entries) - len(pivots)
 
 
+def rescaled_form(G: GramMatrix) -> tuple[dict[int, int], list[list[MultiSurd]],
+                                         list[int], list[MultiSurd]]:
+    """Vinberg's rescaled form F = L G L, built and eliminated once per G.
+
+    One BFS roots each component of the non-orthogonality graph at its least
+    facet and visits neighbours in index order; a root keeps scale 1, any
+    other facet takes its parent's times the doubled Gram entry between
+    them, so every rescaled pairing is a product of cyclic products.  The
+    scaling is diagonal and invertible: F has the signature of G.  Returns
+    the forest (facet -> parent, -1 at a root, in BFS order), F and
+    ``eliminate(F)``'s eliminated indices and pivots.
+    """
+    if G._rescaled is None:
+        N = G.size
+        forest: dict[int, int] = {}
+        lam = [MultiSurd(1)] * N
+        for root in range(N):
+            if root in forest:
+                continue
+            forest[root] = -1
+            frontier = [root]
+            for u in frontier:
+                for v in range(N):
+                    if v not in forest and not G[u, v].is_zero():
+                        forest[v], lam[v] = u, lam[u] * (G[u, v] * 2)
+                        frontier.append(v)
+        F = [[MultiSurd(0)] * N for _ in range(N)]
+        for i in range(N):
+            for j in range(i, N):
+                if not G[i, j].is_zero():
+                    F[i][j] = F[j][i] = lam[i] * lam[j] * G[i, j]
+        G._rescaled = (forest, F, *eliminate(F))
+    return G._rescaled
+
+
 def signature(G: GramMatrix) -> tuple[int, int, int]:
-    """Exact signature (positive, negative, zero) of the Gram matrix."""
-    if G._signature is None:
-        G._signature = inertia(G.entries)
-    return G._signature
+    """Exact signature (positive, negative, zero), from F's pivots."""
+    *_, pivots = rescaled_form(G)
+    pos = sum(p.sign() > 0 for p in pivots)
+    return pos, len(pivots) - pos, G.size - len(pivots)
 
 
 def assert_lorentzian(G: GramMatrix) -> tuple[int, int, int]:

@@ -188,34 +188,33 @@ class MultiSurd:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other) -> "MultiSurd":
+    def _plus(self, other, sign: int) -> "MultiSurd":
+        """self + sign * other, over the lcm of the two denominators."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         d1, d2 = self._den, other._den
         g = math.gcd(d1, d2)
-        m1, m2 = d2 // g, d1 // g
+        m1, m2 = d2 // g, sign * (d1 // g)
         acc = {r: c * m1 for r, c in self._nums.items()}
         for r, c in other._nums.items():
             acc[r] = acc.get(r, 0) + c * m2
         return MultiSurd._reduced(acc, d1 * m1)
 
+    def __add__(self, other) -> "MultiSurd":
+        return self._plus(other, 1)
+
     __radd__ = __add__
+
+    def __sub__(self, other) -> "MultiSurd":
+        return self._plus(other, -1)
+
+    def __rsub__(self, other) -> "MultiSurd":
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else other._plus(self, -1)
 
     def __neg__(self) -> "MultiSurd":
         return MultiSurd._reduced({r: -c for r, c in self._nums.items()}, self._den)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other) -> "MultiSurd":
         other = _coerce(other)

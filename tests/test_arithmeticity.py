@@ -164,7 +164,7 @@ def test_delta_spanning_tree_invariance():
             rng.shuffle(perm)
             G = gram_matrix(relabeled(d, perm))
             assert discriminant_delta(rational_form(G), n) == expected
-            parent = arithmeticity._spanning_tree(arithmeticity.nonorthogonality_graph(G))
+            parent = diagram.rescaled_form(G)[0]
             back = {new: old for old, new in enumerate(perm)}
             trees.add(frozenset(frozenset((back[v], back[u])) for v, u in parent.items() if u >= 0))
         assert len(trees) > 1
@@ -195,14 +195,13 @@ def test_classify_enumerates_cycles_once(monkeypatch):
                                          (TRIANGLE_456, None), (TRIANGLE_455, None)])
 def test_classify_eliminates_the_rescaled_form_once(monkeypatch, text, delta):
     # the discriminant class and every conjugate signature read the pivots
-    # of rational_form's elimination; inertia's eliminations are counted too
+    # of the rescaled form's one elimination; inertia's are counted too
     calls = []
 
     def counted(entries):
         calls.append(entries)
         return eliminate(entries)
 
-    monkeypatch.setattr(arithmeticity, "eliminate", counted)
     monkeypatch.setattr(diagram, "eliminate", counted)
     assert classify(gram_matrix(parse_diagram(text))).delta == delta
     assert len(calls) == 1

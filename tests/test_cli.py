@@ -102,6 +102,19 @@ def test_not_lorentzian_exit_code(diagram_file, capsys):
     assert "not Lorentzian" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label, code, message", [
+    ("inf", EXIT_STAGE_ERROR, "error [DisconnectedGraph]: facets [3, 4] are orthogonal to the rest"),
+    ("3", EXIT_NOT_LORENTZIAN, "error: not Lorentzian: signature (4, 1, 0), expected (3, 1, 1)"),
+])
+def test_disconnected_diagram_exit_codes(diagram_file, capsys, label, code, message):
+    # the ideal triangle plus two facets orthogonal to it: parallel ones leave
+    # the signature Lorentzian, so connectivity fails; at pi/3 the signature does
+    path = diagram_file("n 3\nfacets 5\nedge 0 1 inf\nedge 1 2 inf\nedge 0 2 inf\n"
+                        f"edge 3 4 {label}\n")
+    assert main(["analyze", path]) == code
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_too_many_facets_is_stage_error(diagram_file, capsys):
     # checked before the signature, so a 13-facet positive definite diagram
     # exits 2 (TooLarge), not 3 (not Lorentzian)

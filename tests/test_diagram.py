@@ -18,6 +18,7 @@ from hypvol.diagram import (
     gram_matrix,
     inertia,
     parse_diagram,
+    rescaled_form,
     signature,
 )
 from hypvol.errors import (
@@ -231,6 +232,32 @@ def test_relabeled_diagram_same_signature():
     perm = list(range(d.facets))
     rng.shuffle(perm)
     assert signature(gram_matrix(relabeled(d, perm))) == (7, 1, 2)
+
+
+_SURD_LABELS = [None, None, None, None, "3", "4", "5", "6", "inf", "dashed 3/2",
+                "dashed sqrt(2)", "dashed 1 + sqrt(5)", "dashed sqrt(6)", "dashed sqrt(26)/4"]
+
+
+def test_signature_of_the_rescaled_form_matches_the_gram_inertia():
+    # 2,000 seeded random surd diagrams of 3-6 facets, disconnected and
+    # non-Lorentzian ones among them: the pivots of the rescaled form give
+    # the inertia of a fresh elimination of G itself (Sylvester's law)
+    rng = random.Random(23)
+    disconnected = non_lorentzian = 0
+    seen = set()
+    for _ in range(2000):
+        facets = rng.choice([3, 4, 5, 6])
+        lines = ["n 2", f"facets {facets}"]
+        lines += [f"edge {i} {j} {label}" for i in range(facets) for j in range(i + 1, facets)
+                  if (label := rng.choice(_SURD_LABELS)) is not None]
+        G = gram_matrix(parse_diagram("\n".join(lines)))
+        sig = signature(G)
+        assert sig == inertia(G.entries), lines
+        forest = rescaled_form(G)[0]
+        disconnected += sum(u < 0 for u in forest.values()) > 1
+        non_lorentzian += sig[1] != 1
+        seen.add(sig)
+    assert disconnected >= 150 and non_lorentzian >= 400 and len(seen) >= 12
 
 
 def test_assert_lorentzian_rejects_definite():

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from hypvol import arithmeticity, diagram
-from hypvol.diagram import eliminate, gram_matrix, parse_diagram
-from hypvol.errors import EvenDimension, HypvolError, NonConvergent, TooLarge
+from hypvol import diagram
+from hypvol.diagram import eliminate, parse_diagram
+from hypvol.errors import (DisconnectedGraph, EvenDimension, HypvolError, NonConvergent,
+                           NotLorentzian, TooLarge)
 from hypvol.lseries import PrecisionContext, dirichlet_L, fundamental_discriminant, riemann_zeta
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
 from hypvol.prediction import (
@@ -283,10 +284,10 @@ def test_recognized_denominator_too_large_to_factor_is_reported():
     assert report.to_dict()["recognition"]["q_factorization"] == {}
 
 
-def test_integrated_analysis_eliminates_the_gram_matrix_once(monkeypatch):
-    # analyze and geometry.realize both check the signature, which the Gram
-    # matrix keeps; the other full-size elimination is the rational form's
-    G = gram_matrix(parse_diagram(POLYTOPE_5D))
+def _full_size_eliminations(monkeypatch, **kwargs):
+    """analyze(POLYTOPE_5D, **kwargs) with every elimination counted: its
+    volume source and how many eliminated a matrix of the Gram matrix's size."""
+    size = parse_diagram(POLYTOPE_5D).facets
     calls = []
 
     def counted(entries):
@@ -294,11 +295,36 @@ def test_integrated_analysis_eliminates_the_gram_matrix_once(monkeypatch):
         return eliminate(entries)
 
     monkeypatch.setattr(diagram, "eliminate", counted)
-    monkeypatch.setattr(arithmeticity, "eliminate", counted)
-    report = analyze(POLYTOPE_5D)
-    assert report.volume_source == "integrated"
-    assert sum(len(entries) == G.size for entries in calls) == 2
-    assert sum(entries == G.entries for entries in calls) == 1
+    report = analyze(POLYTOPE_5D, **kwargs)
+    return report.volume_source, sum(len(entries) == size for entries in calls)
+
+
+def test_integrated_analysis_eliminates_the_gram_matrix_once(monkeypatch):
+    # analyze and geometry.realize both check the signature, and classify reads
+    # the rational form: all three share the rescaled form's one elimination
+    assert _full_size_eliminations(monkeypatch) == ("integrated", 1)
+
+
+def test_assumed_volume_analysis_eliminates_the_gram_matrix_once(monkeypatch):
+    assert _full_size_eliminations(monkeypatch, assume_volume=VOL_5D,
+                                   assume_err=1e-19) == ("assumed", 1)
+
+
+# the ideal triangle on facets 0-2, and facets 3 and 4 orthogonal to it:
+# Lorentzian and disconnected when 3 and 4 are parallel, of signature
+# (4, 1, 0) when they meet at pi/3
+TRIANGLE_AND_PAIR = "n 3\nfacets 5\nedge 0 1 inf\nedge 1 2 inf\nedge 0 2 inf\nedge 3 4 {}\n"
+
+
+@pytest.mark.parametrize("label, error, message", [
+    ("inf", DisconnectedGraph, "facets [3, 4] are orthogonal to the rest"),
+    ("3", NotLorentzian, "signature (4, 1, 0), expected (3, 1, 1) for a 3-dimensional "
+                         "hyperbolic polytope with 5 facets"),
+])
+def test_signature_is_checked_before_connectivity(label, error, message):
+    with pytest.raises(HypvolError) as info:
+        analyze(TRIANGLE_AND_PAIR.format(label))
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 def test_facet_count_is_checked_before_the_gram_matrix():
