@@ -14,13 +14,12 @@ tree per component; ``diagram.rescaled_form`` builds and eliminates it.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import GramMatrix, rescaled_form
 from .errors import DisconnectedGraph, FieldNotQ, RankDeficient, TooLarge
-from .surd import MultiSurd, prime_characters, squarefree_decompose
+from .surd import MultiSurd, prime_characters, product, squarefree_decompose
 
 MAX_FACETS_FOR_CYCLES = 12
 
@@ -52,7 +51,7 @@ class QuadraticFormQ:
 
     @property
     def det(self) -> MultiSurd:
-        return math.prod(self.pivots, start=MultiSurd(1))
+        return product(*self.pivots)
 
 
 class Classification(enum.Enum):
@@ -120,23 +119,20 @@ def enumerate_cycles(G: GramMatrix) -> list[CyclicProduct]:
                 v = doubled[i, j] = doubled[j, i] = G[i, j] * 2
                 out.append(CyclicProduct((i, j), v * v))
     # simple cycles of length >= 3, canonical: start at the smallest vertex,
-    # orient so the second vertex is smaller than the last; the product of
-    # the path so far rides along the DFS
+    # orient so the second vertex is smaller than the last; the path's
+    # product rides along the DFS, from its first edge's doubled entry
     for start in range(N):
         path = [start]
-        on_path = {start}
 
         def dfs(u, value):
             for w in adj[u]:
                 if w == start and len(path) >= 3:
                     if path[1] < path[-1]:
-                        out.append(CyclicProduct(tuple(path), value * doubled[u, start]))
-                elif w > start and w not in on_path:
+                        out.append(CyclicProduct(tuple(path), product(value, doubled[u, start])))
+                elif w > start and w not in path:
                     path.append(w)
-                    on_path.add(w)
-                    dfs(w, value * doubled[u, w])
+                    dfs(w, product(value, doubled[u, w]))
                     path.pop()
-                    on_path.remove(w)
 
         dfs(start, MultiSurd(1))
     out.sort(key=lambda c: (len(c.cycle), c.cycle))
@@ -224,30 +220,20 @@ def classify(G: GramMatrix) -> ArithmeticityReport:
     gens = field_of_definition(cycles)
     witnesses: list[str] = []
 
-    quasi = True
     form = rational_form(G)
     for primes, flips in _field_automorphisms(gens):
         pos = sum(p.conjugate_by_primes(primes).sign() > 0 for p in form.pivots)
         neg = len(form.pivots) - pos
         if pos and neg:
-            quasi = False
-            witnesses.append(
-                f"conjugate flipping sqrt of {flips} has signature "
-                f"({pos},{neg},0), not definite"
-            )
+            witnesses.append(f"conjugate flipping sqrt of {flips} has signature "
+                             f"({pos},{neg},0), not definite")
+    quasi = not witnesses
 
-    integral = True
-    for c in cycles:
-        if not c.value.is_integral():
-            integral = False
-            witnesses.append(f"cycle {c.cycle} has non-integral value {c.value}")
-
-    if not quasi:
-        cls = Classification.NOT_QUASI_ARITHMETIC
-    elif integral:
-        cls = Classification.ARITHMETIC
-    else:
-        cls = Classification.PROPERLY_QUASI_ARITHMETIC
+    non_integral = [c for c in cycles if not c.value.is_integral()]
+    witnesses += [f"cycle {c.cycle} has non-integral value {c.value}" for c in non_integral]
+    cls = (Classification.NOT_QUASI_ARITHMETIC if not quasi
+           else Classification.PROPERLY_QUASI_ARITHMETIC if non_integral
+           else Classification.ARITHMETIC)
 
     odd_over_q = not gens and G.dimension % 2 == 1
     delta = discriminant_delta(form, G.dimension) if odd_over_q else None

@@ -10,7 +10,9 @@ where the label is one of `3`, `4`, `5`, `6`, `inf`, or `dashed <surd>`.
 An absent edge means the two hyperplanes are orthogonal.  A label m stands
 for dihedral angle pi/m, `inf` for parallel hyperplanes, and `dashed w` for
 diverging hyperplanes at Gram entry -w (the printed weight is the magnitude
-of the Gram entry).
+of the Gram entry).  Each header line appears once.  ``schur_step`` is the
+one kernel of exact elimination over surds: ``eliminate`` and the face
+census of ``geometry`` loop over it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import BadWeight, DiagramSyntaxError, NotLorentzian, UnsupportedLabel
-from .surd import MultiSurd, parse_surd
+from .surd import MultiSurd, parse_surd, product
 
 # Exact cosines of pi/m for the supported finite labels.
 _COS = {
@@ -95,6 +97,8 @@ def parse_diagram(text: str) -> CoxeterDiagram:
         kind = parts[0]
         if kind in ("n", "facets") and len(parts) > 2:
             raise DiagramSyntaxError(f"line {lineno}: trailing tokens {parts[2:]}")
+        if kind in ("n", "facets") and (dim if kind == "n" else facets) is not None:
+            raise DiagramSyntaxError(f"line {lineno}: repeated {kind} header")
         if kind == "n":
             dim = _parse_int(parts, 1, lineno, "dimension")
         elif kind == "facets":
@@ -179,55 +183,71 @@ def gram_matrix(diagram: CoxeterDiagram) -> GramMatrix:
     return GramMatrix(diagram.dimension, G)
 
 
+def schur_step(A: list[list[MultiSurd]], basis: list[int] | tuple[int, ...],
+               rows: list[list[MultiSurd]], inverses: list[MultiSurd],
+               j: int) -> tuple[MultiSurd, list[MultiSurd], list[MultiSurd]]:
+    """One left-looking LDL' step: the Schur complement of A[basis] in A[basis + j].
+
+    ``rows`` and ``inverses`` hold A[basis] = L D L', per basis index its row
+    of L left of the unit diagonal and its inverse pivot.  Returns the
+    complement c = A_jj - y D^-1 y', j's column y = L^-1 A[basis, j] and its
+    multiplier row y D^-1, which extends the factor when c is nonzero."""
+    y: list[MultiSurd] = []
+    for i, multipliers in zip(basis, rows):
+        y.append(_minus_dot(A[i][j], multipliers, y))
+    row = [v if v.is_zero() else product(v, inverse) for v, inverse in zip(y, inverses)]
+    return _minus_dot(A[j][j], row, y), y, row
+
+
+def _minus_dot(v: MultiSurd, xs: list[MultiSurd], ys: list[MultiSurd]) -> MultiSurd:
+    """v - sum x y over the pairs, skipping products with a zero factor."""
+    for x, y in zip(xs, ys):
+        if not (x.is_zero() or y.is_zero()):
+            v = v - x * y
+    return v
+
+
 def eliminate(entries: list[list[MultiSurd]]) -> tuple[list[int], list[MultiSurd]]:
     """Symmetric elimination of a symmetric surd matrix, exact.
 
-    Pivots on the first nonzero diagonal entry of the remaining block; when
-    the whole remaining diagonal vanishes, a nonzero off-diagonal entry a is
-    pivoted as the hyperbolic block [[0, a], [a, 0]], recorded as pivots a
-    and -a (determinant -a^2, inertia (1, 1)).  Returns the eliminated
-    indices in pivot order, which number the rank, and the pivots, whose
-    product is the determinant of the (nonsingular) eliminated principal
-    submatrix.  Pivots are chosen by zero tests alone, which a field
-    automorphism keeps, so the conjugated matrix has the conjugated pivots.
-    """
+    Loops over ``schur_step``, pivoting on the first remaining index of
+    nonzero Schur complement.  When all vanish but an entry a of the
+    complement block does not, first in index order at (i, k), adding row
+    and column k to row and column i (a unimodular congruence) lets i and k
+    pivot as 2a and -a/2: product -a^2, inertia (1, 1).  Returns the
+    eliminated indices in pivot order, which number the rank, and the
+    pivots, whose product is the determinant of the (nonsingular)
+    eliminated principal submatrix.  Pivots are chosen by zero tests alone,
+    which a field automorphism keeps: the conjugated matrix has the
+    conjugated pivots."""
     A = [row[:] for row in entries]
     active = list(range(len(A)))
-    eliminated: list[int] = []
-    pivots: list[MultiSurd] = []
+    eliminated, pivots, rows, inverses = [], [], [], []   # rows, inverses: L D L' of A[eliminated]
     while active:
-        i = next((i for i in active if not A[i][i].is_zero()), None)
-        if i is not None:
-            pivot = A[i][i]
-            active.remove(i)
-            eliminated.append(i)
-            pivots.append(pivot)
-            inv = pivot.inverse()
-            row = [(v, A[i][v]) for v in active if not A[i][v].is_zero()]
-            for u in active:
-                if A[u][i].is_zero():
-                    continue
-                factor = A[u][i] * inv
-                for v, a in row:
-                    A[u][v] = A[u][v] - factor * a
-            continue
-        off = next(((i, j) for k, i in enumerate(active) for j in active[k + 1:]
-                    if not A[i][j].is_zero()), None)
-        if off is None:
-            break
-        i, j = off
-        active.remove(i)
-        active.remove(j)
-        eliminated += [i, j]
-        pivots += [A[i][j], -A[i][j]]
-        # Schur complement of the hyperbolic block
-        a_inv = A[i][j].inverse()
-        for u in active:
-            bi, bj = A[u][i], A[u][j]
-            if bi.is_zero() and bj.is_zero():
-                continue
-            for v in active:
-                A[u][v] = A[u][v] - (bi * A[j][v] + bj * A[i][v]) * a_inv
+        steps = {}
+        for j in active:
+            steps[j] = schur_step(A, eliminated, rows, inverses, j)
+            if not steps[j][0].is_zero():
+                chosen = [j]
+                break
+        else:
+            chosen = next(([i, k] for t, i in enumerate(active) for k in active[t + 1:]
+                           if not _minus_dot(A[i][k], steps[i][2], steps[k][1]).is_zero()), None)
+            if chosen is None:
+                break
+            i, k = chosen
+            A[i] = [a + b for a, b in zip(A[i], A[k])]
+            A[i][i] = A[i][i] + A[i][k]
+            for u, a in enumerate(A[i]):
+                A[u][i] = a
+            steps = {}  # row i changed: both steps are taken afresh
+        for j in chosen:
+            c, _, row = steps.get(j) or schur_step(A, eliminated, rows, inverses, j)
+            active.remove(j)
+            eliminated.append(j)
+            pivots.append(c)
+            rows.append(row)
+            inverses.append(c.inverse())
     return eliminated, pivots
 
 
@@ -262,13 +282,13 @@ def rescaled_form(G: GramMatrix) -> tuple[dict[int, int], list[list[MultiSurd]],
             for u in frontier:
                 for v in range(N):
                     if v not in forest and not G[u, v].is_zero():
-                        forest[v], lam[v] = u, lam[u] * (G[u, v] * 2)
+                        forest[v], lam[v] = u, product(lam[u], G[u, v] * 2)
                         frontier.append(v)
         F = [[MultiSurd(0)] * N for _ in range(N)]
         for i in range(N):
             for j in range(i, N):
                 if not G[i, j].is_zero():
-                    F[i][j] = F[j][i] = lam[i] * lam[j] * G[i, j]
+                    F[i][j] = F[j][i] = product(lam[i], lam[j], G[i, j])
         G._rescaled = (forest, F, *eliminate(F))
     return G._rescaled
 

@@ -3,7 +3,7 @@
 The combinatorics are exact: faces, vertices and incidences come from the
 census, which reads them off the exact Gram matrix by the inertia of its
 principal submatrices (Vinberg, "Hyperbolic reflection groups", Russian
-Math. Surveys 40, 1985, Thm 3.1), one Schur complement per candidate.
+Math. Surveys 40, 1985, Thm 3.1), one ``diagram.schur_step`` per candidate.
 Coordinates are float64: with every incidence decided exactly, they only
 feed the integrator, which works in float64, and two safety checks.  The Minkowski form used throughout is
 <x, y> = -x0*y0 + x1*y1 + ... with the timelike coordinate first.
@@ -16,9 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .diagram import GramMatrix, assert_lorentzian, inertia
+from .diagram import GramMatrix, assert_lorentzian, inertia, schur_step
 from .errors import NoVertices, TriangulationFailure
-from .surd import MultiSurd
 
 FacetSet = tuple[int, ...]
 
@@ -117,36 +116,18 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
     k-sets are its faces of codimension k, the elliptic n-sets its finite
     vertices, and the parabolic sets the facets through its ideal vertices.
 
-    Each candidate costs one Schur complement.  An elliptic set S keeps the
-    LDL' factorization of G[S], its multiplier rows and inverse pivots, and
-    since G[S] is positive definite, G[S + j] has the inertia of G[S] plus
-    the sign of c = G_jj - sum y_i^2 / d_i, where L y = G[S, j].  So
-    S + j is elliptic iff c > 0, and an n-set on an elliptic (n-1)-subset
-    has inertia (n - 1, 0, 1) iff c = 0.  A positive semidefinite matrix of
-    rank n - 1 has a nonsingular principal (n-1)-minor, that is an elliptic
-    (n-1)-subset, so an n-set without one is no ideal vertex.  Only the
-    test that merges an n-set into a parabolic set eliminates in full.
+    Each candidate S + j costs one ``diagram.schur_step`` on the LDL' factor
+    G[S] = L D L' that its elliptic parent S keeps: G[S] is positive
+    definite, so G[S + j] has its inertia plus the sign of the complement
+    c = G_jj - y D^-1 y', where L y = G[S, j].  So S + j is elliptic iff
+    c > 0, and an n-set on an elliptic (n-1)-subset has inertia (n - 1, 0, 1)
+    iff c = 0.  A positive semidefinite matrix of rank n - 1 has a
+    nonsingular principal (n-1)-minor, that is an elliptic (n-1)-subset, so
+    an n-set without one is no ideal vertex.  Only the test that merges an
+    n-set into a parabolic set eliminates in full.
     """
     n, N = G.dimension, G.size
-    factors: dict[FacetSet, tuple[list[list[MultiSurd]], list[MultiSurd]]] = {(): ([], [])}
-
-    def schur(S: FacetSet, j: int) -> tuple[MultiSurd, list[MultiSurd]]:
-        """The Schur complement c of G[S] in G[S + j], and j's multiplier row."""
-        rows, inverses = factors[S]
-        y: list[MultiSurd] = []
-        for i, multipliers in zip(S, rows):
-            v = G[i, j]
-            for m, yl in zip(multipliers, y):
-                if not (m.is_zero() or yl.is_zero()):
-                    v = v - m * yl
-            y.append(v)
-        row = [v if v.is_zero() else v * inverse for v, inverse in zip(y, inverses)]
-        c = G[j, j]
-        for v, m in zip(y, row):
-            if not v.is_zero():
-                c = c - v * m
-        return c, row
-
+    factors = {(): ((), [], [])}    # S -> (S, multiplier rows, inverse pivots) of G[S]
     faces: list[list[FacetSet]] = [[()]]
     for k in range(1, n + 1):
         below = set(faces[-1])
@@ -155,12 +136,12 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
             for j in range(S[-1] + 1 if S else 0, N):
                 if not all(S[:i] + S[i + 1:] + (j,) in below for i in range(k - 1)):
                     continue
-                c, row = schur(S, j)
+                c, _, row = schur_step(G.entries, *factors[S], j)
                 if c.sign() > 0:
                     level.append(S + (j,))
                     if k < n:
-                        rows, inverses = factors[S]
-                        factors[S + (j,)] = rows + [row], inverses + [c.inverse()]
+                        _, rows, inverses = factors[S]
+                        factors[S + (j,)] = S + (j,), rows + [row], inverses + [c.inverse()]
         faces.append(level)
     finite, ridges = set(faces[n]), set(faces[n - 1])
     cusps: list[tuple[FacetSet, FacetSet]] = []
@@ -168,7 +149,8 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
         if T in finite or any(set(T) <= set(P) for _, P in cusps):
             continue
         drop = next((i for i in reversed(range(n)) if T[:i] + T[i + 1:] in ridges), None)
-        if drop is None or not schur(T[:drop] + T[drop + 1:], T[drop])[0].is_zero():
+        if drop is None or not schur_step(G.entries, *factors[T[:drop] + T[drop + 1:]],
+                                          T[drop])[0].is_zero():
             continue
         for at, (first, P) in enumerate(cusps):
             U = tuple(sorted({*P, *T}))

@@ -357,6 +357,15 @@ def _coerce(x):
     return NotImplemented
 
 
+def product(*factors: MultiSurd) -> MultiSurd:
+    """The product of the factors, multiplying by none of them equal to 1."""
+    out = None
+    for f in factors:
+        if f._den != 1 or f._nums != {1: 1}:
+            out = f if out is None or (out._den == 1 and out._nums == {1: 1}) else out * f
+    return MultiSurd(1) if out is None else out
+
+
 # -- literal syntax ---------------------------------------------------------
 
 def parse_surd(text: str) -> MultiSurd:

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,28 @@ def test_classify_eliminates_the_rescaled_form_once(monkeypatch, text, delta):
     monkeypatch.setattr(diagram, "eliminate", counted)
     assert classify(gram_matrix(parse_diagram(text))).delta == delta
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text", [POLYTOPE_5D, POLYTOPE_7D, IDEAL_TRIANGLE],
+                         ids=["5d", "7d", "triangle"])
+def test_classify_multiplies_by_no_unit_in_cycles_or_rescaling(monkeypatch, text):
+    # a cycle's product starts at its first edge, and the rescaled form
+    # skips the root's scale 1 and a unit diagonal entry
+    one, multiply = MultiSurd(1), MultiSurd.__mul__
+    sites = ("dfs", "enumerate_cycles", "rescaled_form")
+    calls = []
+
+    def recorded(x, y):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == "hypvol.surd":
+            frame = frame.f_back
+        calls.append((frame.f_code.co_name, one in (x, y)))
+        return multiply(x, y)
+
+    monkeypatch.setattr(MultiSurd, "__mul__", recorded)
+    classify(gram_matrix(parse_diagram(text)))
+    assert {site for site, _ in calls} >= {"dfs", "rescaled_form"}
+    assert [site for site, unit in calls if unit and site in sites] == []
 
 
 def test_classify_triangles_over_biquadratic_fields():

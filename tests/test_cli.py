@@ -115,6 +115,14 @@ def test_disconnected_diagram_exit_codes(diagram_file, capsys, label, code, mess
     assert capsys.readouterr().err.startswith(message)
 
 
+def test_repeated_header_is_stage_error(diagram_file, capsys):
+    # the edge was checked against the first header, so a second one is refused
+    path = diagram_file("n 3\nfacets 4\nedge 0 1 3\nn 2\nfacets 3\n")
+    assert main(["analyze", path]) == EXIT_STAGE_ERROR
+    assert capsys.readouterr().err.startswith(
+        "error [DiagramSyntaxError]: line 4: repeated n header")
+
+
 def test_too_many_facets_is_stage_error(diagram_file, capsys):
     # checked before the signature, so a 13-facet positive definite diagram
     # exits 2 (TooLarge), not 3 (not Lorentzian)

@@ -72,6 +72,8 @@ def test_parse_no_edges_is_valid():
     "n 2\nfacets 3\nvertex 0 1 3\n",          # unknown directive
     "n 2\nfacets 3\nedge 0 1 frob\n",         # unknown label
     "n 2\n",                                  # missing facets
+    "n 3\nfacets 4\nedge 0 1 3\nn 2\nfacets 3\n",  # repeated n, after a checked edge
+    "n 2\nfacets 3\nfacets 4\n",              # repeated facets
 ])
 def test_parse_syntax_errors(text):
     with pytest.raises(DiagramSyntaxError):
@@ -160,14 +162,24 @@ field_elements = st.one_of(
 @st.composite
 def symmetric_surd_matrices(draw):
     """Symmetric 2x2 to 5x5 matrices; some with a zero diagonal, so the
-    hyperbolic 2x2 pivot runs, and some with a repeated row, so they are
-    singular."""
+    hyperbolic pivot runs at once, some with a unit border around a
+    zero-diagonal block, so it runs after one pivot, and some with a
+    repeated row, so they are singular."""
     size = draw(st.integers(2, 5))
-    zero_diagonal = draw(st.booleans())
+    shape = draw(st.sampled_from(["full", "zero diagonal", "bordered"]))
     M = [[MultiSurd(0)] * size for _ in range(size)]
     for i in range(size):
-        for j in range(i + int(zero_diagonal), size):
+        for j in range(i + int(shape != "full"), size):
             M[i][j] = M[j][i] = draw(field_elements)
+    if shape == "bordered":
+        # the congruence by I + e_0 t' of [[1, 0], [0, Z]]: the Schur
+        # complement of the leading 1 is the zero-diagonal block Z again
+        t = [draw(field_elements) for _ in range(size)]
+        M[0][0] = MultiSurd(1)
+        for i in range(1, size):
+            M[0][i] = M[i][0] = t[i]
+            for j in range(1, size):
+                M[i][j] = M[i][j] + t[i] * t[j]
     if draw(st.booleans()):
         M[-1] = M[0][:]
         for i in range(size):
@@ -200,6 +212,25 @@ def test_elimination_kernel_against_floats(M):
         nonzero = np.abs(eig) > 1e-6
         assert (pos, neg, zero) == (int((eig > 1e-6).sum()), int((eig < -1e-6).sum()),
                                     int((~nonzero).sum()))
+
+
+def test_hyperbolic_pivots_after_a_pivot():
+    # the ideal triangle's Gram matrix: after the leading 1 the Schur
+    # complement is [[0, -2], [-2, 0]], pivoted as 2a = -4 and -a/2 = 1
+    eliminated, pivots = eliminate(gram_matrix(parse_diagram(IDEAL_TRIANGLE)).entries)
+    assert eliminated == [0, 1, 2]
+    assert pivots == [MultiSurd(1), MultiSurd(-4), MultiSurd(1)]
+    assert math.prod(pivots, start=MultiSurd(1)) == MultiSurd(-4)
+    # a unit border around a zero-diagonal block, under a congruence: the
+    # hyperbolic pair comes second and third, with pivot product -a^2
+    r = MultiSurd.sqrt(2)
+    M = [[MultiSurd(1), r, MultiSurd(1)],
+         [r, MultiSurd(2), r + 3],
+         [MultiSurd(1), r + 3, MultiSurd(1)]]
+    eliminated, pivots = eliminate(M)
+    assert eliminated == [0, 1, 2]
+    assert pivots == [MultiSurd(1), MultiSurd(6), MultiSurd(Fraction(-3, 2))]
+    assert inertia(M) == (2, 1, 0)
 
 
 def test_signature_5d_with_float_oracle():

@@ -67,6 +67,20 @@ def test_mul_golden_ratio_square():
     assert math.isclose(float(sq), float(x) ** 2, rel_tol=1e-14)
 
 
+@given(st.lists(st.sampled_from([MultiSurd(1), MultiSurd(-1), MultiSurd(2),
+                                  MultiSurd.sqrt(2), MultiSurd(Fraction(1, 2))]), max_size=5))
+def test_product_multiplies_by_no_unit(factors):
+    # the running product may return to 1, as (-1)(-1) does, and is not
+    # multiplied on from there either
+    seen = []
+    multiply = MultiSurd.__mul__
+    with pytest.MonkeyPatch.context() as mp_:
+        mp_.setattr(MultiSurd, "__mul__", lambda x, y: seen.append((x, y)) or multiply(x, y))
+        got = surd.product(*factors)
+    assert got == math.prod(factors, start=MultiSurd(1))
+    assert MultiSurd(1) not in {x for pair in seen for x in pair}
+
+
 def test_sign_basics():
     assert MultiSurd(0).sign() == 0
     assert (MultiSurd.sqrt(26, Fraction(1, 4)) - 1).sign() == 1
