@@ -3,10 +3,13 @@
 The combinatorics are exact: faces, vertices and incidences come from the
 census, which reads them off the exact Gram matrix by the inertia of its
 principal submatrices (Vinberg, "Hyperbolic reflection groups", Russian
-Math. Surveys 40, 1985, Thm 3.1), one ``diagram.schur_step`` per candidate.
+Math. Surveys 40, 1985, Thm 3.1), one ``diagram.schur_step`` per connected
+candidate: a disconnected one has a block-diagonal Gram submatrix whose
+blocks lie in smaller elliptic sets, so it is elliptic when they are.
 Coordinates are float64: with every incidence decided exactly, they only
-feed the integrator, which works in float64, and two safety checks.  The Minkowski form used throughout is
-<x, y> = -x0*y0 + x1*y1 + ... with the timelike coordinate first.
+feed the integrator, which works in float64, and two safety checks.  The
+Minkowski form used throughout is <x, y> = -x0*y0 + x1*y1 + ... with the
+timelike coordinate first.
 """
 
 from __future__ import annotations
@@ -116,32 +119,63 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
     k-sets are its faces of codimension k, the elliptic n-sets its finite
     vertices, and the parabolic sets the facets through its ideal vertices.
 
-    Each candidate S + j costs one ``diagram.schur_step`` on the LDL' factor
-    G[S] = L D L' that its elliptic parent S keeps: G[S] is positive
-    definite, so G[S + j] has its inertia plus the sign of the complement
-    c = G_jj - y D^-1 y', where L y = G[S, j].  So S + j is elliptic iff
-    c > 0, and an n-set on an elliptic (n-1)-subset has inertia (n - 1, 0, 1)
-    iff c = 0.  A positive semidefinite matrix of rank n - 1 has a
-    nonsingular principal (n-1)-minor, that is an elliptic (n-1)-subset, so
-    an n-set without one is no ideal vertex.  Only the test that merges an
-    n-set into a parabolic set eliminates in full.
+    A candidate k-set U = S + j, S elliptic, first passes the subset test:
+    every (k-1)-subset of U is elliptic.  If U is disconnected in the
+    non-orthogonality graph, G[U] is block diagonal and each block, a proper
+    subset of U, lies in an elliptic (k-1)-subset; so U is elliptic with no
+    arithmetic.  A connected U costs one ``diagram.schur_step`` on the LDL'
+    factor G[R] = L D L' of R = U - i, where i is j if S is connected, else
+    the last vertex of a BFS of U, a leaf of its BFS tree; either way R is
+    connected and elliptic, so it keeps a factor.  G[R] is positive
+    definite, so G[U] has its inertia plus the sign of the complement
+    c = G_ii - y D^-1 y', where L y = G[R, i]: U is elliptic iff c > 0.
+    Only connected elliptic sets below n facets keep a factor, and a pivot
+    is inverted when its factor first serves as a basis.
+
+    An n-set T on an elliptic ridge T - d has inertia (n - 1, 0, 1) iff the
+    complement of G[T - d] in G[T] vanishes; it is that of K, the component
+    of d in T.  Off-diagonal Gram entries are nonpositive, so if it vanishes,
+    K is connected parabolic and every K - i is elliptic: the complement is
+    taken on the factor of K - i for a BFS leaf i, and T is no ideal vertex
+    when that factor is absent.  A positive semidefinite matrix of rank
+    n - 1 has an elliptic (n-1)-subset, so an n-set without one is no ideal
+    vertex.  Only the test that merges an n-set into a parabolic set
+    eliminates in full.
     """
     n, N = G.dimension, G.size
-    factors = {(): ((), [], [])}    # S -> (S, multiplier rows, inverse pivots) of G[S]
+    A = G.entries
+    adj = [{j for j in range(N) if j != i and not A[i][j].is_zero()} for i in range(N)]
+    # connected elliptic R below n facets -> (R in pivot order, multiplier rows,
+    # inverse pivots, the last pivot while it is not yet inverted) of G[R]
+    factors = {(): ((), [], [], None)}
+
+    def factor(R: FacetSet):
+        basis, rows, inverses, pivot = factors[R]
+        if pivot is not None:
+            inverses = inverses + [pivot.inverse()]
+            factors[R] = basis, rows, inverses, None
+        return basis, rows, inverses
+
     faces: list[list[FacetSet]] = [[()]]
     for k in range(1, n + 1):
         below = set(faces[-1])
         level = []
         for S in faces[-1]:
             for j in range(S[-1] + 1 if S else 0, N):
+                U = S + (j,)
                 if not all(S[:i] + S[i + 1:] + (j,) in below for i in range(k - 1)):
                     continue
-                c, _, row = schur_step(G.entries, *factors[S], j)
+                reached = _component(U[0], U, adj)
+                if len(reached) < k:
+                    level.append(U)
+                    continue
+                i = j if S in factors else reached[-1]
+                basis, rows, inverses = factor(tuple(u for u in U if u != i))
+                c, _, row = schur_step(A, basis, rows, inverses, i)
                 if c.sign() > 0:
-                    level.append(S + (j,))
+                    level.append(U)
                     if k < n:
-                        _, rows, inverses = factors[S]
-                        factors[S + (j,)] = S + (j,), rows + [row], inverses + [c.inverse()]
+                        factors[U] = basis + (i,), rows + [row], inverses, c
         faces.append(level)
     finite, ridges = set(faces[n]), set(faces[n - 1])
     cusps: list[tuple[FacetSet, FacetSet]] = []
@@ -149,8 +183,11 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
         if T in finite or any(set(T) <= set(P) for _, P in cusps):
             continue
         drop = next((i for i in reversed(range(n)) if T[:i] + T[i + 1:] in ridges), None)
-        if drop is None or not schur_step(G.entries, *factors[T[:drop] + T[drop + 1:]],
-                                          T[drop])[0].is_zero():
+        if drop is None:
+            continue
+        K = _component(T[drop], T, adj)
+        R = tuple(sorted(K[:-1]))
+        if R not in factors or not schur_step(A, *factor(R), K[-1])[0].is_zero():
             continue
         for at, (first, P) in enumerate(cusps):
             U = tuple(sorted({*P, *T}))
@@ -160,6 +197,18 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
         else:
             cusps.append((T, T))
     return faces, cusps
+
+
+def _component(start: int, members: FacetSet, adj: list[set[int]]) -> list[int]:
+    """The members joined to ``start`` through members, in BFS order."""
+    left = set(members)
+    left.discard(start)
+    order = [start]
+    for u in order:
+        near = adj[u] & left
+        left -= near
+        order += near
+    return order
 
 
 def _vertex_line(normals: np.ndarray, subset) -> np.ndarray:

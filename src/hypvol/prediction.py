@@ -153,12 +153,15 @@ def _smooth_denominators() -> tuple[int, ...]:
 def _smooth_candidates(x: Fraction, err: Fraction) -> list[Fraction]:
     """Every p/q within err of x with q smooth, 1 <= p <= the numerator cap
     and p the nearest integer to x*q.  For each p, |x - p/q| <= err is the q
-    range [p/(x + err), p/(x - err)], open at the top when x <= err."""
+    range [p/(x + err), p/(x - err)], open at the top when x <= err; an
+    integer q lies in it iff ceil(p/(x + err)) <= q <= floor(p/(x - err))."""
     table = _smooth_denominators()
+    up, down = x + err, x - err
     found = set()
     for p in range(1, RECOGNITION_MAX_NUMERATOR + 1):
-        lo = bisect.bisect_left(table, p / (x + err))
-        hi = bisect.bisect_right(table, p / (x - err)) if x > err else len(table)
+        lo = bisect.bisect_left(table, -(-p * up.denominator // up.numerator))
+        hi = (bisect.bisect_right(table, p * down.denominator // down.numerator)
+              if down > 0 else len(table))
         found.update(Fraction(p, q) for q in table[lo:hi] if round(x * q) == p)
     return sorted(found)
 

@@ -242,18 +242,19 @@ class MultiSurd:
 
         While x is irrational, split x = a + b*sqrt(p) and multiply the
         numerator by a - b*sqrt(p); x becomes a^2 - p*b^2, which is nonzero
-        with one prime fewer.  The rational left at the end divides out.
+        with one prime fewer.  The rational q/d left at the end, in lowest
+        terms, inverts in integers to d/q with the sign moved up.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero surd")
-        if self.is_rational():
-            return MultiSurd(1 / self.as_rational())
         numer, x = MultiSurd(1), self
         while not x.is_rational():
             p, a, b = x._split()
             numer = numer * (a - b * MultiSurd._reduced({p: 1}, 1))
             x = a * a - b * b * p
-        return numer * MultiSurd(1 / x.as_rational())
+        q = x._nums[1]
+        inverse = MultiSurd._reduced({1: x._den if q > 0 else -x._den}, abs(q))
+        return inverse if x is self else numer * inverse
 
     def __truediv__(self, other):
         other = _coerce(other)

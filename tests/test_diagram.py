@@ -315,3 +315,10 @@ def test_bundled_diagram_files_match_the_constants(name, text):
     # the CLI and the README read the files; the library tests and the bench the constants
     path = Path(__file__).parents[1] / "diagrams" / f"{name}.diagram"
     assert parse_diagram(path.read_text(encoding="utf-8")) == parse_diagram(text)
+
+
+def test_every_bundled_diagram_file_has_a_constant():
+    # so the comparison above covers each file the README can point to
+    folder = Path(__file__).parents[1] / "diagrams"
+    assert sorted(path.stem for path in folder.glob("*.diagram")) == [
+        "ideal_triangle", "polytope5d", "polytope7d"]

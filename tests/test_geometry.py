@@ -296,12 +296,13 @@ def test_census_euler_under_relabeling(text):
                                   POLYTOPE_5D, POLYTOPE_7D],
                          ids=["ideal-triangle", "245", "444", "5334", "5d", "7d"])
 def test_census_matches_full_eliminations(text):
-    # one Schur complement per candidate decides what a full elimination of
-    # its principal submatrix does, on the diagram and 5 relabelings; both
-    # bundled polytopes merge an n-set into their cusp's parabolic set
+    # the subset test, plus one Schur complement per connected candidate,
+    # decides what a full elimination of its principal submatrix does, on
+    # the diagram and 20 relabelings; both bundled polytopes merge an n-set
+    # into their cusp's parabolic set
     d = parse_diagram(text)
     rng = random.Random(18)
-    for relabeling in range(6):
+    for relabeling in range(21):
         perm = list(range(d.facets))
         if relabeling:
             rng.shuffle(perm)
@@ -336,11 +337,52 @@ def random_lorentzian_grams(count, seed):
 
 
 def test_census_matches_full_eliminations_on_random_diagrams():
-    grams = random_lorentzian_grams(500, seed=18)
-    found = [census(G) for G in grams]
-    assert sum(bool(cusps) for _, cusps in found) >= 50   # some have ideal vertices
-    for G, got in zip(grams, found):
-        assert got == census_by_inertia(G), G.entries
+    for seed in (18, 19, 20, 21):
+        grams = random_lorentzian_grams(500, seed=seed)
+        found = [census(G) for G in grams]
+        assert sum(bool(cusps) for _, cusps in found) >= 50   # some have ideal vertices
+        for G, got in zip(grams, found):
+            assert got == census_by_inertia(G), G.entries
+
+
+@pytest.mark.parametrize("text, most_steps, most_inverses", [
+    (POLYTOPE_5D, 50, 25),
+    (POLYTOPE_7D, 77, 40),
+], ids=["5d", "7d"])
+def test_census_steps_only_on_connected_sets(text, most_steps, most_inverses, monkeypatch):
+    # a disconnected candidate is elliptic by the subset test alone, so each
+    # Schur step extends a connected set; the step and inverse counts are
+    # pinned on the bundled labelings
+    d = parse_diagram(text)
+    rng = random.Random(23)
+    for relabeling in range(6):
+        perm = list(range(d.facets))
+        if relabeling:
+            rng.shuffle(perm)
+        G = gram_matrix(relabeled(d, perm))
+        adj = [{j for j in range(G.size) if j != i and not G[i, j].is_zero()}
+               for i in range(G.size)]
+        counts = {"steps": 0, "inverses": 0}
+
+        def step(A, basis, rows, inverses, j, schur_step=geometry.schur_step):
+            reached, members = [j], {*basis, j}
+            for u in reached:
+                reached += sorted(adj[u] & members - set(reached))
+            assert len(reached) == len(members), (basis, j)
+            counts["steps"] += 1
+            return schur_step(A, basis, rows, inverses, j)
+
+        def inverse(self, inverse=MultiSurd.inverse):
+            counts["inverses"] += 1
+            return inverse(self)
+
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "schur_step", step)
+            m.setattr(MultiSurd, "inverse", inverse)
+            faces, cusps = census(G)
+        assert (faces, cusps) == census_by_inertia(G)
+        if not relabeling:
+            assert counts["steps"] <= most_steps and counts["inverses"] <= most_inverses, counts
 
 
 def test_infinite_volume_rejected():

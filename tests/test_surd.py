@@ -146,6 +146,21 @@ def test_inverse_and_division():
         MultiSurd(0).inverse()
 
 
+def test_inverse_of_a_rational_matches_the_fraction_inverse():
+    # a rational inverts by swapping numerator and denominator in integers;
+    # the canonical form (positive denominator, lowest terms) is that of 1/q
+    qs = [Fraction(1), Fraction(-1), Fraction(3), Fraction(-4), Fraction(2, 7),
+          Fraction(-9, 4), Fraction(-1, 6), Fraction(10**20 + 7, 3), Fraction(-5, 10**18)]
+    for q in qs:
+        x = MultiSurd(q)
+        inverse = x.inverse()
+        assert inverse == MultiSurd(1 / q)
+        assert (inverse._nums, inverse._den) == (MultiSurd(1 / q)._nums, (1 / q).denominator)
+        assert inverse.as_rational() * q == 1
+    with pytest.raises(ZeroDivisionError):
+        MultiSurd(0).inverse()
+
+
 def test_inverse_and_integrality_need_no_conjugates(monkeypatch):
     def refuse(self, neg_primes):
         raise AssertionError("conjugate_by_primes called")
