@@ -22,6 +22,10 @@ from .errors import DisconnectedGraph, FieldNotQ, RankDeficient, TooLarge
 from .surd import MultiSurd, prime_characters, product, squarefree_decompose
 
 MAX_FACETS_FOR_CYCLES = 12
+# simple cycles listed before ``TooLarge``: a dense diagram on 12 facets has
+# millions; the densest one in the tests has 197 of length >= 3, and the
+# complete graph on 8 facets 8,046 with its 2-cycles
+MAX_CYCLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -103,8 +107,9 @@ def check_facet_count(N: int) -> None:
 def enumerate_cycles(G: GramMatrix) -> list[CyclicProduct]:
     """All simple cycles of the non-orthogonality graph, with their values.
 
-    Exhaustive enumeration; guarded by the facet-count limit because the
-    cycle count is exponential.  Length-2 cycles (edge there and back) are
+    Exhaustive enumeration; guarded by the facet-count limit and by
+    ``MAX_CYCLES``, past which it raises ``TooLarge``, because the cycle
+    count is exponential.  Length-2 cycles (edge there and back) are
     included, so the output is nonempty for any connected graph.
     """
     N = G.size
@@ -129,6 +134,9 @@ def enumerate_cycles(G: GramMatrix) -> list[CyclicProduct]:
                 if w == start and len(path) >= 3:
                     if path[1] < path[-1]:
                         out.append(CyclicProduct(tuple(path), product(value, doubled[u, start])))
+                        if len(out) > MAX_CYCLES:
+                            raise TooLarge(f"the non-orthogonality graph has more than "
+                                           f"{MAX_CYCLES} simple cycles")
                 elif w > start and w not in path:
                     path.append(w)
                     dfs(w, product(value, doubled[u, w]))

@@ -9,7 +9,10 @@ blocks lie in smaller elliptic sets, so it is elliptic when they are.
 Coordinates are float64: with every incidence decided exactly, they only
 feed the integrator, which works in float64, and two safety checks.  The
 Minkowski form used throughout is <x, y> = -x0*y0 + x1*y1 + ... with the
-timelike coordinate first.
+timelike coordinate first.  The Klein fan cones one facet per orbit of the
+Gram matrix's exact automorphisms (``facet_orbits``), weighted by the orbit
+size: every such automorphism is an isometry of the polytope fixing its
+centre, so the facets of one orbit have cones of equal volume.
 """
 
 from __future__ import annotations
@@ -59,17 +62,21 @@ class PolytopeRealization:
 
 @dataclass
 class KleinPolytope:
-    """Affine picture in the unit ball: vertices and a triangulation.
+    """Affine picture in the unit ball: vertices and a weighted triangulation.
 
     ``vertices`` is a (V, n) array whose rows carry an ideal flag (on the
     unit sphere).  Simplices index into its rows, with -1 denoting the
-    origin, the polytope's centre, from which the fan is coned.
+    origin, the polytope's centre, from which the fan is coned.  Each
+    simplex counts ``weights`` times, once for every facet of the orbit
+    whose representative's cone it triangulates; the volume is the
+    weighted sum over the simplices.
     """
 
     dimension: int
     vertices: np.ndarray
     ideal_flags: list[bool]
     simplices: list[list[int]]
+    weights: list[int]
 
     def simplex_points(self, simplex: list[int]) -> np.ndarray:
         origin = np.zeros(self.dimension)
@@ -79,11 +86,12 @@ class KleinPolytope:
 def centring_boost(finite, ideal) -> np.ndarray:
     """The Lorentz boost B that sends the vertices' centre c to e0.
 
-    c is the normalized sum of the finite vertices, or of the ideal ones
-    when there are none, so every isometry of the polytope fixes it.  It
-    lies in the relative interior of those vertices' convex hull: inside
-    the polytope, or on the facets through all of them.  For c = (c0, u)
-    with <c, c> = -1, B is [[c0, -u'], [-u, I + u u' / (1 + c0)]].
+    c is the normalized sum of the finite vertices, which every isometry of
+    the polytope fixes, or of the ideal ones when there are none, scaled by
+    the caller so that every isometry fixes their sum too.  It lies in the
+    relative interior of those vertices' convex hull: inside the polytope,
+    or on the facets through all of them.  For c = (c0, u) with
+    <c, c> = -1, B is [[c0, -u'], [-u, I + u u' / (1 + c0)]].
     """
     c = np.sum(finite if len(finite) else ideal, axis=0)
     c = c / np.sqrt(-(_flip_time(c) @ c))
@@ -123,14 +131,16 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
     every (k-1)-subset of U is elliptic.  If U is disconnected in the
     non-orthogonality graph, G[U] is block diagonal and each block, a proper
     subset of U, lies in an elliptic (k-1)-subset; so U is elliptic with no
-    arithmetic.  A connected U costs one ``diagram.schur_step`` on the LDL'
-    factor G[R] = L D L' of R = U - i, where i is j if S is connected, else
-    the last vertex of a BFS of U, a leaf of its BFS tree; either way R is
-    connected and elliptic, so it keeps a factor.  G[R] is positive
-    definite, so G[U] has its inertia plus the sign of the complement
-    c = G_ii - y D^-1 y', where L y = G[R, i]: U is elliptic iff c > 0.
-    Only connected elliptic sets below n facets keep a factor, and a pivot
-    is inverted when its factor first serves as a basis.
+    arithmetic.  When S keeps a factor it is connected, so U is connected
+    iff j meets S, and no BFS runs.  A connected U costs one
+    ``diagram.schur_step`` on the LDL' factor G[R] = L D L' of R = U - i,
+    where i is j if S keeps a factor, else the last vertex of a BFS of U, a
+    leaf of its BFS tree; either way R is connected and elliptic, so it
+    keeps a factor.  G[R] is positive definite, so G[U] has its inertia
+    plus the sign of the complement c = G_ii - y D^-1 y', where
+    L y = G[R, i]: U is elliptic iff c > 0.  Only connected elliptic sets
+    below n facets keep a factor, and a pivot is inverted when its factor
+    first serves as a basis.
 
     An n-set T on an elliptic ridge T - d has inertia (n - 1, 0, 1) iff the
     complement of G[T - d] in G[T] vanishes; it is that of K, the component
@@ -165,11 +175,14 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
                 U = S + (j,)
                 if not all(S[:i] + S[i + 1:] + (j,) in below for i in range(k - 1)):
                     continue
-                reached = _component(U[0], U, adj)
-                if len(reached) < k:
+                if S in factors:
+                    connected, i = not S or not adj[j].isdisjoint(S), j
+                else:
+                    reached = _component(U[0], U, adj)
+                    connected, i = len(reached) == k, reached[-1]
+                if not connected:
                     level.append(U)
                     continue
-                i = j if S in factors else reached[-1]
                 basis, rows, inverses = factor(tuple(u for u in U if u != i))
                 c, _, row = schur_step(A, basis, rows, inverses, i)
                 if c.sign() > 0:
@@ -233,7 +246,8 @@ def enumerate_vertices(realization: PolytopeRealization) -> PolytopeRealization:
     inequality, every normal is flipped.  Every vertex must then lie
     strictly inside each facet half-space not through it, and every edge
     must have two ends, as in a finite-volume polytope.  Last, normals and
-    vertices move to the centred frame of ``centring_boost``.
+    vertices move to the centred frame of ``centring_boost``, whose centre
+    every isometry of the polytope fixes, whatever the frame of the normals.
     """
     n, N = realization.dimension, realization.facet_count
     faces, cusps = census(realization.gram)
@@ -261,6 +275,12 @@ def enumerate_vertices(realization: PolytopeRealization) -> PolytopeRealization:
         if (row[out] >= 0).any():
             raise NoVertices(f"the vertex on facets {sorted(S)} violates a facet "
                              "inequality; the input is not a polytope")
+    if not finite:
+        # scale the rays by |<x, t>| for the Gram matrix's own time axis
+        # t = sum_i q_i e_i, q its negative eigenvector, which every isometry
+        # of the polytope fixes in any frame; in that of ``realize`` t is e0
+        t = np.linalg.eigh(normals @ _flip_time(normals).T)[1][:, 0] @ normals
+        ideal = [x / abs(_flip_time(x) @ t) for x in ideal]
     B = centring_boost(finite, ideal)
     realization.normals = normals @ B.T
     finite = [x / np.sqrt(-(_flip_time(x) @ x)) for x in (B @ x for x in finite)]
@@ -271,14 +291,73 @@ def enumerate_vertices(realization: PolytopeRealization) -> PolytopeRealization:
     return realization
 
 
+def facet_orbits(G: GramMatrix) -> list[list[int]]:
+    """The facets' orbits under the permutations s with G[s(i)][s(j)] ==
+    G[i][j] for all i, j, each ascending, ordered by their least facet.
+
+    Such an s is an isometry of the polytope that fixes its centre.  It
+    extends linearly to an isometry of R^{n,1} sending normal e_i to
+    e_s(i): the normals span R^{n,1}, their linear relations are the kernel
+    of G, and s preserves that kernel.  The isometry maps the cone
+    {x : <x, e_i> <= 0 for all i} onto itself; that cone is the one over
+    the polytope, inside the future light cone, so the isometry keeps the
+    time orientation and permutes the vertices.  It therefore fixes the
+    centre c of ``centring_boost`` and maps the cone from c over facet i
+    onto the cone over facet s(i), of equal volume.
+
+    Facets are first split by the sorted multiset of their Gram rows.
+    Then, for each pair (i, j) of one class not yet known to share an
+    orbit, ``_automorphism`` looks for one such s with s(i) = j, and the
+    cycles of the s it finds merge orbits.  The group itself is never
+    enumerated: each pair is searched at most once.
+    """
+    ids: dict = {}    # each distinct entry as a small integer
+    A = [[ids.setdefault(e, len(ids)) for e in row] for row in G.entries]
+    rows = [sorted(row) for row in A]
+    N = G.size
+    least = list(range(N))    # the least facet of each facet's orbit so far
+    for i, j in combinations(range(N), 2):
+        if least[i] != least[j] and rows[i] == rows[j]:
+            for k, image in enumerate(_automorphism(A, rows, i, j) or ()):
+                low, high = sorted((least[k], least[image]))
+                least = [low if m == high else m for m in least]
+    return [[k for k in range(N) if least[k] == m] for m in sorted(set(least))]
+
+
+def _automorphism(A: list[list[int]], rows: list[list[int]], i: int, j: int) -> list[int] | None:
+    """A permutation s of the facets with s(i) = j that keeps every entry of
+    A, as the list of images, or None: a backtracking search that maps i,
+    then every other facet in turn, to an unused facet of the same row
+    multiset and checks its entries against every facet mapped so far."""
+    N = len(A)
+    order = [i, *(k for k in range(N) if k != i)]
+    image: list[int] = [-1] * N
+
+    def extend(at: int) -> bool:
+        if at == N:
+            return True
+        k, done = order[at], order[:at]
+        for m in [j] if at == 0 else range(N):
+            if (m not in image and rows[m] == rows[k]
+                    and all(A[m][image[u]] == A[k][u] for u in done)):
+                image[k] = m
+                if extend(at + 1):
+                    return True
+                image[k] = -1
+        return False
+
+    return image if extend(0) else None
+
+
 def to_klein(realization: PolytopeRealization) -> KleinPolytope:
     """Central projection to the unit ball with a fan triangulation.
 
     Finite vertices map inside the ball, ideal ones onto the sphere (they
     are renormalized to unit length so the cusp integrand sees an exactly
-    ideal point).  The triangulation cones every facet's recursive fan to
-    the origin, the centre of the frame, leaving out the facets through it,
-    whose cones are flat.
+    ideal point).  The triangulation cones the recursive fan of one facet
+    per orbit of ``facet_orbits``, its least, to the origin, the centre of
+    the frame, and weights it by the orbit size.  It leaves out the orbits
+    of facets through the centre, whose cones are flat.
     """
     n = realization.dimension
     finite, ideal = realization.finite_vertices, realization.ideal_vertices
@@ -287,13 +366,14 @@ def to_klein(realization: PolytopeRealization) -> KleinPolytope:
     verts = np.array([x[1:] / x[0] for x in finite]
                      + [x[1:] / np.linalg.norm(x[1:]) for x in ideal])
     flags = [False] * len(finite) + [True] * len(ideal)
-    return KleinPolytope(n, verts, flags, _fan_triangulation(n, realization))
+    return KleinPolytope(n, verts, flags, *_fan_triangulation(n, realization))
 
 
-def _fan_triangulation(n, realization: PolytopeRealization) -> list[list[int]]:
-    """Fan from the origin over facets, recursively fanned from the smallest
-    vertex index within each face.  A face is its elliptic facet set, and
-    its vertices are those whose facet set contains it."""
+def _fan_triangulation(n, realization: PolytopeRealization) -> tuple[list[list[int]], list[int]]:
+    """Fan from the origin over one facet per orbit, recursively fanned from
+    the smallest vertex index within each face, and each simplex's weight,
+    its orbit's size.  A face is its elliptic facet set, and its vertices
+    are those whose facet set contains it."""
     vertex_facets, faces = realization.vertex_facets, realization.faces
     N = realization.facet_count
 
@@ -318,5 +398,10 @@ def _fan_triangulation(n, realization: PolytopeRealization) -> list[list[int]]:
     # the centre lies on the facets through every vertex it is the centre of
     centred = vertex_facets[:len(realization.finite_vertices)] or vertex_facets
     through_centre = frozenset.intersection(*centred)
-    return [s + [-1] for i in range(N) if i not in through_centre
-            for s in triangulate_face(frozenset([i]), n - 1)]
+    simplices, weights = [], []
+    for orbit in facet_orbits(realization.gram):
+        if orbit[0] not in through_centre:
+            cone = triangulate_face(frozenset(orbit[:1]), n - 1)
+            simplices += [s + [-1] for s in cone]
+            weights += [len(orbit)] * len(cone)
+    return simplices, weights

@@ -12,15 +12,19 @@ centred frame (``geometry.centring_boost``) each piece of the fan is a cone,
   2 / ((n-1) a.t (a.t - |tY|^2)^((n-1)/2)).
 
 Simplices with several ideal vertices are split on ideal-ideal edge
-midpoints first.  Both integrands are analytic on the closed simplex, so a
-tensor Gauss rule converges exponentially: collapsed coordinates
-t_i = u_i prod_(j<i) (1 - u_j) carry the Jacobian prod (1 - u_i)^(d-1-i),
-the Gauss-Jacobi weight of u_i (Stroud, Approximate Calculation of Multiple
-Integrals, 1971; nodes by Golub & Welsch, Math. Comp. 23, 1969).  One
-order p serves every piece, raised from 2, and the bar is
+midpoints first.  A piece counts with its simplex's weight, the size of the
+facet orbit whose cone it helps triangulate (``geometry.facet_orbits``), so
+Q_k below is the piece's weighted value.  Both integrands are analytic on
+the closed simplex, so a tensor Gauss rule converges exponentially:
+collapsed coordinates t_i = u_i prod_(j<i) (1 - u_j) carry the Jacobian
+prod (1 - u_i)^(d-1-i), the Gauss-Jacobi weight of u_i (Stroud,
+Approximate Calculation of Multiple Integrals, 1971; nodes by Golub &
+Welsch, Math. Comp. 23, 1969), built once per order and exponent.  One
+order p serves every piece, raised from 2, and the bar is the weighted sum
 sum_k |Q_k,p - Q_k,p-1|: once the last two such changes each shrank by at
 least half, the change bounds the error left in Q_p.  A float64 rounding
-floor of 1e-14 of the volume bounds the bar from below.
+floor of 1e-14 of the volume bounds the bar from below.  ``samples``
+counts the nodes evaluated, each piece's once per order.
 
 The pieces are evaluated in bulk: the base matrices of the pieces without
 cusp are stacked into one (K, n, d+1) array, those of the cusp pieces and
@@ -31,6 +35,7 @@ order nor the number of pieces grows the memory of a block.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,17 +65,22 @@ class VolumeEstimate:
         return self.abs_error / self.value if self.value else math.inf
 
 
+@functools.lru_cache(maxsize=1024)
 def _gauss_jacobi(p: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the p-point Gauss rule for (1 - u)^alpha on [0, 1]:
     by Golub-Welsch, the eigenvalues x of the Jacobi matrix of (1 - x)^alpha
     on [-1, 1] give u = (1 + x) / 2, and the squared first eigenvector
-    components times the mass 1 / (alpha + 1) the weights."""
+    components times the mass 1 / (alpha + 1) the weights.  Cached, so the
+    arrays are read-only."""
     k = np.arange(1, p, dtype=np.float64)
     s = 2.0 * k + alpha
     diag = np.concatenate([[-alpha / (alpha + 2.0)], -alpha * alpha / (s * (s + 2.0))])
     off = 2.0 * k * (k + alpha) / (s * np.sqrt(s * s - 1.0))
     x, V = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return (1.0 + x) / 2.0, V[0] ** 2 / (alpha + 1.0)
+    rule = (1.0 + x) / 2.0, V[0] ** 2 / (alpha + 1.0)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def _simplex_rule(d: int, p: int):
@@ -190,9 +200,14 @@ def _volume(kp: KleinPolytope, budget, max_log2_samples: int) -> VolumeEstimate:
     ``budget`` (total volume -> absolute budget) and is honest; at the cap
     of 2^max_log2_samples nodes per piece the bar reached stands if the
     changes shrank, and ``NonConvergent`` is raised otherwise."""
-    pieces = [piece for s in kp.simplices for piece in _split_multi_ideal(
-        kp.simplex_points(s), [k >= 0 and kp.ideal_flags[k] for k in s])]
-    built = [made for made in (_piece(*piece) for piece in pieces) if made[2]]
+    pieces = [(piece, weight) for s, weight in zip(kp.simplices, kp.weights)
+              for piece in _split_multi_ideal(kp.simplex_points(s),
+                                              [k >= 0 and kp.ideal_flags[k] for k in s])]
+    built = []    # per piece of nonzero volume: YT, a or None, and |det Y| times its weight
+    for piece, weight in pieces:
+        YT, a, det = _piece(*piece)
+        if det:
+            built.append((YT, a, weight * det))
     stacks = []    # per kind: indices into built, stacked YT, stacked a or None
     for cusp in (False, True):
         index = [k for k, (_, a, _) in enumerate(built) if (a is not None) == cusp]
@@ -260,7 +275,7 @@ def simplex_volume(
     X = lifted @ centring_boost(lifted[finite], []).T
     # with an ideal vertex, the centre lies on the facet opposite it
     facets = [[j for j in range(n + 1) if j != k] + [-1] for k in range(n + 1) if k != ideal_index]
-    return _volume(KleinPolytope(n, X[:, 1:] / X[:, :1], flags, facets),
+    return _volume(KleinPolytope(n, X[:, 1:] / X[:, :1], flags, facets, [1] * len(facets)),
                    lambda _: budget, max_log2_samples)
 
 

@@ -60,6 +60,18 @@ def test_cycles_too_large_guard():
         enumerate_cycles(G)
 
 
+def test_cycles_count_guard():
+    # the complete graph on 8 facets lists 28 + 8,018 cycles, within the
+    # bound; on 9 facets, 36 + 62,814 would pass it
+    def complete(N):
+        return GramMatrix(N - 1, [[MultiSurd(1 if i == j else -1) for j in range(N)]
+                                  for i in range(N)])
+
+    assert len(enumerate_cycles(complete(8))) == 8046 <= arithmeticity.MAX_CYCLES
+    with pytest.raises(TooLarge, match="simple cycles"):
+        enumerate_cycles(complete(9))
+
+
 def test_cycles_disconnected():
     G = gram_matrix(parse_diagram("n 2\nfacets 4\nedge 0 1 3\nedge 2 3 3\n"))
     with pytest.raises(DisconnectedGraph):

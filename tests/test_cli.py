@@ -132,6 +132,20 @@ def test_too_many_facets_is_stage_error(diagram_file, capsys):
     assert "TooLarge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("facets", [10, 12])
+def test_too_many_cycles_is_stage_error(diagram_file, capsys, facets):
+    # pairwise parallel facets: Lorentzian, with 556,014 simple cycles on 10
+    # facets and 59.7 M on 12, so the cycle count stops the run, as the
+    # facet count does past 12
+    edges = "".join(f"edge {i} {j} inf\n" for i in range(facets) for j in range(i + 1, facets))
+    path = diagram_file(f"n {facets - 1}\nfacets {facets}\n{edges}")
+    t0 = time.perf_counter()
+    code = main(["analyze", path])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_STAGE_ERROR
+    assert "error [TooLarge]" in capsys.readouterr().err
+
+
 def test_stage_error_exit_code(diagram_file, capsys):
     path = diagram_file("n 2\nfacets 3\nedge 0 1 7\n")
     code = main(["analyze", path])

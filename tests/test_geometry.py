@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from hypvol import geometry
+from hypvol import analyze, geometry
 from hypvol.diagram import assert_lorentzian, gram_matrix, parse_diagram
 from hypvol.errors import HypvolError, NotLorentzian, NoVertices
 from hypvol.geometry import census, enumerate_vertices, realize, to_klein
@@ -159,22 +160,25 @@ def test_klein_vertex_placement():
 
 
 def test_klein_simplices_have_positive_volume():
+    # one facet cone per orbit {i, i + 4}, each counted twice
     kp = to_klein(realized_polytope(POLYTOPE_5D))
-    assert len(kp.simplices) == 46
+    assert len(kp.simplices) == 23 and kp.weights == [2] * 23
     for s in kp.simplices:
         pts = np.array([[float(c) for c in p] for p in kp.simplex_points(s)])
         assert abs(np.linalg.det(pts[1:] - pts[0])) > 1e-12
 
 
 def test_klein_triangulation_volume_additivity():
-    """Euclidean volume of the triangulation equals rejection sampling."""
+    """Weighted Euclidean volume of the triangulation equals rejection
+    sampling: the isometries that map one facet cone onto another of its
+    orbit fix the centre, so in the Klein ball they are rotations."""
     r = realized_polytope(POLYTOPE_5D)
     kp = to_klein(r)
     n = kp.dimension
     total = 0.0
-    for s in kp.simplices:
+    for s, weight in zip(kp.simplices, kp.weights):
         pts = np.array([[float(c) for c in p] for p in kp.simplex_points(s)])
-        total += abs(np.linalg.det(pts[1:] - pts[0])) / math.factorial(n)
+        total += weight * abs(np.linalg.det(pts[1:] - pts[0])) / math.factorial(n)
 
     pts = np.array([[float(c) for c in v] for v in kp.vertices])
     lo, hi = pts.min(axis=0), pts.max(axis=0)
@@ -196,7 +200,81 @@ def test_klein_7d_counts():
     r = realized_polytope(POLYTOPE_7D)
     assert (len(r.finite_vertices), len(r.ideal_vertices)) == (18, 1)
     kp = to_klein(r)
-    assert len(kp.simplices) == 134
+    assert len(kp.simplices) == 67 and kp.weights == [2] * 67
+
+
+IDEAL_TETRAHEDRON = "n 3\nfacets 4\n" + "".join(
+    f"edge {i} {j} 3\n" for i in range(4) for j in range(i + 1, 4))
+
+
+@pytest.mark.parametrize("text, orbits", [
+    (POLYTOPE_5D, [[i, i + 4] for i in range(4)]),
+    (POLYTOPE_7D, [[i, i + 5] for i in range(5)]),
+    (IDEAL_TRIANGLE, [[0, 1, 2]]),
+    (IDEAL_TETRAHEDRON, [[0, 1, 2, 3]]),
+    (TRIANGLE_245, [[0], [1], [2]]),
+    (SIMPLEX_5334, [[i] for i in range(5)]),
+], ids=["5d", "7d", "ideal-triangle", "ideal-tetrahedron", "245", "5334"])
+def test_facet_orbits(text, orbits):
+    # the orbits of the Gram matrix's exact automorphisms, and their sizes
+    # on 20 relabelings
+    d = parse_diagram(text)
+    assert geometry.facet_orbits(gram_matrix(d)) == orbits
+    rng = random.Random(24)
+    for _ in range(20):
+        perm = list(range(d.facets))
+        rng.shuffle(perm)
+        found = geometry.facet_orbits(gram_matrix(relabeled(d, perm)))
+        assert sorted(map(len, found)) == sorted(map(len, orbits))
+        assert sorted(sorted(perm[i] for i in orbit) for orbit in orbits) == found
+
+
+@pytest.mark.parametrize("text, searches", [
+    (IDEAL_TETRAHEDRON, 3), (IDEAL_TRIANGLE, 2), (POLYTOPE_5D, 1), (POLYTOPE_7D, 1),
+], ids=["ideal-tetrahedron", "ideal-triangle", "5d", "7d"])
+def test_orbit_search_finds_one_automorphism_per_pair(text, searches, monkeypatch):
+    # |Aut| is 24 for the tetrahedron and 6 for the triangle, but each search
+    # returns one automorphism and each that succeeds merges orbits, so no
+    # pair is searched twice; in 5D and 7D the first one, i <-> i + 4 or
+    # i <-> i + 5, merges every orbit at once
+    calls = []
+    search = geometry._automorphism
+    G = gram_matrix(parse_diagram(text))
+    facets = range(G.size)
+
+    def counted(A, rows, i, j):
+        found = search(A, rows, i, j)
+        if found is not None:
+            assert sorted(found) == list(facets) and found[i] == j
+            assert all(G[found[k], found[m]] == G[k, m] for k in facets for m in facets)
+        calls.append(((i, j), found is not None))
+        return found
+
+    monkeypatch.setattr(geometry, "_automorphism", counted)
+    orbits = geometry.facet_orbits(G)
+    pairs = [pair for pair, _ in calls]
+    assert len(calls) == searches and len(set(pairs)) == len(pairs)
+    assert sum(found for _, found in calls) <= G.size - len(orbits)
+
+
+@pytest.mark.parametrize("text", [TRIANGLE_245, SIMPLEX_5334,
+                                  "n 2\nfacets 3\nedge 0 2 3\nedge 1 2 inf\n"],
+                         ids=["245", "5334", "one-ideal-vertex"])
+def test_trivial_symmetry_keeps_every_facet_cone(text, monkeypatch):
+    # with singleton orbits every weight is 1 and the fan is the one over
+    # every facet: the report is byte-identical to the one with the orbit
+    # search replaced by singletons
+    def report():
+        out = analyze(text, target_rel_err=1e-6).to_dict()
+        del out["timings"]
+        return json.dumps(out)
+
+    kp = to_klein(realized_polytope(text))
+    assert set(kp.weights) == {1}
+    expected = report()
+    monkeypatch.setattr(geometry, "facet_orbits", lambda G: [[i] for i in range(G.size)])
+    assert to_klein(realized_polytope(text)).simplices == kp.simplices
+    assert report() == expected
 
 
 def test_vertex_enumeration_solves_each_subset_once(monkeypatch):
@@ -345,14 +423,17 @@ def test_census_matches_full_eliminations_on_random_diagrams():
             assert got == census_by_inertia(G), G.entries
 
 
-@pytest.mark.parametrize("text, most_steps, most_inverses", [
-    (POLYTOPE_5D, 50, 25),
-    (POLYTOPE_7D, 77, 40),
+@pytest.mark.parametrize("text, most_steps, most_inverses, most_searches", [
+    (POLYTOPE_5D, 50, 25, 104),
+    (POLYTOPE_7D, 77, 40, 475),
 ], ids=["5d", "7d"])
-def test_census_steps_only_on_connected_sets(text, most_steps, most_inverses, monkeypatch):
+def test_census_steps_only_on_connected_sets(text, most_steps, most_inverses, most_searches,
+                                             monkeypatch):
     # a disconnected candidate is elliptic by the subset test alone, so each
     # Schur step extends a connected set; the step and inverse counts are
-    # pinned on the bundled labelings
+    # pinned on the bundled labelings, and so is the count of BFS runs, which
+    # skip the candidates whose elliptic part keeps a factor (159 and 583
+    # when every candidate ran one)
     d = parse_diagram(text)
     rng = random.Random(23)
     for relabeling in range(6):
@@ -362,7 +443,7 @@ def test_census_steps_only_on_connected_sets(text, most_steps, most_inverses, mo
         G = gram_matrix(relabeled(d, perm))
         adj = [{j for j in range(G.size) if j != i and not G[i, j].is_zero()}
                for i in range(G.size)]
-        counts = {"steps": 0, "inverses": 0}
+        counts = {"steps": 0, "inverses": 0, "searches": 0}
 
         def step(A, basis, rows, inverses, j, schur_step=geometry.schur_step):
             reached, members = [j], {*basis, j}
@@ -376,13 +457,19 @@ def test_census_steps_only_on_connected_sets(text, most_steps, most_inverses, mo
             counts["inverses"] += 1
             return inverse(self)
 
+        def component(*args, component=geometry._component):
+            counts["searches"] += 1
+            return component(*args)
+
         with monkeypatch.context() as m:
             m.setattr(geometry, "schur_step", step)
             m.setattr(MultiSurd, "inverse", inverse)
+            m.setattr(geometry, "_component", component)
             faces, cusps = census(G)
         assert (faces, cusps) == census_by_inertia(G)
         if not relabeling:
             assert counts["steps"] <= most_steps and counts["inverses"] <= most_inverses, counts
+            assert counts["searches"] <= most_searches, counts
 
 
 def test_infinite_volume_rejected():
