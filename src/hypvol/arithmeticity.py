@@ -26,6 +26,9 @@ MAX_FACETS_FOR_CYCLES = 12
 # millions; the densest one in the tests has 197 of length >= 3, and the
 # complete graph on 8 facets 8,046 with its 2-cycles
 MAX_CYCLES = 10_000
+# largest |D| whose L-value the prediction evaluates: its cost grows linearly
+# in |D|, and at this bound it takes about 1 s at the default context
+MAX_DISCRIMINANT = 40_000
 
 
 @dataclass(frozen=True)

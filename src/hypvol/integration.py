@@ -59,6 +59,7 @@ class VolumeEstimate:
     abs_error: float
     samples: int
     strategy: str = "gauss-jacobi"
+    capped: bool = False    # the node cap stopped the rule before the bar met the budget
 
     @property
     def rel_error(self) -> float:
@@ -198,8 +199,9 @@ def _shrinking(changes: list[float]) -> bool:
 def _volume(kp: KleinPolytope, budget, max_log2_samples: int) -> VolumeEstimate:
     """One order p over the fan's pieces, raised from 2 until the bar fits
     ``budget`` (total volume -> absolute budget) and is honest; at the cap
-    of 2^max_log2_samples nodes per piece the bar reached stands if the
-    changes shrank, and ``NonConvergent`` is raised otherwise."""
+    of 2^max_log2_samples nodes per piece the bar reached stands, flagged
+    ``capped``, if the changes shrank, and ``NonConvergent`` is raised
+    otherwise."""
     pieces = [(piece, weight) for s, weight in zip(kp.simplices, kp.weights)
               for piece in _split_multi_ideal(kp.simplex_points(s),
                                               [k >= 0 and kp.ideal_flags[k] for k in s])]
@@ -216,7 +218,7 @@ def _volume(kp: KleinPolytope, budget, max_log2_samples: int) -> VolumeEstimate:
             stacks.append((np.array(index), np.stack([built[k][0] for k in index]), a))
     d = kp.dimension - 1
     changes: list[float] = []
-    previous, samples, p = None, 0, 2
+    previous, samples, p, capped = None, 0, 2, False
     while p ** d <= 2 ** max_log2_samples:
         values = np.zeros(len(built))
         for T, w in _simplex_rule(d, p):
@@ -239,8 +241,8 @@ def _volume(kp: KleinPolytope, budget, max_log2_samples: int) -> VolumeEstimate:
         if not _shrinking(changes):
             raise NonConvergent(f"the cubature's last changes {changes[-3:]} did not shrink "
                                 f"by half twice within 2^{max_log2_samples} nodes per piece")
-        values = previous
-    return VolumeEstimate(float(values.sum()), max(changes[-1], floor), samples)
+        values, capped = previous, True    # the bar stands above the budget
+    return VolumeEstimate(float(values.sum()), max(changes[-1], floor), samples, capped=capped)
 
 
 def simplex_volume(

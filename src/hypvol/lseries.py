@@ -3,16 +3,18 @@
 Everything is built on the Euler-Maclaurin expansion of the Hurwitz zeta
 function at integer s >= 2 and rational a, with the classical remainder
 bound (first omitted term, doubled here for safety), summed in integer
-fixed point with exact Bernoulli coefficients.  The only error sources are
-the truncation bound and one unit of the last fixed-point bit per term,
-which the guard bits make negligible against the reported bound.
+fixed point: the head term by term, the tail by Horner's rule over exact
+Bernoulli coefficients rounded once per precision.  The only error sources
+are the truncation bound and less than one unit of the last fixed-point bit
+per floor, which the guard bits make negligible against the reported bound.
 
 The quadratic L-value is assembled from Hurwitz values,
 
     L(s, chi_D) = |D|^(-s) * sum_{a=1}^{|D|} chi_D(a) * zeta(s, a/|D|),
 
 which converges geometrically in work rather than polynomially like the
-raw character series.
+raw character series.  The residues' fixed-point values are added as
+integers, so an L-value becomes an mpf once.
 """
 
 from __future__ import annotations
@@ -134,38 +136,64 @@ def _em_tail(s: int) -> tuple[tuple[tuple[int, Fraction], ...], float]:
     return tuple(tail), 2.0 * float(abs(bernoulli_fraction(2 * J + 2))) / factorial(2 * J + 2) * rising
 
 
+@lru_cache(maxsize=64)
+def _tail_fixed(s: int, wp: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The tail coefficients in wp-bit fixed point, C_m = floor(c_m 2^wp),
+    in Horner order: C_m of the highest m, then (g, C_m) for each lower m
+    down to s - 1, g in {1, 2} the gap to the exponent before it.  Bounded,
+    since wp follows the caller's context."""
+    fixed = [(m, (c.numerator << wp) // c.denominator)
+             for m, c in sorted(_em_tail(s)[0], reverse=True)]
+    return fixed[0][1], tuple((m_up - m, C) for (m_up, _), (m, C) in zip(fixed, fixed[1:]))
+
+
+def _hurwitz_fixed(s: int, p: int, q: int, ctx: PrecisionContext) -> int:
+    """zeta(s, p/q) 2^wp as an integer, wp = ctx.workprec(), for p/q in
+    lowest terms; the sum of ``hurwitz_zeta``."""
+    coeff = _em_tail(s)[1]
+    limit = float(ctx.target_error) / 2
+    M = 16
+    # (M q + p) / q is float(M + p/q), correctly rounded
+    while coeff * ((M * q + p) / q) ** (-(s + 2 * _EM_TERMS + 1)) > limit:
+        M *= 2
+        if M > 1 << 24:
+            raise NonConvergent("Euler-Maclaurin cutoff exploded; target too small?")
+    wp = ctx.workprec()
+    scaled = q ** s << wp
+    total = sum(scaled // (k * q + p) ** s for k in range(M))
+    # the tail sum c_m u^m, u = q / X, as u^(s-1) times a polynomial in u
+    X = M * q + p
+    q2, X2 = q * q, X * X
+    acc, steps = _tail_fixed(s, wp)
+    for g, C in steps:
+        acc = (acc * q // X if g == 1 else acc * q2 // X2) + C
+    return total + acc * q ** (s - 1) // X ** (s - 1)
+
+
 def hurwitz_zeta(s: int, a: Fraction | int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:
     """zeta(s, a) for integer s >= 2 and rational a = p/q in (0, 1].
 
     The cutoff M doubles from 16 until the remainder bound is below half of
     ctx.target_error (NonConvergent past M = 2^24).  At wp = ctx.workprec()
-    bits, each term (k + a)^(-s) is the integer (q^s 2^wp) // (k q + p)^s
-    and each tail term c_m (M + a)^(-m) one floor division of
-    num(c_m) q^m 2^wp by den(c_m) (M q + p)^m.  Each floor is off by less
-    than 2^-wp, so with J = 16 Bernoulli terms rounding adds less than
-    (M + J + 2) 2^-wp, below 2^-22 of the target since wp >= log2(1/target)
-    + 47; the sum becomes an mpf by an exact shift.  The absolute error is
-    thus below ctx.target_error.
+    bits, each head term (k + a)^(-s) is the integer (q^s 2^wp) // (k q + p)^s.
+    The tail sum_m c_m (M + a)^(-m), with u = q / X and X = M q + p, is
+    u^(s-1) times a polynomial in u, evaluated by Horner's rule from the
+    highest m down: acc = acc q^g // X^g + C_m with gaps g in {1, 2} and
+    C_m = floor(c_m 2^wp), then one floor of acc q^(s-1) / X^(s-1).  Each
+    floor is off by less than one unit, and every factor u^g or u^(s-1)
+    applied after it is at most 1, so no error grows: with J = 16 Bernoulli
+    terms the M head terms, J + 2 coefficients, J + 1 Horner steps and the
+    last product add less than (M + 2J + 4) 2^-wp, below 2^-22 of the target
+    for every M up to 2^24 since wp >= log2(1/target) + 47.  The integer
+    becomes an mpf by one exact shift.  The absolute error is thus below
+    ctx.target_error.
     """
     if s < 2:
         raise ValueError("only integer s >= 2 is supported")
     a = Fraction(a)
     if not 0 < a <= 1:
         raise ValueError("a must lie in (0, 1]")
-    tail, coeff = _em_tail(s)
-    M = 16
-    while coeff * float(M + a) ** (-(s + 2 * _EM_TERMS + 1)) > float(ctx.target_error) / 2:
-        M *= 2
-        if M > 1 << 24:
-            raise NonConvergent("Euler-Maclaurin cutoff exploded; target too small?")
-    wp = ctx.workprec()
-    p, q = a.numerator, a.denominator
-    scaled = q ** s << wp
-    total = sum(scaled // (k * q + p) ** s for k in range(M))
-    X = M * q + p
-    for m, c in tail:
-        total += (c.numerator * q ** m << wp) // (c.denominator * X ** m)
-    return mpmath.ldexp(total, -wp)
+    return mpmath.ldexp(_hurwitz_fixed(s, a.numerator, a.denominator, ctx), -ctx.workprec())
 
 
 def riemann_zeta(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:
@@ -174,7 +202,10 @@ def riemann_zeta(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:
 
 
 def dirichlet_L(s: int, D: FundamentalDiscriminant, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:
-    """L(s, chi_D) through the Hurwitz decomposition over residues mod |D|."""
+    """L(s, chi_D) through the Hurwitz decomposition over residues mod |D|:
+    the fixed-point Hurwitz sums of the residues prime to |D| are added as
+    integers at one working precision, then shifted and divided by |D|^s
+    once."""
     if s < 2:
         raise ValueError("only integer s >= 2 is supported")
     q = abs(D.D)
@@ -183,11 +214,12 @@ def dirichlet_L(s: int, D: FundamentalDiscriminant, ctx: PrecisionContext = DEFA
     # per-residue budget: q Hurwitz terms are divided by q^s at the end
     per_term = min(Fraction(ctx.target_error) * q ** (s - 1) / 2, Fraction(1, 2))
     sub = PrecisionContext(ctx.workprec(), per_term)
-    with mp.workprec(sub.workprec()):
-        total = mp.mpf(0)
-        for a in range(1, q + 1):
-            ch = kronecker_chi(D, a)
-            if ch == 0:
-                continue
-            total += ch * hurwitz_zeta(s, Fraction(a, q), sub)
-        return +(total / mp.mpf(q) ** s)
+    wp = sub.workprec()
+    total = 0
+    for a in range(1, q + 1):
+        ch = kronecker_chi(D, a)
+        if ch:
+            # chi_D(a) != 0 iff gcd(a, |D|) = 1, so a/q is in lowest terms
+            total += ch * _hurwitz_fixed(s, a, q, sub)
+    with mp.workprec(wp):
+        return mpmath.ldexp(total, -wp) / mp.mpf(q) ** s

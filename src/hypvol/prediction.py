@@ -26,7 +26,8 @@ import mpmath
 from mpmath import mp
 
 from . import geometry, integration
-from .arithmeticity import ArithmeticityReport, Classification, check_facet_count, classify
+from .arithmeticity import (MAX_DISCRIMINANT, ArithmeticityReport, Classification,
+                            check_facet_count, classify)
 from .diagram import CoxeterDiagram, assert_lorentzian, gram_matrix, parse_diagram
 from .errors import EvenDimension, TooLarge
 from .lseries import (
@@ -264,6 +265,7 @@ class AnalysisReport:
     prediction_skipped: str | None = None
     volume: integration.VolumeEstimate | None = None
     volume_source: str = "none"      # "integrated", "assumed", "none"
+    target_rel_err: float | None = None     # the integrator's target, when it ran
     recognition: RationalRecognition | None = None
     vertex_counts: tuple[int, int] | None = None
     timings: dict[str, float] = field(default_factory=dict)
@@ -308,6 +310,8 @@ class AnalysisReport:
                 "strategy": self.volume.strategy,
                 "source": self.volume_source,
             }
+            if self.volume.capped:
+                rep["volume"]["capped"] = True
         if self.recognition is not None:
             rec = {
                 "status": self.recognition.status,
@@ -389,6 +393,9 @@ def analyze(
         report.prediction_skipped = "even dimension (Gauss-Bonnet case)"
     elif n < 5:
         report.prediction_skipped = "dimension below 5"
+    elif arith.delta != 1 and (D := abs(fundamental_discriminant(arith.delta).D)) > MAX_DISCRIMINANT:
+        report.prediction_skipped = (f"fundamental discriminant |D| = {D} exceeds "
+                                     f"{MAX_DISCRIMINANT}, the largest whose L-value is evaluated")
     else:
         t0 = time.perf_counter()
         report.prediction = transcendental_factor(n, arith.delta, lseries_context)
@@ -411,6 +418,7 @@ def analyze(
         timings["volume"] = time.perf_counter() - t0
         report.volume = est
         report.volume_source = "integrated"
+        report.target_rel_err = target_rel_err
         volume_value = mp.mpf(est.value)
         volume_err = est.abs_error
 
@@ -455,6 +463,9 @@ def render_text(report: AnalysisReport) -> str:
     if v is not None:
         lines.append(f"volume ({report.volume_source}): {v.value:.12g} "
                      f"+- {v.abs_error:.2g}")
+        if v.capped:
+            lines.append(f"  (capped: the node cap stopped the cubature at relative error "
+                         f"{v.rel_error:.2g}, above the target {report.target_rel_err:.2g})")
     r = report.recognition
     if r is not None:
         if r.status == "recognized":

@@ -2,7 +2,8 @@
 
 Each computes the same quantity as a pipeline function by a slower,
 independent route: a truncated character series for Dirichlet L-values,
-the Euler-Maclaurin sum for Hurwitz zeta values in mpmath floating point,
+the Euler-Maclaurin sum for Hurwitz zeta values in mpmath floating point
+and in fixed point with the tail summed term by term,
 the full characteristic polynomial over all Galois conjugates for
 algebraic integrality, a fresh elimination of every conjugated form
 for the conjugate signatures, every vertex sequence with each product
@@ -23,7 +24,7 @@ from mpmath import mp
 from hypvol.arithmeticity import (CyclicProduct, QuadraticFormQ, _field_automorphisms,
                                   nonorthogonality_graph)
 from hypvol.diagram import CoxeterDiagram, inertia
-from hypvol.lseries import (_EM_TERMS, FundamentalDiscriminant, PrecisionContext,
+from hypvol.lseries import (_EM_TERMS, FundamentalDiscriminant, PrecisionContext, _em_tail,
                             bernoulli_fraction, kronecker_chi)
 from hypvol.prediction import RECOGNITION_MAX_NUMERATOR, _smooth_denominators
 from hypvol.surd import MultiSurd, prime_characters, prime_factors
@@ -42,6 +43,19 @@ def dirichlet_L_direct(s: int, D: FundamentalDiscriminant, terms: int = 10**6) -
     return math.fsum(chi / n ** s)
 
 
+def em_cutoff(s: int, a: Fraction, ctx: PrecisionContext) -> int:
+    """The Euler-Maclaurin cutoff M of ``lseries.hurwitz_zeta``: doubled from
+    16 until the remainder bound 2 |B_(2J+2)|/(2J+2)! (s)_(2J+1)
+    (M + a)^(-s-2J-1) is below half of ctx.target_error."""
+    J = _EM_TERMS
+    pochhammer = math.prod(range(s, s + 2 * J + 1))
+    coeff = 2.0 * float(abs(bernoulli_fraction(2 * J + 2))) / math.factorial(2 * J + 2) * pochhammer
+    M = 16
+    while coeff * float(M + a) ** (-(s + 2 * J + 1)) > float(ctx.target_error) / 2:
+        M *= 2
+    return M
+
+
 def hurwitz_zeta_mpf(s: int, a: Fraction, ctx: PrecisionContext):
     """zeta(s, a) by the Euler-Maclaurin sum in mpf arithmetic.
 
@@ -51,13 +65,7 @@ def hurwitz_zeta_mpf(s: int, a: Fraction, ctx: PrecisionContext):
     sum rather than fixed point.
     """
     J = _EM_TERMS
-    target = float(ctx.target_error)
-    # remainder bound: 2 * |B_{2J+2}|/(2J+2)! * (s)_{2J+1} * (M+a)^(-s-2J-1)
-    pochhammer = math.prod(range(s, s + 2 * J + 1))
-    coeff = 2.0 * float(abs(bernoulli_fraction(2 * J + 2))) / math.factorial(2 * J + 2) * pochhammer
-    M = 16
-    while coeff * float(M + a) ** (-(s + 2 * J + 1)) > target / 2:
-        M *= 2
+    M = em_cutoff(s, a, ctx)
     with mp.workprec(ctx.workprec()):
         an = mp.mpf(a.numerator) / a.denominator
         total = mp.mpf(0)
@@ -74,6 +82,26 @@ def hurwitz_zeta_mpf(s: int, a: Fraction, ctx: PrecisionContext):
             rising *= (s + 2 * j - 1) * (s + 2 * j)
             term_pow /= x * x
         return +total
+
+
+def hurwitz_zeta_termwise(s: int, a: Fraction, ctx: PrecisionContext):
+    """zeta(s, a) by the integer fixed-point Euler-Maclaurin sum with the
+    tail term by term.
+
+    The same cutoff, head and exact tail coefficients as
+    ``lseries.hurwitz_zeta``, but each tail term c_m (M + a)^(-m) is one
+    floor division of num(c_m) q^m 2^wp by den(c_m) (M q + p)^m, so with
+    J Bernoulli terms rounding adds less than (M + J + 2) 2^-wp.
+    """
+    M = em_cutoff(s, a, ctx)
+    wp = ctx.workprec()
+    p, q = a.numerator, a.denominator
+    scaled = q ** s << wp
+    total = sum(scaled // (k * q + p) ** s for k in range(M))
+    X = M * q + p
+    for m, c in _em_tail(s)[0]:
+        total += (c.numerator * q ** m << wp) // (c.denominator * X ** m)
+    return mp.ldexp(total, -wp)
 
 
 def char_poly_is_integral(x: MultiSurd) -> bool:

@@ -293,3 +293,24 @@ def test_max_samples_bounds_are_accepted(diagram_file, capsys, samples):
     else:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["volume"]["samples"] > 0
+
+
+def test_large_discriminant_reports_the_skipped_prediction(diagram_file, capsys):
+    # D = 20,252,648: past the L-series bound, so the run ends fast, exit 0
+    path = diagram_file("n 5\nfacets 6\nedge 0 1 3\nedge 1 2 3\nedge 2 3 3\nedge 3 4 3\n"
+                        "edge 4 5 dashed sqrt(1009)/3\n")
+    t0 = time.perf_counter()
+    code = main(["analyze", path, "--json", "--assume-volume", "0.02", "--assume-err", "1e-3"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert "prediction" not in payload and "recognition" not in payload
+    assert "discriminant |D| = 20252648 exceeds" in payload["prediction_skipped"]
+
+
+def test_capped_run_is_flagged(capsys):
+    path = str(Path(__file__).parents[1] / "diagrams" / "polytope5d.diagram")
+    code = main(["analyze", path, "--target-err", "1e-9", "--max-samples", "1024", "--json"])
+    assert code == EXIT_OK
+    volume = json.loads(capsys.readouterr().out)["volume"]
+    assert volume["capped"] is True and volume["rel_error"] > 1e-9

@@ -298,6 +298,16 @@ def test_sample_cap_is_never_exceeded(cap, monkeypatch):
     assert all(size <= 2 ** cap for size in orders)
 
 
+def test_capped_rule_is_flagged():
+    # the cap stops the 5D rule at 2^10 nodes per piece with its bar above the
+    # budget; the bar stands, flagged, and a run that meets its budget is not
+    kp = klein_polytope(POLYTOPE_5D)
+    capped = polytope_volume(kp, 1e-9, max_log2_samples=10)
+    assert capped.capped and capped.rel_error > 1e-9
+    met = polytope_volume(kp, 1e-4)
+    assert not met.capped and met.rel_error <= 1e-4
+
+
 def test_integrand_calls_hold_at_most_one_block(monkeypatch):
     # an order of p^d nodes is evaluated in blocks of at most _BATCH
     # (piece, node) pairs, so memory grows with neither p nor the number of

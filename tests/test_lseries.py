@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from hypvol import lseries
 from hypvol.errors import DeltaIsSquare
 from hypvol.lseries import (
+    _EM_TERMS,
     PrecisionContext,
     bernoulli_fraction,
     dirichlet_L,
@@ -17,7 +19,7 @@ from hypvol.lseries import (
     kronecker_chi,
     riemann_zeta,
 )
-from oracles import dirichlet_L_direct, hurwitz_zeta_mpf
+from oracles import dirichlet_L_direct, em_cutoff, hurwitz_zeta_mpf, hurwitz_zeta_termwise
 
 CTX = PrecisionContext(256)
 
@@ -211,7 +213,10 @@ def test_hurwitz_grid_against_mpf_sum_and_mpmath(s):
                 assert abs(value - reference) <= mp.mpf(10) ** -digits, (s, a, digits)
 
 
-@pytest.mark.parametrize("D", (-4, -3, 5, -7, 8, -11, 12, 13, -20, 21, 24))
+GRID_D = (-4, -3, 5, -7, 8, -11, 12, 13, -20, 21, 24)
+
+
+@pytest.mark.parametrize("D", GRID_D)
 def test_dirichlet_L_grid_against_mpmath(D):
     delta = D // 4 if D % 4 == 0 else D
     disc = fundamental_discriminant(delta)
@@ -224,3 +229,64 @@ def test_dirichlet_L_grid_against_mpmath(D):
             value = dirichlet_L(s, disc, PrecisionContext(256, Fraction(1, 10**digits)))
             with mp.workprec(600):
                 assert abs(value - reference) <= mp.mpf(10) ** -digits, (D, s, digits)
+
+
+# the 5D and 7D library contexts and a deep one
+ROUNDING_CONTEXTS = (PrecisionContext(256, Fraction(1, 10**30)),
+                     PrecisionContext(320, Fraction(1, 10**40)),
+                     PrecisionContext(512, Fraction(1, 10**100)))
+
+
+@pytest.mark.parametrize("ctx", ROUNDING_CONTEXTS, ids=lambda c: f"{c.precision}bits")
+def test_hurwitz_horner_tail_against_termwise_tail(ctx):
+    # both sums round the same truncated series with the same cutoff M: the
+    # Horner tail within (M + 2J + 4) 2^-wp of it, the termwise one within
+    # (M + J + 2) 2^-wp
+    wp = ctx.workprec()
+    for s in range(2, 9):
+        for a in GRID_A:
+            M = em_cutoff(s, a, ctx)
+            with mp.workprec(2 * wp):
+                gap = abs(hurwitz_zeta(s, a, ctx) - hurwitz_zeta_termwise(s, a, ctx))
+                assert gap <= mp.ldexp(2 * M + 3 * _EM_TERMS + 6, -wp), (s, a)
+
+
+@pytest.mark.parametrize("D", GRID_D)
+def test_dirichlet_L_is_one_sum_of_hurwitz_values(D):
+    # the residues' fixed-point sums add exactly, so the L-value differs from
+    # |D|^-s sum chi(a) zeta(s, a/|D|) only by its one division by |D|^s,
+    # well inside the rounding bound of a single Hurwitz value
+    disc = fundamental_discriminant(D // 4 if D % 4 == 0 else D)
+    q = abs(D)
+    for ctx in ROUNDING_CONTEXTS:
+        for s in range(2, 9):
+            per_term = min(Fraction(ctx.target_error) * q ** (s - 1) / 2, Fraction(1, 2))
+            sub = PrecisionContext(ctx.workprec(), per_term)
+            wp = sub.workprec()
+            with mp.workprec(4 * wp):
+                total = sum(kronecker_chi(disc, a) * hurwitz_zeta(s, Fraction(a, q), sub)
+                            for a in range(1, q + 1))
+                reference = total / mp.mpf(q) ** s
+                assert abs(dirichlet_L(s, disc, ctx) - reference) <= mp.ldexp(abs(reference), -wp), (s, ctx)
+
+
+@pytest.mark.parametrize("D", (13, -11, 24))
+def test_dirichlet_L_converts_once_and_sums_one_kernel_per_residue(monkeypatch, D):
+    ldexp, kernel = mpmath.ldexp, lseries._hurwitz_fixed
+    conversions, residues = [], []
+
+    def counting_ldexp(x, n):
+        conversions.append(n)
+        return ldexp(x, n)
+
+    def counting_kernel(s, p, q, ctx):
+        residues.append((p, q))
+        return kernel(s, p, q, ctx)
+
+    monkeypatch.setattr(mpmath, "ldexp", counting_ldexp)
+    monkeypatch.setattr(lseries, "_hurwitz_fixed", counting_kernel)
+    disc = fundamental_discriminant(D // 4 if D % 4 == 0 else D)
+    q = abs(D)
+    dirichlet_L(3, disc, CTX)
+    assert len(conversions) == 1
+    assert residues == [(a, q) for a in range(1, q + 1) if math.gcd(a, q) == 1]

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from hypvol import diagram
+from hypvol import diagram, prediction
+from hypvol.arithmeticity import MAX_DISCRIMINANT
 from hypvol.diagram import eliminate, parse_diagram
 from hypvol.errors import (DisconnectedGraph, EvenDimension, HypvolError, NonConvergent,
                            NotLorentzian, TooLarge)
@@ -493,3 +494,50 @@ def test_analyze_fuzz_yields_report_or_typed_error(text):
         return
     assert isinstance(rep, AnalysisReport)
     json.dumps(rep.to_dict(), allow_nan=False)
+
+
+# a Lorentzian chain whose last edge gives delta = 5,063,162, so D = 20,252,648:
+# properly quasi-arithmetic, with an L-value of minutes
+LARGE_DISCRIMINANT = ("n 5\nfacets 6\nedge 0 1 3\nedge 1 2 3\nedge 2 3 3\nedge 3 4 3\n"
+                      "edge 4 5 dashed sqrt(1009)/3\n")
+
+
+def test_large_discriminant_skips_the_prediction_within_a_second():
+    t0 = time.perf_counter()
+    rep = analyze(LARGE_DISCRIMINANT, assume_volume="0.02", assume_err=1e-3)
+    assert time.perf_counter() - t0 < 1.0
+    assert rep.arithmeticity.classification.value == "properly quasi-arithmetic"
+    assert rep.arithmeticity.delta == 5063162
+    assert rep.prediction is None and rep.recognition is None
+    assert rep.prediction_skipped == (f"fundamental discriminant |D| = 20252648 exceeds "
+                                      f"{MAX_DISCRIMINANT}, the largest whose L-value is evaluated")
+    assert rep.to_dict()["prediction_skipped"] == rep.prediction_skipped
+    assert f"no volume prediction: {rep.prediction_skipped}" in render_text(rep)
+
+
+@pytest.mark.parametrize("label, D", [("dashed 2", 17), ("dashed sqrt(7)", 56)])
+def test_small_discriminant_keeps_the_prediction(monkeypatch, label, D):
+    text = LARGE_DISCRIMINANT.replace("dashed sqrt(1009)/3", label)
+    rep = analyze(text, assume_volume="0.02", assume_err=1e-3)
+    assert rep.prediction.discriminant == D and rep.prediction_skipped is None
+    # the bound itself still predicts; one below it skips
+    monkeypatch.setattr(prediction, "MAX_DISCRIMINANT", D)
+    assert analyze(text, assume_volume="0.02", assume_err=1e-3).prediction.discriminant == D
+    monkeypatch.setattr(prediction, "MAX_DISCRIMINANT", D - 1)
+    skipped = analyze(text, assume_volume="0.02", assume_err=1e-3)
+    assert skipped.prediction is None and f"|D| = {D} exceeds {D - 1}" in skipped.prediction_skipped
+
+
+def test_capped_cubature_says_so():
+    # 2^10 nodes per piece stop the 5D rule at order 5, a bar about 1e5 times
+    # the target; the report flags it, and only such a report has the key
+    capped = analyze(POLYTOPE_5D, target_rel_err=1e-9, max_log2_samples=10)
+    assert capped.volume.capped and capped.volume.rel_error > 1e4 * 1e-9
+    assert capped.to_dict()["volume"]["capped"] is True
+    assert (f"capped: the node cap stopped the cubature at relative error "
+            f"{capped.volume.rel_error:.2g}, above the target 1e-09") in render_text(capped)
+    met = analyze(POLYTOPE_5D, target_rel_err=1e-4)
+    assert not met.volume.capped and met.volume.rel_error <= 1e-4
+    assert "capped" not in met.to_dict()["volume"] and "capped" not in render_text(met)
+    assumed = analyze(POLYTOPE_5D, assume_volume=VOL_5D, assume_err=1e-19)
+    assert "capped" not in assumed.to_dict()["volume"]
