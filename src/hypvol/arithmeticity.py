@@ -85,12 +85,6 @@ class ArithmeticityReport:
         return f"Q({roots})" if roots else "Q"
 
 
-def nonorthogonality_graph(G: GramMatrix) -> dict[int, list[int]]:
-    """Each facet's non-orthogonal neighbours, ascending."""
-    return {i: [j for j in range(G.size) if j != i and not G[i, j].is_zero()]
-            for i in range(G.size)}
-
-
 def _check_connected(G: GramMatrix) -> None:
     """Raise DisconnectedGraph unless the rescaling forest is a single tree."""
     forest = rescaled_form(G)[0]
@@ -117,7 +111,7 @@ def enumerate_cycles(G: GramMatrix) -> list[CyclicProduct]:
     """
     N = G.size
     check_facet_count(N)
-    adj = nonorthogonality_graph(G)
+    adj = G.neighbours
     _check_connected(G)
     doubled = {}
     out = []

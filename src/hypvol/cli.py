@@ -34,9 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "needs --assume-err")
     an.add_argument("--assume-err", type=float, default=None,
                     help="absolute error of the assumed volume (finite, positive)")
-    fmt = an.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON report on stdout")
-    fmt.add_argument("--text", action="store_true", help="text report (default)")
+    an.add_argument("--json", action="store_true",
+                    help="JSON report on stdout instead of the text report")
     return parser
 
 

@@ -12,7 +12,8 @@ for dihedral angle pi/m, `inf` for parallel hyperplanes, and `dashed w` for
 diverging hyperplanes at Gram entry -w (the printed weight is the magnitude
 of the Gram entry).  Each header line appears once.  ``schur_step`` is the
 one kernel of exact elimination over surds: ``eliminate`` and the face
-census of ``geometry`` loop over it.
+census of ``geometry`` loop over it; ``bfs`` is the one search of the
+non-orthogonality graph ``GramMatrix.neighbours``.
 """
 
 from __future__ import annotations
@@ -72,12 +73,16 @@ class CoxeterDiagram:
 class GramMatrix:
     """Symmetric matrix of exact Minkowski products of unit facet normals.
 
-    ``rescaled_form`` eliminates it once, when first asked."""
+    ``neighbours`` is its non-orthogonality graph, each facet's neighbours
+    ascending, from one pass of zero tests.  ``rescaled_form`` eliminates it
+    once, when first asked."""
 
     def __init__(self, dimension: int, entries: list[list[MultiSurd]]):
         self.dimension = dimension
         self.entries = entries
         self.size = len(entries)
+        self.neighbours = [[j for j, e in enumerate(row) if j != i and not e.is_zero()]
+                           for i, row in enumerate(entries)]
         self._rescaled: tuple | None = None
 
     def __getitem__(self, ij: tuple[int, int]) -> MultiSurd:
@@ -258,12 +263,25 @@ def inertia(entries: list[list[MultiSurd]]) -> tuple[int, int, int]:
     return pos, len(pivots) - pos, len(entries) - len(pivots)
 
 
+def bfs(neighbours: list[list[int]], start: int, members) -> dict[int, int]:
+    """The members joined to ``start`` through members, each mapped to its
+    parent in the BFS tree (-1 at ``start``), in BFS order; each facet's
+    neighbours are visited in list order."""
+    parent, order = {start: -1}, [start]
+    for u in order:
+        for v in neighbours[u]:
+            if v not in parent and v in members:
+                parent[v] = u
+                order.append(v)
+    return parent
+
+
 def rescaled_form(G: GramMatrix) -> tuple[dict[int, int], list[list[MultiSurd]],
                                          list[int], list[MultiSurd]]:
     """Vinberg's rescaled form F = L G L, built and eliminated once per G.
 
-    One BFS roots each component of the non-orthogonality graph at its least
-    facet and visits neighbours in index order; a root keeps scale 1, any
+    ``bfs`` over ``G.neighbours`` roots each component of the
+    non-orthogonality graph at its least facet; a root keeps scale 1, any
     other facet takes its parent's times the doubled Gram entry between
     them, so every rescaled pairing is a product of cyclic products.  The
     scaling is diagonal and invertible: F has the signature of G.  Returns
@@ -273,17 +291,13 @@ def rescaled_form(G: GramMatrix) -> tuple[dict[int, int], list[list[MultiSurd]],
     if G._rescaled is None:
         N = G.size
         forest: dict[int, int] = {}
-        lam = [MultiSurd(1)] * N
         for root in range(N):
-            if root in forest:
-                continue
-            forest[root] = -1
-            frontier = [root]
-            for u in frontier:
-                for v in range(N):
-                    if v not in forest and not G[u, v].is_zero():
-                        forest[v], lam[v] = u, product(lam[u], G[u, v] * 2)
-                        frontier.append(v)
+            if root not in forest:
+                forest |= bfs(G.neighbours, root, range(N))
+        lam = [MultiSurd(1)] * N
+        for v, u in forest.items():
+            if u >= 0:
+                lam[v] = product(lam[u], G[u, v] * 2)
         F = [[MultiSurd(0)] * N for _ in range(N)]
         for i in range(N):
             for j in range(i, N):

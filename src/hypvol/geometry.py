@@ -1,11 +1,10 @@
 """Hyperboloid-model realization and Klein-model description of a polytope.
 
-The combinatorics are exact: faces, vertices and incidences come from the
-census, which reads them off the exact Gram matrix by the inertia of its
-principal submatrices (Vinberg, "Hyperbolic reflection groups", Russian
-Math. Surveys 40, 1985, Thm 3.1), one ``diagram.schur_step`` per connected
-candidate: a disconnected one has a block-diagonal Gram submatrix whose
-blocks lie in smaller elliptic sets, so it is elliptic when they are.
+The combinatorics are exact: the census reads faces, vertices and
+incidences off the exact Gram matrix (Vinberg, "Hyperbolic reflection
+groups", Russian Math. Surveys 40, 1985, Thm 3.1), by one
+``diagram.schur_step`` per connected candidate and zero tests on the
+non-orthogonality graph ``GramMatrix.neighbours``.
 Coordinates are float64: with every incidence decided exactly, they only
 feed the integrator, which works in float64, and two safety checks.  The
 Minkowski form used throughout is <x, y> = -x0*y0 + x1*y1 + ... with the
@@ -22,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .diagram import GramMatrix, assert_lorentzian, inertia, schur_step
+from .diagram import GramMatrix, assert_lorentzian, bfs, schur_step
 from .errors import NoVertices, TriangulationFailure
 
 FacetSet = tuple[int, ...]
@@ -122,10 +121,9 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
     Returns the elliptic facet sets by size, entry k listing the k-sets in
     lexicographic order (entry 0 is the polytope itself), and per ideal
     vertex its first n-set of inertia (n - 1, 0, 1) together with its
-    parabolic set, the union of all such n-sets whose union keeps rank
-    n - 1 with no negative part.  For a finite-volume polytope the elliptic
-    k-sets are its faces of codimension k, the elliptic n-sets its finite
-    vertices, and the parabolic sets the facets through its ideal vertices.
+    parabolic set, the facets through it.  For a finite-volume polytope the
+    elliptic k-sets are its faces of codimension k, the elliptic n-sets its
+    finite vertices.
 
     A candidate k-set U = S + j, S elliptic, first passes the subset test:
     every (k-1)-subset of U is elliptic.  If U is disconnected in the
@@ -138,26 +136,28 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
     leaf of its BFS tree; either way R is connected and elliptic, so it
     keeps a factor.  G[R] is positive definite, so G[U] has its inertia
     plus the sign of the complement c = G_ii - y D^-1 y', where
-    L y = G[R, i]: U is elliptic iff c > 0.  Only connected elliptic sets
-    below n facets keep a factor, and a pivot is inverted when its factor
-    first serves as a basis.
+    L y = G[R, i]: U is elliptic iff c > 0, and connected parabolic (every
+    proper subset elliptic, G[U] singular) iff c = 0.  Only connected
+    elliptic sets below n facets keep a factor, and a pivot is inverted
+    when its factor first serves as a basis.
 
-    An n-set T on an elliptic ridge T - d has inertia (n - 1, 0, 1) iff the
-    complement of G[T - d] in G[T] vanishes; it is that of K, the component
-    of d in T.  Off-diagonal Gram entries are nonpositive, so if it vanishes,
-    K is connected parabolic and every K - i is elliptic: the complement is
-    taken on the factor of K - i for a BFS leaf i, and T is no ideal vertex
-    when that factor is absent.  A positive semidefinite matrix of rank
-    n - 1 has an elliptic (n-1)-subset, so an n-set without one is no ideal
-    vertex.  Only the test that merges an n-set into a parabolic set
-    eliminates in full.
+    A positive semidefinite matrix of rank n - 1 has an elliptic
+    (n-1)-subset, and an n-set T on an elliptic ridge T - d has inertia
+    (n - 1, 0, 1) iff K, the component of d in T, is connected parabolic,
+    as the other components lie in T - d: a lookup among the recorded sets.
+    The vertex is v = sum k_i e_i over K, k > 0 the Perron kernel vector of
+    G[K].  Off-diagonal Gram entries are nonpositive, so <v, e_j> =
+    sum k_i G_ij is zero iff G_ij = 0 for every i in K: the parabolic set
+    is K plus the facets that meet no facet of K.  The normals span, so
+    v = 0 iff that is every facet, when K is a component of the graph, and
+    T is no ideal vertex.  No matrix is eliminated in full.
     """
     n, N = G.dimension, G.size
-    A = G.entries
-    adj = [{j for j in range(N) if j != i and not A[i][j].is_zero()} for i in range(N)]
+    A, near = G.entries, G.neighbours
     # connected elliptic R below n facets -> (R in pivot order, multiplier rows,
     # inverse pivots, the last pivot while it is not yet inverted) of G[R]
     factors = {(): ((), [], [], None)}
+    parabolic = set()    # connected parabolic sets
 
     def factor(R: FacetSet):
         basis, rows, inverses, pivot = factors[R]
@@ -176,10 +176,10 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
                 if not all(S[:i] + S[i + 1:] + (j,) in below for i in range(k - 1)):
                     continue
                 if S in factors:
-                    connected, i = not S or not adj[j].isdisjoint(S), j
+                    connected, i = not S or not set(near[j]).isdisjoint(S), j
                 else:
-                    reached = _component(U[0], U, adj)
-                    connected, i = len(reached) == k, reached[-1]
+                    tree = bfs(near, U[0], U)
+                    connected, i = len(tree) == k, next(reversed(tree))
                 if not connected:
                     level.append(U)
                     continue
@@ -189,39 +189,23 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
                     level.append(U)
                     if k < n:
                         factors[U] = basis + (i,), rows + [row], inverses, c
+                elif c.is_zero():
+                    parabolic.add(U)
         faces.append(level)
     finite, ridges = set(faces[n]), set(faces[n - 1])
     cusps: list[tuple[FacetSet, FacetSet]] = []
     for T in combinations(range(N), n):
         if T in finite or any(set(T) <= set(P) for _, P in cusps):
             continue
-        drop = next((i for i in reversed(range(n)) if T[:i] + T[i + 1:] in ridges), None)
-        if drop is None:
+        d = next((d for i, d in enumerate(T) if T[:i] + T[i + 1:] in ridges), None)
+        if d is None:
             continue
-        K = _component(T[drop], T, adj)
-        R = tuple(sorted(K[:-1]))
-        if R not in factors or not schur_step(A, *factor(R), K[-1])[0].is_zero():
-            continue
-        for at, (first, P) in enumerate(cusps):
-            U = tuple(sorted({*P, *T}))
-            if inertia([[G[i, j] for j in U] for i in U]) == (n - 1, 0, len(U) - n + 1):
-                cusps[at] = (first, U)
-                break
-        else:
-            cusps.append((T, T))
+        K = bfs(near, d, T).keys()
+        if tuple(sorted(K)) in parabolic:
+            P = tuple(j for j in range(N) if j in K or K.isdisjoint(near[j]))
+            if len(P) < N:    # else K is a component of the graph, and v = 0
+                cusps.append((T, P))
     return faces, cusps
-
-
-def _component(start: int, members: FacetSet, adj: list[set[int]]) -> list[int]:
-    """The members joined to ``start`` through members, in BFS order."""
-    left = set(members)
-    left.discard(start)
-    order = [start]
-    for u in order:
-        near = adj[u] & left
-        left -= near
-        order += near
-    return order
 
 
 def _vertex_line(normals: np.ndarray, subset) -> np.ndarray:

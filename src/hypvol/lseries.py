@@ -147,18 +147,17 @@ def _tail_fixed(s: int, wp: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return fixed[0][1], tuple((m_up - m, C) for (m_up, _), (m, C) in zip(fixed, fixed[1:]))
 
 
-def _hurwitz_fixed(s: int, p: int, q: int, ctx: PrecisionContext) -> int:
-    """zeta(s, p/q) 2^wp as an integer, wp = ctx.workprec(), for p/q in
-    lowest terms; the sum of ``hurwitz_zeta``."""
+def _hurwitz_fixed(s: int, p: int, q: int, wp: int, limit: float) -> int:
+    """zeta(s, p/q) 2^wp as an integer, for p/q in lowest terms, with the
+    cutoff M the first whose remainder bound is at most ``limit``; the sum
+    of ``hurwitz_zeta``.  The caller works out wp and limit once."""
     coeff = _em_tail(s)[1]
-    limit = float(ctx.target_error) / 2
     M = 16
     # (M q + p) / q is float(M + p/q), correctly rounded
     while coeff * ((M * q + p) / q) ** (-(s + 2 * _EM_TERMS + 1)) > limit:
         M *= 2
         if M > 1 << 24:
             raise NonConvergent("Euler-Maclaurin cutoff exploded; target too small?")
-    wp = ctx.workprec()
     scaled = q ** s << wp
     total = sum(scaled // (k * q + p) ** s for k in range(M))
     # the tail sum c_m u^m, u = q / X, as u^(s-1) times a polynomial in u
@@ -193,7 +192,9 @@ def hurwitz_zeta(s: int, a: Fraction | int, ctx: PrecisionContext = DEFAULT_CONT
     a = Fraction(a)
     if not 0 < a <= 1:
         raise ValueError("a must lie in (0, 1]")
-    return mpmath.ldexp(_hurwitz_fixed(s, a.numerator, a.denominator, ctx), -ctx.workprec())
+    wp = ctx.workprec()
+    return mpmath.ldexp(_hurwitz_fixed(s, a.numerator, a.denominator, wp,
+                                       float(ctx.target_error) / 2), -wp)
 
 
 def riemann_zeta(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:
@@ -214,12 +215,12 @@ def dirichlet_L(s: int, D: FundamentalDiscriminant, ctx: PrecisionContext = DEFA
     # per-residue budget: q Hurwitz terms are divided by q^s at the end
     per_term = min(Fraction(ctx.target_error) * q ** (s - 1) / 2, Fraction(1, 2))
     sub = PrecisionContext(ctx.workprec(), per_term)
-    wp = sub.workprec()
+    wp, limit = sub.workprec(), float(sub.target_error) / 2
     total = 0
     for a in range(1, q + 1):
         ch = kronecker_chi(D, a)
         if ch:
             # chi_D(a) != 0 iff gcd(a, |D|) = 1, so a/q is in lowest terms
-            total += ch * _hurwitz_fixed(s, a, q, sub)
+            total += ch * _hurwitz_fixed(s, a, q, wp, limit)
     with mp.workprec(wp):
         return mpmath.ldexp(total, -wp) / mp.mpf(q) ** s

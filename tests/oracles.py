@@ -21,8 +21,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from hypvol.arithmeticity import (CyclicProduct, QuadraticFormQ, _field_automorphisms,
-                                  nonorthogonality_graph)
+from hypvol.arithmeticity import CyclicProduct, QuadraticFormQ, _field_automorphisms
 from hypvol.diagram import CoxeterDiagram, inertia
 from hypvol.lseries import (_EM_TERMS, FundamentalDiscriminant, PrecisionContext, _em_tail,
                             bernoulli_fraction, kronecker_chi)
@@ -145,7 +144,7 @@ def cycles_by_sequences(G) -> list[CyclicProduct]:
     (and last and first) are joined, and multiplies the doubled Gram entries
     of its edges afresh.  Length-2 cycles are the edges, valued (2 g)^2.
     """
-    adj = nonorthogonality_graph(G)
+    adj = G.neighbours
     out = []
     for start in range(G.size):
         for k in range(1, G.size - start):
@@ -227,7 +226,11 @@ def census_by_inertia(G):
     Gram submatrix eliminated afresh: a k-set is elliptic iff its
     (k-1)-subsets are and its inertia is (k, 0, 0), an ideal vertex's first
     n-set has inertia (n - 1, 0, 1), and it merges into a parabolic set
-    while the union keeps rank n - 1 with no negative part."""
+    while the union keeps rank n - 1 with no negative part.  On a connected
+    graph its parabolic sets are the facets through each ideal vertex; on a
+    disconnected one it also takes n-sets whose singular component is a
+    component of the graph, whose kernel vector sums the normals to zero,
+    which ``census`` does not."""
     n, N = G.dimension, G.size
 
     def sub_inertia(S):

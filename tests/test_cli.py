@@ -242,6 +242,15 @@ def test_seed_option_is_rejected(diagram_file, capsys, seed):
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
+def test_text_option_is_rejected(diagram_file, capsys):
+    # the text report is the default; --json is the one format flag
+    path = diagram_file(IDEAL_TRIANGLE)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", path, "--text"])
+    assert exc.value.code == EXIT_STAGE_ERROR
+    assert "unrecognized arguments: --text" in capsys.readouterr().err
+
+
 DEEP = "(" * 3000 + "2" + ")" * 3000
 STALLING_INPUTS = {
     "deep-nesting": ("BadWeight", f"n 2\nfacets 3\nedge 0 1 dashed {DEEP}\nedge 1 2 3\nedge 0 2 3\n"),

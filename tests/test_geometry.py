@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from hypvol import analyze, geometry
+from hypvol import analyze, diagram, geometry
 from hypvol.diagram import assert_lorentzian, gram_matrix, parse_diagram
 from hypvol.errors import HypvolError, NotLorentzian, NoVertices
 from hypvol.geometry import census, enumerate_vertices, realize, to_klein
@@ -376,8 +376,8 @@ def test_census_euler_under_relabeling(text):
 def test_census_matches_full_eliminations(text):
     # the subset test, plus one Schur complement per connected candidate,
     # decides what a full elimination of its principal submatrix does, on
-    # the diagram and 20 relabelings; both bundled polytopes merge an n-set
-    # into their cusp's parabolic set
+    # the diagram and 20 relabelings; both bundled polytopes have a cusp
+    # whose parabolic set, written in closed form, has more than n facets
     d = parse_diagram(text)
     rng = random.Random(18)
     for relabeling in range(21):
@@ -424,16 +424,17 @@ def test_census_matches_full_eliminations_on_random_diagrams():
 
 
 @pytest.mark.parametrize("text, most_steps, most_inverses, most_searches", [
-    (POLYTOPE_5D, 50, 25, 104),
-    (POLYTOPE_7D, 77, 40, 475),
+    (POLYTOPE_5D, 35, 19, 103),
+    (POLYTOPE_7D, 58, 33, 474),
 ], ids=["5d", "7d"])
 def test_census_steps_only_on_connected_sets(text, most_steps, most_inverses, most_searches,
                                              monkeypatch):
     # a disconnected candidate is elliptic by the subset test alone, so each
-    # Schur step extends a connected set; the step and inverse counts are
-    # pinned on the bundled labelings, and so is the count of BFS runs, which
-    # skip the candidates whose elliptic part keeps a factor (159 and 583
-    # when every candidate ran one)
+    # Schur step extends a connected set, and an ideal vertex's n-set takes
+    # none: its component of the dropped facet is a recorded parabolic set;
+    # the step and inverse counts are pinned on the bundled labelings, and
+    # so is the count of BFS runs, which skip the candidates whose elliptic
+    # part keeps a factor
     d = parse_diagram(text)
     rng = random.Random(23)
     for relabeling in range(6):
@@ -441,14 +442,12 @@ def test_census_steps_only_on_connected_sets(text, most_steps, most_inverses, mo
         if relabeling:
             rng.shuffle(perm)
         G = gram_matrix(relabeled(d, perm))
-        adj = [{j for j in range(G.size) if j != i and not G[i, j].is_zero()}
-               for i in range(G.size)]
         counts = {"steps": 0, "inverses": 0, "searches": 0}
 
         def step(A, basis, rows, inverses, j, schur_step=geometry.schur_step):
             reached, members = [j], {*basis, j}
             for u in reached:
-                reached += sorted(adj[u] & members - set(reached))
+                reached += sorted(set(G.neighbours[u]) & members - set(reached))
             assert len(reached) == len(members), (basis, j)
             counts["steps"] += 1
             return schur_step(A, basis, rows, inverses, j)
@@ -457,19 +456,48 @@ def test_census_steps_only_on_connected_sets(text, most_steps, most_inverses, mo
             counts["inverses"] += 1
             return inverse(self)
 
-        def component(*args, component=geometry._component):
+        def bfs(*args, bfs=geometry.bfs):
             counts["searches"] += 1
-            return component(*args)
+            return bfs(*args)
 
         with monkeypatch.context() as m:
             m.setattr(geometry, "schur_step", step)
             m.setattr(MultiSurd, "inverse", inverse)
-            m.setattr(geometry, "_component", component)
+            m.setattr(geometry, "bfs", bfs)
             faces, cusps = census(G)
         assert (faces, cusps) == census_by_inertia(G)
         if not relabeling:
             assert counts["steps"] <= most_steps and counts["inverses"] <= most_inverses, counts
             assert counts["searches"] <= most_searches, counts
+
+
+@pytest.mark.parametrize("text", [POLYTOPE_5D, POLYTOPE_7D, IDEAL_TRIANGLE],
+                         ids=["5d", "7d", "ideal-triangle"])
+def test_census_eliminates_nothing(text, monkeypatch):
+    # a cusp's parabolic set is written in closed form, so no exact
+    # elimination runs beside the census's Schur steps
+    def eliminate(entries):
+        raise AssertionError("census eliminated a matrix")
+
+    G = gram_matrix(parse_diagram(text))
+    expected = census_by_inertia(G)
+    monkeypatch.setattr(diagram, "eliminate", eliminate)
+    monkeypatch.setattr(diagram, "inertia", eliminate)
+    assert census(G) == expected
+
+
+def test_parabolic_component_of_a_disconnected_graph_is_no_ideal_vertex():
+    # facets 1 and 5 are parallel and orthogonal to the rest: n-sets through
+    # both have inertia (n - 1, 0, 1), but e_1 + e_5 = 0 is no ideal point,
+    # so the census reports no cusp where full eliminations of the n-sets
+    # alone would report four
+    text = ("n 4\nfacets 6\nedge 0 2 5\nedge 1 5 inf\nedge 2 3 dashed 3/2\n"
+            "edge 2 4 dashed 3/2\n")
+    G = gram_matrix(parse_diagram(text))
+    assert_lorentzian(G)
+    assert all((G[1, j] + G[5, j]).is_zero() for j in range(G.size))
+    assert len(census_by_inertia(G)[1]) == 4
+    assert census(G)[1] == []
 
 
 def test_infinite_volume_rejected():

@@ -279,9 +279,9 @@ def test_dirichlet_L_converts_once_and_sums_one_kernel_per_residue(monkeypatch, 
         conversions.append(n)
         return ldexp(x, n)
 
-    def counting_kernel(s, p, q, ctx):
+    def counting_kernel(s, p, q, wp, limit):
         residues.append((p, q))
-        return kernel(s, p, q, ctx)
+        return kernel(s, p, q, wp, limit)
 
     monkeypatch.setattr(mpmath, "ldexp", counting_ldexp)
     monkeypatch.setattr(lseries, "_hurwitz_fixed", counting_kernel)
