@@ -208,30 +208,17 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
     return faces, cusps
 
 
-def _vertex_line(normals: np.ndarray, subset) -> np.ndarray:
-    """The line where the facets of ``subset`` meet, pointing to the future.
-
-    It is the last right-singular vector of the n x (n+1) system
-    <e_i, x> = 0, which must have rank n.
-    """
-    A = _flip_time(normals[list(subset)])
-    _, s, Vt = np.linalg.svd(A)
-    if s[-1] <= s[0] * A.shape[1] * np.finfo(np.float64).eps:
-        raise NoVertices(f"facets {list(subset)} do not meet in a line; the input is invalid")
-    x = Vt[-1]
-    return -x if x[0] < 0 else x
-
-
 def enumerate_vertices(realization: PolytopeRealization) -> PolytopeRealization:
     """Fill in the finite and ideal vertices of the census.
 
-    Each vertex is solved once, on its first n-set, and the time orientation
-    of the frame is fixed by the first vertex: if it violates a facet
-    inequality, every normal is flipped.  Every vertex must then lie
-    strictly inside each facet half-space not through it, and every edge
-    must have two ends, as in a finite-volume polytope.  Last, normals and
-    vertices move to the centred frame of ``centring_boost``, whose centre
-    every isometry of the polytope fixes, whatever the frame of the normals.
+    Each vertex is solved once, on its first n-set, as one row of a stacked
+    SVD, and the time orientation of the frame is fixed by the first vertex:
+    if it violates a facet inequality, every normal is flipped.  Every
+    vertex must then lie strictly inside each facet half-space not through
+    it, and every edge must have two ends, as in a finite-volume polytope.
+    Last, normals and vertices move to the centred frame of
+    ``centring_boost``, whose centre every isometry of the polytope fixes,
+    whatever the frame of the normals.
     """
     n, N = realization.dimension, realization.facet_count
     faces, cusps = census(realization.gram)
@@ -245,11 +232,17 @@ def enumerate_vertices(realization: PolytopeRealization) -> PolytopeRealization:
             raise NoVertices(f"edge on facets {list(edge)} has {ends} end(s); "
                              "the polytope has infinite volume or the input is invalid")
     normals = realization.normals
-    finite = []
-    for T in faces[n]:
-        x = _vertex_line(normals, T)
-        finite.append(x / np.sqrt(-(_flip_time(x) @ x)))
-    ideal = [x / x[0] for x in (_vertex_line(normals, T) for T, _ in cusps)]
+    # each vertex's line is the last right-singular vector of the n x (n+1)
+    # system <e_i, x> = 0 on its first n-set, which must have rank n
+    subsets = faces[n] + [T for T, _ in cusps]
+    _, s, Vt = np.linalg.svd(_flip_time(normals[np.array(subsets)]))
+    flat = s[:, -1] <= s[:, 0] * (n + 1) * np.finfo(np.float64).eps
+    if flat.any():
+        raise NoVertices(f"facets {list(subsets[flat.argmax()])} do not meet in a line; "
+                         "the input is invalid")
+    lines = [-x if x[0] < 0 else x for x in Vt[:, -1]]    # pointing to the future
+    finite = [x / np.sqrt(-(_flip_time(x) @ x)) for x in lines[:len(faces[n])]]
+    ideal = [x / x[0] for x in lines[len(faces[n]):]]
     pairings = np.array(finite + ideal) @ _flip_time(normals).T    # [vertex, facet]
     off = np.array([[j not in S for j in range(N)] for S in sets])
     if (pairings[0, off[0]] > 0).any():
@@ -338,10 +331,12 @@ def to_klein(realization: PolytopeRealization) -> KleinPolytope:
 
     Finite vertices map inside the ball, ideal ones onto the sphere (they
     are renormalized to unit length so the cusp integrand sees an exactly
-    ideal point).  The triangulation cones the recursive fan of one facet
-    per orbit of ``facet_orbits``, its least, to the origin, the centre of
-    the frame, and weights it by the orbit size.  It leaves out the orbits
-    of facets through the centre, whose cones are flat.
+    ideal point).  The triangulation cones one facet per orbit of
+    ``facet_orbits``, its least, to the origin, the centre of the frame, and
+    weights it by the orbit size; within the facet, each face is coned from
+    its best vertex, the one on the most of its ridges (see
+    ``_fan_triangulation``).  It leaves out the orbits of facets through the
+    centre, whose cones are flat.
     """
     n = realization.dimension
     finite, ideal = realization.finite_vertices, realization.ideal_vertices
@@ -354,10 +349,15 @@ def to_klein(realization: PolytopeRealization) -> KleinPolytope:
 
 
 def _fan_triangulation(n, realization: PolytopeRealization) -> tuple[list[list[int]], list[int]]:
-    """Fan from the origin over one facet per orbit, recursively fanned from
-    the smallest vertex index within each face, and each simplex's weight,
-    its orbit's size.  A face is its elliptic facet set, and its vertices
-    are those whose facet set contains it."""
+    """Fan from the origin over one facet per orbit, each face recursively
+    fanned from its best vertex, and each simplex's weight, its orbit's
+    size.  A face is its elliptic facet set S, its vertices are those whose
+    facet set contains S, and its ridges are the faces S + j.  A convex face
+    is the union of the cones from any of its vertices over its ridges; a
+    ridge through that apex spans a flat cone, so only the ridges that miss
+    the apex are coned.  The apex is the vertex on the most ridges, ties to
+    the least index, so that the fewest ridges are fanned (a pulling
+    triangulation)."""
     vertex_facets, faces = realization.vertex_facets, realization.faces
     N = realization.facet_count
 
@@ -367,11 +367,11 @@ def _fan_triangulation(n, realization: PolytopeRealization) -> tuple[list[list[i
             raise TriangulationFailure(f"face {sorted(ids)} has too few vertices for dim {d}")
         if len(ids) == d + 1:
             return [ids]
-        apex = ids[0]
+        ridges = [S | {j} for j in range(N) if j not in S and S | {j} in faces]
+        apex = max(ids, key=lambda k: sum(ridge <= vertex_facets[k] for ridge in ridges))
         pieces = []
-        for j in range(N):
-            ridge = S | {j}
-            if j in S or ridge not in faces or ridge <= vertex_facets[apex]:
+        for ridge in ridges:
+            if ridge <= vertex_facets[apex]:
                 continue
             for s in triangulate_face(ridge, d - 1):
                 pieces.append(s + [apex])

@@ -26,11 +26,12 @@ least half, the change bounds the error left in Q_p.  A float64 rounding
 floor of 1e-14 of the volume bounds the bar from below.  ``samples``
 counts the nodes evaluated, each piece's once per order.
 
-The pieces are evaluated in bulk: the base matrices of the pieces without
-cusp are stacked into one (K, n, d+1) array, those of the cusp pieces and
-their a likewise, and each order's rule runs over a whole stack at once,
-in blocks of at most _BATCH (piece, node) pairs, so that neither the
-order nor the number of pieces grows the memory of a block.
+The pieces are built and evaluated in bulk: the base matrices of the
+pieces without cusp are gathered into one (K, n, d+1) array, those of the
+cusp pieces and their a likewise, with one stacked determinant per kind,
+and each order's rule runs over a whole stack at once, in blocks of at
+most _BATCH (piece, node) pairs, so that neither the order nor the number
+of pieces grows the memory of a block.
 """
 
 from __future__ import annotations
@@ -157,25 +158,44 @@ def _split_multi_ideal(points: np.ndarray, ideal: list[bool]) -> list[tuple[np.n
     return out
 
 
-def _piece(points: np.ndarray, ideal: int | None) -> tuple[np.ndarray, np.ndarray | None, float]:
-    """(YT, a, |det Y|) for one piece: the base points' (n, n) matrix, a for
-    a cusp piece or None, and its determinant, 0 for a flat piece.
-    ``points`` end with the origin, the apex of a piece without ideal
-    vertex; a cusp piece is coned from its ideal vertex."""
-    if ideal is None:
-        YT = points[:-1].T.copy()
-        return YT, None, abs(np.linalg.det(YT))
-    v = points[ideal]
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > _IDEAL_NORM_TOL:
-        raise NonConvergent(f"designated ideal vertex is off the sphere by {norm - 1.0:.2e}")
-    YT = (np.delete(points, ideal, axis=0) - v / norm).T.copy()
-    a = -2.0 * (v / norm) @ YT
-    det = abs(np.linalg.det(YT))
-    if det and a.min() <= 0:
-        raise NonConvergent("a base vertex touches the sphere at the ideal point, "
-                            "so the cusp's radial integral diverges")
-    return YT, a, det
+def _pieces(kp: KleinPolytope) -> list[tuple[np.ndarray, np.ndarray | None, np.ndarray]]:
+    """The fan's pieces of nonzero volume, stacked by kind, without cusp
+    and with one: per kind (YT, a, scale), the (K, n, n) base matrices, the
+    (K, n) a of the cusp pieces or None, and each piece's |det Y| times its
+    simplex's weight.  A simplex without ideal vertex ends with the origin,
+    its apex, and its base matrix is gathered from the vertices; the others
+    are split first, and each piece is coned from its ideal vertex."""
+    n = kp.dimension
+    S = np.array(kp.simplices, dtype=np.intp).reshape(-1, n + 1)
+    weights = np.array(kp.weights, dtype=np.float64)
+    points = np.vstack([kp.vertices, np.zeros((1, n))])[S]    # -1, the origin, is the last row
+    flags = np.append(kp.ideal_flags, False)[S]
+    cusp = flags.any(axis=1)
+    split = [(piece, ideal, weight) for P, f, weight in zip(points[cusp], flags[cusp], weights[cusp])
+             for piece, ideal in _split_multi_ideal(P, list(f))]
+    cones = np.array([piece for piece, _, _ in split]).reshape(-1, n + 1, n)
+    ideal = np.array([i for _, i, _ in split], dtype=np.intp)
+    v = cones[np.arange(len(cones)), ideal]
+    norm = np.linalg.norm(v, axis=1)
+    off = np.abs(norm - 1.0) > _IDEAL_NORM_TOL
+    if off.any():
+        raise NonConvergent("designated ideal vertex is off the sphere by "
+                            f"{norm[off.argmax()] - 1.0:.2e}")
+    u = v / norm[:, None]
+    rest = cones[np.arange(n + 1) != ideal[:, None]].reshape(-1, n, n)
+    cusp_YT = (rest - u[:, None]).transpose(0, 2, 1)
+    kinds = [(points[~cusp, :-1].transpose(0, 2, 1), None, weights[~cusp]),
+             (cusp_YT, -2.0 * (u[:, None] @ cusp_YT)[:, 0], np.array([w for _, _, w in split]))]
+    out = []
+    for YT, a, weight in kinds:
+        det = np.abs(np.linalg.det(YT))
+        solid = det > 0
+        if a is not None and (a[solid] <= 0).any():
+            raise NonConvergent("a base vertex touches the sphere at the ideal point, "
+                                "so the cusp's radial integral diverges")
+        out.append((np.ascontiguousarray(YT[solid]), None if a is None else a[solid],
+                    weight[solid] * det[solid]))
+    return out
 
 
 def _kernel(YT: np.ndarray, a: np.ndarray | None, T: np.ndarray) -> np.ndarray:
@@ -202,33 +222,21 @@ def _volume(kp: KleinPolytope, budget, max_log2_samples: int) -> VolumeEstimate:
     of 2^max_log2_samples nodes per piece the bar reached stands, flagged
     ``capped``, if the changes shrank, and ``NonConvergent`` is raised
     otherwise."""
-    pieces = [(piece, weight) for s, weight in zip(kp.simplices, kp.weights)
-              for piece in _split_multi_ideal(kp.simplex_points(s),
-                                              [k >= 0 and kp.ideal_flags[k] for k in s])]
-    built = []    # per piece of nonzero volume: YT, a or None, and |det Y| times its weight
-    for piece, weight in pieces:
-        YT, a, det = _piece(*piece)
-        if det:
-            built.append((YT, a, weight * det))
-    stacks = []    # per kind: indices into built, stacked YT, stacked a or None
-    for cusp in (False, True):
-        index = [k for k, (_, a, _) in enumerate(built) if (a is not None) == cusp]
-        if index:
-            a = np.stack([built[k][1] for k in index]) if cusp else None
-            stacks.append((np.array(index), np.stack([built[k][0] for k in index]), a))
+    stacks = _pieces(kp)
+    scale = np.concatenate([scale for _, _, scale in stacks])
     d = kp.dimension - 1
     changes: list[float] = []
     previous, samples, p, capped = None, 0, 2, False
     while p ** d <= 2 ** max_log2_samples:
-        values = np.zeros(len(built))
+        parts = [np.zeros(len(YT)) for YT, _, _ in stacks]
         for T, w in _simplex_rule(d, p):
             chunk = max(1, _BATCH // len(w))    # pieces per block of (piece, node) pairs
-            for index, YT, a in stacks:
-                for start in range(0, len(index), chunk):
+            for values, (YT, a, _) in zip(parts, stacks):
+                for start in range(0, len(YT), chunk):
                     part = slice(start, start + chunk)
-                    values[index[part]] += _kernel(YT[part], None if a is None else a[part], T) @ w
-        values *= [det for _, _, det in built]
-        samples += len(built) * p ** d
+                    values[part] += _kernel(YT[part], None if a is None else a[part], T) @ w
+        values = np.concatenate(parts) * scale
+        samples += len(scale) * p ** d
         floor, allowed = _ROUNDING * float(np.abs(values).sum()), budget(float(values.sum()))
         if floor > allowed:
             raise NonConvergent(f"the error budget {allowed:.2g} lies below the rounding floor {floor:.2g}")

@@ -226,11 +226,12 @@ def census_by_inertia(G):
     Gram submatrix eliminated afresh: a k-set is elliptic iff its
     (k-1)-subsets are and its inertia is (k, 0, 0), an ideal vertex's first
     n-set has inertia (n - 1, 0, 1), and it merges into a parabolic set
-    while the union keeps rank n - 1 with no negative part.  On a connected
-    graph its parabolic sets are the facets through each ideal vertex; on a
-    disconnected one it also takes n-sets whose singular component is a
-    component of the graph, whose kernel vector sums the normals to zero,
-    which ``census`` does not."""
+    while the union keeps rank n - 1 with no negative part.  Such an n-set
+    T has a kernel vector k, its candidate vertex is v = sum k_i e_i, and
+    for j outside T, G[T + j] is singular iff <v, e_j> = 0.  When that
+    holds for every facet, v = 0, as the normals span, and T is no ideal
+    vertex: on a disconnected graph, T's singular component can be a whole
+    component of the graph."""
     n, N = G.dimension, G.size
 
     def sub_inertia(S):
@@ -248,6 +249,8 @@ def census_by_inertia(G):
         if T in finite or any(set(T) <= set(P) for _, P in cusps):
             continue
         if sub_inertia(T) != (n - 1, 0, 1):
+            continue
+        if all(sub_inertia(tuple(sorted({*T, j})))[2] for j in range(N) if j not in T):
             continue
         for c, (first, P) in enumerate(cusps):
             U = tuple(sorted({*P, *T}))

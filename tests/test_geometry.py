@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -21,6 +22,11 @@ TRIANGLE_245 = "n 2\nfacets 3\nedge 0 1 4\nedge 1 2 5\n"
 TRIANGLE_444 = "n 2\nfacets 3\nedge 0 1 4\nedge 1 2 4\nedge 0 2 4\n"
 # the compact Coxeter 4-simplex [5,3,3,4]
 SIMPLEX_5334 = "n 4\nfacets 5\nedge 0 1 5\nedge 1 2 3\nedge 2 3 3\nedge 3 4 4\n"
+# a Lorentzian diagram whose facets 1 and 5 are parallel and orthogonal to
+# the rest, so its graph is disconnected: the first random diagram on which
+# the census and full eliminations of the n-sets alone disagreed
+DISCONNECTED_4D = ("n 4\nfacets 6\nedge 0 2 5\nedge 1 5 inf\nedge 2 3 dashed 3/2\n"
+                   "edge 2 4 dashed 3/2\n")
 
 
 def mink(x, y):
@@ -162,7 +168,7 @@ def test_klein_vertex_placement():
 def test_klein_simplices_have_positive_volume():
     # one facet cone per orbit {i, i + 4}, each counted twice
     kp = to_klein(realized_polytope(POLYTOPE_5D))
-    assert len(kp.simplices) == 23 and kp.weights == [2] * 23
+    assert len(kp.simplices) == 17 and kp.weights == [2] * 17
     for s in kp.simplices:
         pts = np.array([[float(c) for c in p] for p in kp.simplex_points(s)])
         assert abs(np.linalg.det(pts[1:] - pts[0])) > 1e-12
@@ -200,7 +206,37 @@ def test_klein_7d_counts():
     r = realized_polytope(POLYTOPE_7D)
     assert (len(r.finite_vertices), len(r.ideal_vertices)) == (18, 1)
     kp = to_klein(r)
-    assert len(kp.simplices) == 67 and kp.weights == [2] * 67
+    assert len(kp.simplices) == 37 and kp.weights == [2] * 37
+
+
+@pytest.mark.parametrize("text, pieces", [(POLYTOPE_5D, 17), (POLYTOPE_7D, 37)], ids=["5d", "7d"])
+def test_fan_pieces_do_not_depend_on_the_labeling(text, pieces):
+    # each face is coned from its vertex on the most ridges, and every ridge
+    # it skips passes through that apex: read back from the simplices, each
+    # [w_0, ..., w_(n-1), -1] cones the face spanned by w_0..w_d from w_d
+    # over the ridge spanned by w_0..w_(d-1), for d = n - 1 down to 1
+    d = parse_diagram(text)
+    rng = random.Random(27)
+    for relabeling in range(21):
+        perm = list(range(d.facets))
+        if relabeling:
+            rng.shuffle(perm)
+        r = enumerate_vertices(realize(gram_matrix(relabeled(d, perm))))
+        kp = to_klein(r)
+        assert len(kp.simplices) == pieces, relabeling
+        apexes, coned = {}, {}
+        for s in kp.simplices:
+            spans = [frozenset.intersection(*(r.vertex_facets[w] for w in s[:k + 1]))
+                     for k in range(len(s) - 1)]
+            for k in range(1, len(s) - 1):
+                apexes.setdefault(spans[k], set()).add(s[k])
+                coned.setdefault(spans[k], set()).add(spans[k - 1])
+        for face, (apex,) in apexes.items():
+            ridges = {face | {j} for j in range(d.facets)} & r.faces - {face}
+            on = {ridge for ridge in ridges if ridge <= r.vertex_facets[apex]}
+            assert ridges - coned[face] == on, (relabeling, sorted(face))
+            assert all(sum(ridge <= F for ridge in ridges) <= len(on)
+                       for F in r.vertex_facets if face <= F)
 
 
 IDEAL_TETRAHEDRON = "n 3\nfacets 4\n" + "".join(
@@ -278,17 +314,35 @@ def test_trivial_symmetry_keeps_every_facet_cone(text, monkeypatch):
 
 
 def test_vertex_enumeration_solves_each_subset_once(monkeypatch):
+    # one stacked SVD whose rows are the first n-sets of the 12 finite and 1
+    # ideal vertices, each once, not one row per facet 5-subset
     calls = []
-    solve = geometry._vertex_line
+    svd = np.linalg.svd
 
-    def counted(normals, subset):
-        calls.append(subset)
-        return solve(normals, subset)
+    def counted(A, *args, **kwargs):
+        calls.append(np.array(A))
+        return svd(A, *args, **kwargs)
 
-    monkeypatch.setattr(geometry, "_vertex_line", counted)
-    r = realized_polytope(POLYTOPE_5D)
+    G = gram_matrix(parse_diagram(POLYTOPE_5D))
+    r = realize(G)
+    faces, cusps = census(G)
+    subsets = faces[5] + [T for T, _ in cusps]
+    expected = r.normals[np.array(subsets)] * np.r_[-1.0, np.ones(5)]
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    enumerate_vertices(r)
     assert (len(r.finite_vertices), len(r.ideal_vertices)) == (12, 1)
-    assert len(calls) == 12 + 1  # one solve per vertex, not one per facet 5-subset
+    assert len(subsets) == len(set(subsets)) == 12 + 1
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], expected)
+
+
+def test_dependent_normals_raise_a_typed_error():
+    # normals that contradict the exact census: facets 1 and 2 given one
+    # normal meet in no line, and the rank test names their vertex's n-set
+    r = realize(gram_matrix(parse_diagram(TRIANGLE_245)))
+    r.normals[2] = r.normals[1]
+    with pytest.raises(NoVertices, match=r"facets \[1, 2\] do not meet in a line"):
+        enumerate_vertices(r)
 
 
 def reference_klein_gram(G):
@@ -371,13 +425,14 @@ def test_census_euler_under_relabeling(text):
 
 
 @pytest.mark.parametrize("text", [IDEAL_TRIANGLE, TRIANGLE_245, TRIANGLE_444, SIMPLEX_5334,
-                                  POLYTOPE_5D, POLYTOPE_7D],
-                         ids=["ideal-triangle", "245", "444", "5334", "5d", "7d"])
+                                  POLYTOPE_5D, POLYTOPE_7D, DISCONNECTED_4D],
+                         ids=["ideal-triangle", "245", "444", "5334", "5d", "7d", "disconnected"])
 def test_census_matches_full_eliminations(text):
     # the subset test, plus one Schur complement per connected candidate,
     # decides what a full elimination of its principal submatrix does, on
     # the diagram and 20 relabelings; both bundled polytopes have a cusp
-    # whose parabolic set, written in closed form, has more than n facets
+    # whose parabolic set, written in closed form, has more than n facets,
+    # and the disconnected diagram has n-sets of a cusp's inertia but no cusp
     d = parse_diagram(text)
     rng = random.Random(18)
     for relabeling in range(21):
@@ -487,17 +542,16 @@ def test_census_eliminates_nothing(text, monkeypatch):
 
 
 def test_parabolic_component_of_a_disconnected_graph_is_no_ideal_vertex():
-    # facets 1 and 5 are parallel and orthogonal to the rest: n-sets through
-    # both have inertia (n - 1, 0, 1), but e_1 + e_5 = 0 is no ideal point,
-    # so the census reports no cusp where full eliminations of the n-sets
-    # alone would report four
-    text = ("n 4\nfacets 6\nedge 0 2 5\nedge 1 5 inf\nedge 2 3 dashed 3/2\n"
-            "edge 2 4 dashed 3/2\n")
-    G = gram_matrix(parse_diagram(text))
+    # facets 1 and 5 are parallel and orthogonal to the rest: four n-sets
+    # through both have inertia (n - 1, 0, 1), but e_1 + e_5 = 0 is no ideal
+    # point, so neither the census nor full eliminations report a cusp
+    G = gram_matrix(parse_diagram(DISCONNECTED_4D))
     assert_lorentzian(G)
     assert all((G[1, j] + G[5, j]).is_zero() for j in range(G.size))
-    assert len(census_by_inertia(G)[1]) == 4
-    assert census(G)[1] == []
+    singular = [T for T in itertools.combinations(range(G.size), 4) if {1, 5} <= set(T)
+                and diagram.inertia([[G[i, j] for j in T] for i in T]) == (3, 0, 1)]
+    assert len(singular) == 4
+    assert census(G)[1] == census_by_inertia(G)[1] == []
 
 
 def test_infinite_volume_rejected():

@@ -13,11 +13,11 @@ import pytest
 from hypvol import analyze, integration
 from hypvol.diagram import gram_matrix, parse_diagram
 from hypvol.errors import NonConvergent
-from hypvol.geometry import enumerate_vertices, realize, to_klein
+from hypvol.geometry import KleinPolytope, enumerate_vertices, realize, to_klein
 from hypvol.integration import (
     _gauss_jacobi,
     _kernel,
-    _piece,
+    _pieces,
     _radial,
     _simplex_rule,
     _split_multi_ideal,
@@ -32,6 +32,22 @@ def klein_polytope(text):
     r = realize(gram_matrix(parse_diagram(text)))
     enumerate_vertices(r)
     return to_klein(r)
+
+
+def built_pieces(point_sets, ideal):
+    """``_pieces``' stack of one kind for simplices of weight 1 on the given
+    (n + 1, n) point sets: each coned from its first point, ideal, if
+    ``ideal``, else from its last, the origin."""
+    n = point_sets[0].shape[1]
+    if ideal:
+        vertices = np.concatenate(point_sets)
+        simplices = [list(range(k * (n + 1), (k + 1) * (n + 1))) for k in range(len(point_sets))]
+    else:
+        vertices = np.concatenate([pts[:-1] for pts in point_sets])
+        simplices = [list(range(k * n, (k + 1) * n)) + [-1] for k in range(len(point_sets))]
+    flags = [ideal and k % (n + 1) == 0 for k in range(len(vertices))]
+    kp = KleinPolytope(n, vertices, flags, simplices, [1] * len(simplices))
+    return _pieces(kp)[1 if ideal else 0]
 
 
 TRIANGLE_444 = "n 2\nfacets 3\nedge 0 1 4\nedge 1 2 4\nedge 0 2 4\n"
@@ -157,8 +173,15 @@ def test_cusp_piece_touching_its_ideal_point_is_nonconvergent():
     # a base vertex on the tangent plane at the ideal point gives a = 0
     # there, where the cusp's radial integral diverges
     pts = np.array([[1.0, 0.0], [1.0, 0.5], [0.0, 0.5]])
-    with pytest.raises(NonConvergent):
-        _piece(pts, 0)
+    with pytest.raises(NonConvergent, match="touches the sphere"):
+        built_pieces([pts], ideal=True)
+
+
+def test_cusp_piece_off_the_sphere_is_nonconvergent():
+    # a vertex flagged ideal must lie on the sphere, within _IDEAL_NORM_TOL
+    pts = np.array([[1.0 + 1e-6, 0.0], [0.3, 0.1], [0.1, 0.3]])
+    with pytest.raises(NonConvergent, match="off the sphere by 1.00e-06"):
+        built_pieces([pts], ideal=True)
 
 
 def test_seeded_determinism():
@@ -248,35 +271,37 @@ def test_simplex_volume_draws_each_point_once(pts, pieces, monkeypatch):
 
 
 def count_builds(monkeypatch):
-    """(events, pieces): in order, ("piece",) for every piece built and
-    ("rule", order, alpha) for every Gauss-Jacobi rule built while the test
-    runs, and the (points, ideal) of each piece built."""
-    events, pieces = [], []
-    make, gauss = integration._piece, integration._gauss_jacobi
+    """(events, builds): in order, ("pieces", K) for every stacked build of
+    K pieces and ("rule", order, alpha) for every Gauss-Jacobi rule built
+    while the test runs, and the stacks of each build."""
+    events, builds = [], []
+    make, gauss = integration._pieces, integration._gauss_jacobi
 
-    def piece(*args):
-        events.append(("piece",))
-        pieces.append(args)
-        return make(*args)
+    def pieces(kp):
+        stacks = make(kp)
+        events.append(("pieces", sum(len(scale) for _, _, scale in stacks)))
+        builds.append(stacks)
+        return stacks
 
     def rule(p, alpha):
         events.append(("rule", p, alpha))
         return gauss(p, alpha)
 
-    monkeypatch.setattr(integration, "_piece", piece)
+    monkeypatch.setattr(integration, "_pieces", pieces)
     monkeypatch.setattr(integration, "_gauss_jacobi", rule)
-    return events, pieces
+    return events, builds
 
 
 @pytest.mark.parametrize("pts, pieces", [(COMPACT_3D, 4), (CUSP_2D, 2)], ids=["compact", "cusp"])
 def test_simplex_volume_builds_each_replicate_engine_once(pts, pieces, monkeypatch):
-    # each piece is built once, before the orders, and each order builds
-    # one Gauss-Jacobi rule per collapsed coordinate, which serves every piece
-    events, built = count_builds(monkeypatch)
+    # every piece is built once, in one stacked build before the orders, and
+    # each order builds one Gauss-Jacobi rule per collapsed coordinate, which
+    # serves every piece
+    events, builds = count_builds(monkeypatch)
     est = simplex_volume(pts, budget=1e-9)
     d = pts.shape[1] - 1
-    assert events[:pieces] == [("piece",)] * pieces and len(built) == pieces
-    rules = events[pieces:]
+    assert events[0] == ("pieces", pieces) and len(builds) == 1
+    rules = events[1:]
     last = rules[-1][1]
     assert rules == [("rule", p, d - 1 - i) for p in range(2, last + 1) for i in range(d)]
     assert est.samples == pieces * sum(p ** d for p in range(2, last + 1))
@@ -342,19 +367,22 @@ def triangle_pieces():
 
 
 def test_polytope_volume_builds_each_piece_engines_once(monkeypatch):
-    # each piece of the split fan is built once, before the orders; one
-    # rule per order (d = 1) serves all of them.  The three sides form one
-    # orbit, so one side's cone, split at its ideal-ideal edge, is integrated
-    events, built = count_builds(monkeypatch)
+    # each piece of the split fan is built once, in one stacked build before
+    # the orders; one rule per order (d = 1) serves all of them.  The three
+    # sides form one orbit, so one side's cone, split at its ideal-ideal
+    # edge, is integrated: two cusp pieces, each coned from its ideal vertex
+    events, builds = count_builds(monkeypatch)
     kp, pieces = triangle_pieces()
     est = polytope_volume(kp, 1e-3)
     assert kp.weights == [3]
-    assert len(built) == len(pieces) == 2
-    assert events[:2] == [("piece",)] * 2
-    for (points, ideal), (expected, index) in zip(built, pieces):
-        np.testing.assert_array_equal(points, expected)
-        assert ideal == index
-    rules = events[2:]
+    assert len(builds) == 1 and len(pieces) == 2
+    (compact, _, _), (YT, a, _) = builds[0]
+    assert len(compact) == 0 and len(YT) == len(a) == 2
+    for base, (points, ideal) in zip(YT, pieces):
+        expected = (np.delete(points, ideal, axis=0) - points[ideal]).T
+        np.testing.assert_allclose(base, expected, rtol=0, atol=1e-15)
+    assert events[0] == ("pieces", 2)
+    rules = events[1:]
     last = rules[-1][1]
     assert rules == [("rule", p, 0) for p in range(2, last + 1)]
     assert est.samples == len(pieces) * sum(range(2, last + 1))
@@ -470,7 +498,7 @@ def test_cusp_integrand_matches_power_formula(pts):
     # the closed radial form 2 / ((n-1) a.t (a.t - |tY|^2)^((n-1)/2)) against
     # quadrature of s^(n-1) (1 - |v + s tY|^2)^(-(n+1)/2) over s in [0, 1]
     n = pts.shape[1]
-    YT, a, det = _piece(pts, 0)
+    (YT,), (a,), (det,) = built_pieces([pts], ideal=True)
     v, Y = pts[0], pts[1:] - pts[0]
     assert det == pytest.approx(abs(np.linalg.det(Y)), rel=1e-14)
     T = np.random.default_rng(n).dirichlet(np.ones(n), size=5).T
@@ -482,22 +510,53 @@ def test_cusp_integrand_matches_power_formula(pts):
             assert value == pytest.approx(float(exact), rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("text", [POLYTOPE_5D, POLYTOPE_7D, IDEAL_TRIANGLE],
+                         ids=["5d", "7d", "ideal-triangle"])
+def test_stacked_build_matches_each_piece_alone(text):
+    # the stacked build against one piece at a time, in fan order within
+    # each kind: a compact piece's base matrix is its points but the origin,
+    # a cusp piece's its other points less the ideal one, and the scale is
+    # |det| times the weight; the gathered bases are exact, the rest within
+    # a few ulps of a product's rounding
+    kp = klein_polytope(text)
+    alone = [[], []]
+    for s, weight in zip(kp.simplices, kp.weights):
+        for points, ideal in _split_multi_ideal(kp.simplex_points(s),
+                                                [k >= 0 and kp.ideal_flags[k] for k in s]):
+            if ideal is None:
+                YT, a = points[:-1].T, None
+            else:
+                YT = (np.delete(points, ideal, axis=0) - points[ideal]).T
+                a = -2.0 * points[ideal] @ YT
+            alone[ideal is not None].append((YT, a, weight * abs(np.linalg.det(YT))))
+    for (YT, a, scale), pieces in zip(_pieces(kp), alone):
+        assert len(YT) == len(pieces)
+        for k, (base, coefficients, size) in enumerate(pieces):
+            if coefficients is None:
+                assert a is None
+                np.testing.assert_array_equal(YT[k], base)
+            else:
+                np.testing.assert_allclose(YT[k], base, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(a[k], coefficients, rtol=1e-14, atol=1e-15)
+            assert scale[k] == pytest.approx(size, rel=1e-14, abs=0)
+
+
 @pytest.mark.parametrize("ideal", [False, True], ids=["compact", "cusp"])
 def test_stacked_kernel_matches_each_piece_alone(ideal):
     # a stack of pieces gives each piece's values as if it were alone, up to
     # the length of the power series, which follows the stack's largest c
     n = 5
     rng = np.random.default_rng(5)
-    built = []
+    point_sets = []
     for reach in (0.1, 0.3, 0.4):
         pts = rng.uniform(-reach, reach, (n + 1, n))
         pts[0 if ideal else n] = np.eye(n)[0] if ideal else 0.0
-        built.append(_piece(pts, 0 if ideal else None))
-    YT = np.stack([b[0] for b in built])
-    a = np.stack([b[1] for b in built]) if ideal else None
+        point_sets.append(pts)
+    YT, a, _ = built_pieces(point_sets, ideal)
+    assert len(YT) == 3
     T = rng.dirichlet(np.ones(n), size=7).T
     stacked = _kernel(YT, a, T)
-    for k in range(len(built)):
+    for k in range(len(YT)):
         alone = _kernel(YT[k:k + 1], None if a is None else a[k:k + 1], T)[0]
         np.testing.assert_allclose(stacked[k], alone, rtol=1e-15, atol=0)
 
