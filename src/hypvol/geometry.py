@@ -6,7 +6,8 @@ groups", Russian Math. Surveys 40, 1985, Thm 3.1), by one
 ``diagram.schur_step`` per connected candidate and zero tests on the
 non-orthogonality graph ``GramMatrix.neighbours``.
 Coordinates are float64: with every incidence decided exactly, they only
-feed the integrator, which works in float64, and two safety checks.  The
+feed the integrator, which works in float64, and two safety checks.  numpy
+is imported by the functions that use it, so the census loads none.  The
 Minkowski form used throughout is <x, y> = -x0*y0 + x1*y1 + ... with the
 timelike coordinate first.  The Klein fan cones one facet per orbit of the
 Gram matrix's exact automorphisms (``facet_orbits``), weighted by the orbit
@@ -19,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import numpy as np
-
 from .diagram import GramMatrix, assert_lorentzian, bfs, schur_step
 from .errors import NoVertices, TriangulationFailure
 
@@ -29,6 +28,7 @@ FacetSet = tuple[int, ...]
 
 def _flip_time(X: np.ndarray) -> np.ndarray:
     """X with its timelike column negated, so that X' @ y is <x, y> per row x."""
+    import numpy as np
     Y = np.array(X, dtype=np.float64)
     Y[..., 0] *= -1.0
     return Y
@@ -77,10 +77,6 @@ class KleinPolytope:
     simplices: list[list[int]]
     weights: list[int]
 
-    def simplex_points(self, simplex: list[int]) -> np.ndarray:
-        origin = np.zeros(self.dimension)
-        return np.array([self.vertices[k] if k >= 0 else origin for k in simplex])
-
 
 def centring_boost(finite, ideal) -> np.ndarray:
     """The Lorentz boost B that sends the vertices' centre c to e0.
@@ -92,6 +88,7 @@ def centring_boost(finite, ideal) -> np.ndarray:
     or on the facets through all of them.  For c = (c0, u) with
     <c, c> = -1, B is [[c0, -u'], [-u, I + u u' / (1 + c0)]].
     """
+    import numpy as np
     c = np.sum(finite if len(finite) else ideal, axis=0)
     c = c / np.sqrt(-(_flip_time(c) @ c))
     c0, u = c[0], c[1:]
@@ -107,6 +104,7 @@ def realize(G: GramMatrix) -> PolytopeRealization:
     coordinate and the n largest the spacelike ones; the N - n - 1 zero
     modes are dropped.  Each distinct entry is converted to float once.
     """
+    import numpy as np
     assert_lorentzian(G)
     n, N = G.dimension, G.size
     image = {e: float(e) for e in {e for row in G.entries for e in row}}
@@ -220,6 +218,7 @@ def enumerate_vertices(realization: PolytopeRealization) -> PolytopeRealization:
     ``centring_boost``, whose centre every isometry of the polytope fixes,
     whatever the frame of the normals.
     """
+    import numpy as np
     n, N = realization.dimension, realization.facet_count
     faces, cusps = census(realization.gram)
     sets = [frozenset(T) for T in faces[n]] + [frozenset(P) for _, P in cusps]
@@ -338,6 +337,7 @@ def to_klein(realization: PolytopeRealization) -> KleinPolytope:
     ``_fan_triangulation``).  It leaves out the orbits of facets through the
     centre, whose cones are flat.
     """
+    import numpy as np
     n = realization.dimension
     finite, ideal = realization.finite_vertices, realization.ideal_vertices
     if len(finite) + len(ideal) < n + 1:

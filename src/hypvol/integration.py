@@ -31,7 +31,8 @@ pieces without cusp are gathered into one (K, n, d+1) array, those of the
 cusp pieces and their a likewise, with one stacked determinant per kind,
 and each order's rule runs over a whole stack at once, in blocks of at
 most _BATCH (piece, node) pairs, so that neither the order nor the number
-of pieces grows the memory of a block.
+of pieces grows the memory of a block.  numpy is imported by the functions
+that use it, so that only an integrated analysis loads it.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NonConvergent
 from .geometry import KleinPolytope, centring_boost
@@ -74,6 +73,7 @@ def _gauss_jacobi(p: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     on [-1, 1] give u = (1 + x) / 2, and the squared first eigenvector
     components times the mass 1 / (alpha + 1) the weights.  Cached, so the
     arrays are read-only."""
+    import numpy as np
     k = np.arange(1, p, dtype=np.float64)
     s = 2.0 * k + alpha
     diag = np.concatenate([[-alpha / (alpha + 2.0)], -alpha * alpha / (s * (s + 2.0))])
@@ -89,6 +89,7 @@ def _simplex_rule(d: int, p: int):
     """The p^d-node rule on the standard d-simplex, in blocks of _BATCH
     nodes: (T, w), T the (d + 1, m) barycentric coordinates of m nodes and w
     their weights, which sum to 1/d! over all blocks."""
+    import numpy as np
     rules = [_gauss_jacobi(p, d - 1 - i) for i in range(d)]
     for start in range(0, p ** d, _BATCH):
         index = np.arange(start, min(start + _BATCH, p ** d))
@@ -104,6 +105,7 @@ def _simplex_rule(d: int, p: int):
 
 def _half_power(x: np.ndarray, m: int) -> np.ndarray:
     """x ** (m / 2) for a non-negative integer m: products and one root."""
+    import numpy as np
     out = np.sqrt(x) if m % 2 else np.ones_like(x)
     for _ in range(m // 2):
         out = out * x
@@ -113,6 +115,7 @@ def _half_power(x: np.ndarray, m: int) -> np.ndarray:
 def _radial(c: np.ndarray, n: int) -> np.ndarray:
     """h(c) = int_0^1 r^(n-1) (1 - c r^2)^(-(n+1)/2) dr for 0 <= c < 1, which
     is c^(-n/2) F_(n-1)(artanh sqrt c) with F_k = int_0 sinh^k."""
+    import numpy as np
     out = np.empty_like(c)
     small = c < _SERIES_BELOW
     x = c[small]
@@ -165,6 +168,7 @@ def _pieces(kp: KleinPolytope) -> list[tuple[np.ndarray, np.ndarray | None, np.n
     simplex's weight.  A simplex without ideal vertex ends with the origin,
     its apex, and its base matrix is gathered from the vertices; the others
     are split first, and each piece is coned from its ideal vertex."""
+    import numpy as np
     n = kp.dimension
     S = np.array(kp.simplices, dtype=np.intp).reshape(-1, n + 1)
     weights = np.array(kp.weights, dtype=np.float64)
@@ -202,6 +206,7 @@ def _kernel(YT: np.ndarray, a: np.ndarray | None, T: np.ndarray) -> np.ndarray:
     """The radial integral at nodes T, (d + 1, m), for a stack of K pieces
     of one kind, (K, n, d + 1) base matrices and (K, d + 1) a or None:
     a (K, m) array."""
+    import numpy as np
     n = YT.shape[1]
     y = YT @ T
     yy = np.einsum("kij,kij->kj", y, y)
@@ -222,6 +227,7 @@ def _volume(kp: KleinPolytope, budget, max_log2_samples: int) -> VolumeEstimate:
     of 2^max_log2_samples nodes per piece the bar reached stands, flagged
     ``capped``, if the changes shrank, and ``NonConvergent`` is raised
     otherwise."""
+    import numpy as np
     stacks = _pieces(kp)
     scale = np.concatenate([scale for _, _, scale in stacks])
     d = kp.dimension - 1
@@ -266,6 +272,7 @@ def simplex_volume(
     ``geometry.centring_boost`` and its facets coned from the origin:
     ``polytope_volume``'s design with an absolute budget.
     """
+    import numpy as np
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[1]
     if pts.shape[0] != n + 1:

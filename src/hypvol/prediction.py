@@ -191,12 +191,16 @@ def recognize_rational(x, err) -> RationalRecognition:
     products of small primes, which is what makes the window search
     meaningful; an ambiguous window stays unrecognized, with no fraction
     and an infinite residual.  A recognized denominator too large for trial
-    division is reported with an empty factorization.
+    division is reported with an empty factorization.  A window that holds 0
+    stays unrecognized as well: a multiplier is positive, and such a window
+    holds every small enough fraction.
     """
     x = _to_fraction(x)
     err = _to_fraction(err)
     if x <= 0 or err <= 0:
         raise ValueError("x and err must be positive")
+    if x <= err:
+        return RationalRecognition("unrecognized", None, None, math.inf, 0.0, "none")
 
     guard = int(math.isqrt(int(1 / (4 * err))))
     best: Fraction | None = None

@@ -10,8 +10,8 @@ for the conjugate signatures, every vertex sequence with each product
 rebuilt from its edges for the cycles, a scan of every smooth
 denominator for the recognition window, and a full elimination of every
 candidate's principal Gram submatrix for the face census.  Besides them:
-a GF(2) solver for field membership of square roots, and facet
-relabeling of a diagram.
+a GF(2) solver for field membership of square roots, facet relabeling of
+a diagram, and the points of a fan simplex.
 """
 
 import itertools
@@ -269,3 +269,8 @@ def relabeled(diagram: CoxeterDiagram, perm: list[int]) -> CoxeterDiagram:
         a, b = perm[i], perm[j]
         edges[min(a, b), max(a, b)] = label
     return CoxeterDiagram(diagram.dimension, diagram.facets, edges)
+
+
+def simplex_points(kp, simplex: list[int]) -> np.ndarray:
+    """The (n + 1, n) points of a simplex of the Klein fan, -1 the origin."""
+    return np.array([kp.vertices[k] if k >= 0 else np.zeros(kp.dimension) for k in simplex])

@@ -185,6 +185,16 @@ def test_unrecognized_json_is_strict(capsys):
     assert payload["recognition"]["residual"] is None
 
 
+def test_window_holding_zero_is_unrecognized_json(capsys):
+    # the error window of an assumed 0.0000434 holds 0, so no multiplier is recognized
+    path = str(Path(__file__).parents[1] / "diagrams" / "polytope5d.diagram")
+    code = main(["analyze", path, "--json",
+                 "--assume-volume", "0.0000434", "--assume-err", "1e-4"])
+    assert code == EXIT_OK
+    rec = json.loads(capsys.readouterr().out)["recognition"]
+    assert rec == {"status": "unrecognized", "residual": None, "confidence": 0.0, "method": "none"}
+
+
 def test_stdin_input(diagram_file, capsys, monkeypatch):
     # a StringIO has no byte buffer and is read as text
     monkeypatch.setattr("sys.stdin", io.StringIO(POLYTOPE_5D))

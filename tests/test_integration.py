@@ -25,7 +25,7 @@ from hypvol.integration import (
     simplex_volume,
 )
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
-from oracles import relabeled
+from oracles import relabeled, simplex_points
 
 
 def klein_polytope(text):
@@ -361,7 +361,7 @@ def triangle_pieces():
     kp = klein_polytope(IDEAL_TRIANGLE)
     pieces = []
     for simplex in kp.simplices:
-        pieces.extend(_split_multi_ideal(kp.simplex_points(simplex),
+        pieces.extend(_split_multi_ideal(simplex_points(kp, simplex),
                                          [k >= 0 and kp.ideal_flags[k] for k in simplex]))
     return kp, pieces
 
@@ -521,7 +521,7 @@ def test_stacked_build_matches_each_piece_alone(text):
     kp = klein_polytope(text)
     alone = [[], []]
     for s, weight in zip(kp.simplices, kp.weights):
-        for points, ideal in _split_multi_ideal(kp.simplex_points(s),
+        for points, ideal in _split_multi_ideal(simplex_points(kp, s),
                                                 [k >= 0 and kp.ideal_flags[k] for k in s]):
             if ideal is None:
                 YT, a = points[:-1].T, None

@@ -119,6 +119,28 @@ def test_recognize_rejects_nonpositive():
         recognize_rational(1.0, 0.0)
 
 
+@pytest.mark.parametrize("x, err", [(0.1, 0.2), (0.5, 0.5), (3.0, 4.0)])
+def test_window_holding_zero_is_unrecognized(x, err):
+    # a multiplier is positive: neither the convergent 0 of an x < 1 nor the
+    # smooth window's lone candidate 3/1 of (3, 4) is an answer
+    rec = recognize_rational(x, err)
+    assert (rec.status, rec.fraction, rec.method, rec.residual) == (
+        "unrecognized", None, "none", math.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 10**9), max_value=10),
+       st.fractions(min_value=1, max_value=10**6))
+def test_no_window_holding_zero_is_recognized(x, scale):
+    assert recognize_rational(x, x * scale).status == "unrecognized"
+
+
+def test_assumed_volume_near_zero_is_unrecognized():
+    # x = 0.0000434 / T is about 7.8e-8, inside its error of about 1.8e-7
+    rec = analyze(POLYTOPE_5D, assume_volume="0.0000434", assume_err=1e-4).recognition
+    assert (rec.status, rec.numerator, rec.method) == ("unrecognized", None, "none")
+
+
 def test_recognition_round_trip_random_rationals():
     rng = random.Random(314)
     for _ in range(1000):
@@ -244,6 +266,86 @@ print(code, 'volume (integrated)' in out.getvalue(), 'scipy' in sys.modules)
                          env={**os.environ, "PYTHONPATH": str(root / "src")},
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False", "0", "True", "False"]
+
+
+NUMPY_FREE = f"""
+import contextlib, io, json, sys
+sys.modules["numpy"] = None    # from here on, any numpy import raises ImportError
+import hypvol, hypvol.cli
+from hypvol import analyze, cli
+from hypvol.errors import DiagramSyntaxError
+from hypvol.polytopes import POLYTOPE_5D, POLYTOPE_7D
+
+def run(argv, text=""):
+    sys.stdin = io.StringIO(text)
+    with contextlib.redirect_stdout(io.StringIO()) as out, \\
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+seen = []
+for argv in (["--help"], ["analyze", "--help"]):
+    code, out, _ = run(argv)
+    seen.append([code, out.startswith("usage: hypvol")])
+for text, volume, err in ((POLYTOPE_5D, {VOL_5D!r}, "1e-19"), (POLYTOPE_7D, {VOL_7D!r}, "5e-9")):
+    rec = analyze(text, assume_volume=volume, assume_err=float(err)).recognition
+    code, out, _ = run(["analyze", "-", "--json", "--assume-volume", volume, "--assume-err", err],
+                       text)
+    seen.append([rec.denominator, code, json.loads(out)["recognition"]["denominator"]])
+try:
+    analyze("n 2\\nfacets x\\n")
+except DiagramSyntaxError as exc:
+    seen.append(str(exc))
+code, _, err = run(["analyze", "-"], "n 2\\nfacets x\\n")
+seen.append([code, err.strip()])
+seen.append(sorted(name for name, module in sys.modules.items()
+                   if name.split(".")[0] == "numpy" and module is not None))
+print(json.dumps(seen))
+"""
+
+
+def test_exact_routes_run_without_numpy():
+    # a fresh interpreter in which numpy cannot be imported: the imports, the
+    # help, the assumed-volume analyses and a typed input error all finish
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", NUMPY_FREE],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [
+        [0, True], [0, True],
+        [23040, 0, 23040], [23224320, 0, 23224320],
+        "line 2: bad facet count",
+        [2, "error [DiagramSyntaxError]: line 2: bad facet count"],
+        [],
+    ]
+
+
+INTEGRATED_TRIANGLE = """
+import json, sys
+{first}
+import hypvol
+from hypvol.polytopes import IDEAL_TRIANGLE
+loaded = 'numpy' in sys.modules
+report = hypvol.analyze(IDEAL_TRIANGLE).to_dict()
+del report["timings"]
+print(json.dumps([loaded, 'numpy' in sys.modules, report]))
+"""
+
+
+def test_integration_loads_numpy_on_first_use():
+    # the same report whether numpy comes in with the first integration or before
+    src = Path(__file__).resolve().parents[1] / "src"
+    lazy, eager = (
+        json.loads(subprocess.run([sys.executable, "-c", INTEGRATED_TRIANGLE.format(first=first)],
+                                  env={**os.environ, "PYTHONPATH": str(src)},
+                                  capture_output=True, text=True, check=True).stdout)
+        for first in ("", "import numpy"))
+    assert lazy[:2] == [False, True] and eager[:2] == [True, True]
+    assert json.dumps(lazy[2]) == json.dumps(eager[2])
+    assert lazy[2]["volume"]["source"] == "integrated"
 
 
 @pytest.fixture
