@@ -5,6 +5,11 @@ class HypvolError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class BadOption(HypvolError, ValueError):
+    """An option of ``analyze`` is of the wrong kind, out of range, or given
+    without its partner; a ValueError too, for callers that catch that."""
+
+
 class DiagramSyntaxError(HypvolError):
     """Malformed line in a diagram file."""
 

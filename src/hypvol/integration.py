@@ -299,7 +299,6 @@ def simplex_volume(
 def polytope_volume(
     kp: KleinPolytope,
     target_rel_err: float = 1e-3,
-    *,
     max_log2_samples: int = DEFAULT_MAX_LOG2,
 ) -> VolumeEstimate:
     """Total volume of the fan-triangulated polytope; the budget is

@@ -54,15 +54,7 @@ class PrecisionContext:
 DEFAULT_CONTEXT = PrecisionContext()
 
 
-@dataclass(frozen=True)
-class FundamentalDiscriminant:
-    """Discriminant of Q(sqrt(delta)) together with its squarefree origin."""
-
-    D: int
-    delta: int
-
-
-def fundamental_discriminant(delta: int) -> FundamentalDiscriminant:
+def fundamental_discriminant(delta: int) -> int:
     """Fundamental discriminant of Q(sqrt(delta)) for squarefree delta != 1."""
     if delta == 0:
         raise ValueError("delta must be nonzero")
@@ -72,13 +64,12 @@ def fundamental_discriminant(delta: int) -> FundamentalDiscriminant:
     if delta == 1:
         raise DeltaIsSquare("delta = 1 gives the rational field; "
                             "use the zeta branch of the volume prediction")
-    D = delta if delta % 4 == 1 else 4 * delta
-    return FundamentalDiscriminant(D, delta)
+    return delta if delta % 4 == 1 else 4 * delta
 
 
-def kronecker_chi(D: FundamentalDiscriminant | int, n: int) -> int:
+def kronecker_chi(D: int, n: int) -> int:
     """Kronecker symbol (D/n) for n >= 1; the quadratic character mod |D|."""
-    a = D.D if isinstance(D, FundamentalDiscriminant) else D
+    a = D
     if n < 1:
         raise ValueError("n must be positive")
     result = 1
@@ -202,14 +193,14 @@ def riemann_zeta(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:
     return hurwitz_zeta(s, Fraction(1), ctx)
 
 
-def dirichlet_L(s: int, D: FundamentalDiscriminant, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:
+def dirichlet_L(s: int, D: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:
     """L(s, chi_D) through the Hurwitz decomposition over residues mod |D|:
     the fixed-point Hurwitz sums of the residues prime to |D| are added as
     integers at one working precision, then shifted and divided by |D|^s
     once."""
     if s < 2:
         raise ValueError("only integer s >= 2 is supported")
-    q = abs(D.D)
+    q = abs(D)
     if q == 1:
         raise ValueError("trivial character: evaluate the zeta branch instead")
     # per-residue budget: q Hurwitz terms are divided by q^s at the end

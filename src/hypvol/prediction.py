@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +30,7 @@ from . import geometry, integration
 from .arithmeticity import (MAX_DISCRIMINANT, ArithmeticityReport, Classification,
                             check_facet_count, classify)
 from .diagram import CoxeterDiagram, assert_lorentzian, gram_matrix, parse_diagram
-from .errors import EvenDimension, TooLarge
+from .errors import BadOption, EvenDimension, TooLarge
 from .lseries import (
     DEFAULT_CONTEXT,
     PrecisionContext,
@@ -99,10 +100,10 @@ def transcendental_factor(
     D = fundamental_discriminant(delta)
     with mp.workprec(ctx.workprec()):
         L = dirichlet_L(m, D, ctx)
-        lead = mp.mpf(abs(D.D)) ** (mp.mpf(n) / 2)
+        lead = mp.mpf(abs(D)) ** (mp.mpf(n) / 2)
         value = +(lead * L)
         err = float(lead) * float(ctx.target_error) * 2
-    return VolumePrediction(n, delta, "quadratic-field", value, err, D.D)
+    return VolumePrediction(n, delta, "quadratic-field", value, err, D)
 
 
 def _to_fraction(v) -> Fraction:
@@ -244,20 +245,6 @@ def recognize_rational(x, err) -> RationalRecognition:
     return RationalRecognition("unrecognized", None, None, math.inf, 0.0, "none")
 
 
-def parse_assumed_volume(value: str | float) -> mpmath.mpf:
-    """An externally computed volume at 256 bits; ValueError unless it is a
-    finite positive number, also as a float64 (the report prints that)."""
-    with mp.workprec(_WORKPREC):
-        try:
-            volume = mp.mpf(value)
-        except (TypeError, ValueError):
-            volume = mp.nan
-    if not 0 < float(volume) < math.inf:
-        raise ValueError("assume_volume must be a finite positive number in the float64 "
-                         f"range, not {value!r}")
-    return volume
-
-
 @dataclass
 class AnalysisReport:
     """Everything the pipeline learned about one diagram."""
@@ -335,6 +322,23 @@ class AnalysisReport:
         return rep
 
 
+def _option(name: str, value, convert, ok, need: str):
+    """convert(value), if that succeeds and passes ok; otherwise BadOption,
+    naming the parameter, what it must be and the value given."""
+    try:
+        out = convert(value)
+        good = ok(out)
+    except (TypeError, ValueError, OverflowError):
+        good = False
+    if not good:
+        raise BadOption(f"{name} must be {need}, not {value!r}")
+    return out
+
+
+def _finite_positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0
+
+
 def analyze(
     diagram_text: str,
     *,
@@ -343,7 +347,7 @@ def analyze(
     assume_volume: str | float | None = None,
     assume_err: float | None = None,
     lseries_context: PrecisionContext = DEFAULT_CONTEXT,
-    max_log2_samples: int = integration.DEFAULT_MAX_LOG2,
+    max_samples: int = 2**integration.DEFAULT_MAX_LOG2,
 ) -> AnalysisReport:
     """Full pipeline on a diagram file's text.
 
@@ -353,27 +357,33 @@ def analyze(
     otherwise the volume is integrated and recognition runs at the
     integrator's accuracy, which limits how large a denominator can be
     certified.  The assumed volume must parse to a finite positive number
-    and its error be finite and positive; ``target_rel_err`` must be finite
-    and positive, ``seed`` non-negative, and ``max_log2_samples``, the cap
-    of 2^max_log2_samples cubature nodes per piece and order, 0 to 30.  The
-    integrator is deterministic: ``seed`` is validated and otherwise unused,
-    kept only for callers that still pass one.
+    in the float64 range and its error be finite and positive;
+    ``target_rel_err`` must be finite and positive, ``seed`` a non-negative
+    integer, and ``max_samples``, the cap on cubature nodes per piece and
+    order, an integer from 1 to 2^30, rounded down to a power of two;
+    ``lseries_context`` is a PrecisionContext.  Every option is checked
+    before any work, and a bad one raises BadOption.  The integrator is
+    deterministic: ``seed`` is validated and otherwise unused, kept only
+    for callers that still pass one.
     """
     if (assume_volume is None) != (assume_err is None):
-        raise ValueError("assume_volume and assume_err must be given together")
-    if not (math.isfinite(target_rel_err) and target_rel_err > 0):
-        raise ValueError(f"target_rel_err must be finite and positive, not {target_rel_err}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, not {seed}")
-    if not 0 <= max_log2_samples <= 30:
-        raise ValueError(f"max_log2_samples must lie in [0, 30], not {max_log2_samples}")
+        raise BadOption("assume_volume and assume_err must be given together")
+    target_rel_err = _option("target_rel_err", target_rel_err, float, _finite_positive,
+                             "finite and positive")
+    _option("seed", seed, operator.index, lambda s: s >= 0, "non-negative and an integer")
+    max_log2 = _option("max_samples", max_samples, operator.index, lambda c: 1 <= c <= 2**30,
+                       "an integer from 1 to 2^30").bit_length() - 1
+    if not isinstance(lseries_context, PrecisionContext):
+        raise BadOption(f"lseries_context must be a PrecisionContext, not {lseries_context!r}")
     volume_value: mpmath.mpf | None = None
     volume_err: float | None = None
     if assume_volume is not None:
-        volume_value = parse_assumed_volume(assume_volume)
-        volume_err = float(assume_err)
-        if not (math.isfinite(volume_err) and volume_err > 0):
-            raise ValueError(f"assume_err must be finite and positive, not {assume_err}")
+        with mp.workprec(_WORKPREC):
+            volume_value = _option("assume_volume", assume_volume, mp.mpf,
+                                   lambda v: 0 < float(v) < math.inf,
+                                   "a finite positive number in the float64 range")
+        volume_err = _option("assume_err", assume_err, float, _finite_positive,
+                             "finite and positive")
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     diagram = parse_diagram(diagram_text)
@@ -397,7 +407,7 @@ def analyze(
         report.prediction_skipped = "even dimension (Gauss-Bonnet case)"
     elif n < 5:
         report.prediction_skipped = "dimension below 5"
-    elif arith.delta != 1 and (D := abs(fundamental_discriminant(arith.delta).D)) > MAX_DISCRIMINANT:
+    elif arith.delta != 1 and (D := abs(fundamental_discriminant(arith.delta))) > MAX_DISCRIMINANT:
         report.prediction_skipped = (f"fundamental discriminant |D| = {D} exceeds "
                                      f"{MAX_DISCRIMINANT}, the largest whose L-value is evaluated")
     else:
@@ -418,7 +428,7 @@ def analyze(
         kp = geometry.to_klein(realization)
         timings["geometry"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        est = integration.polytope_volume(kp, target_rel_err, max_log2_samples=max_log2_samples)
+        est = integration.polytope_volume(kp, target_rel_err, max_log2)
         timings["volume"] = time.perf_counter() - t0
         report.volume = est
         report.volume_source = "integrated"

@@ -23,19 +23,18 @@ from mpmath import mp
 
 from hypvol.arithmeticity import CyclicProduct, QuadraticFormQ, _field_automorphisms
 from hypvol.diagram import CoxeterDiagram, inertia
-from hypvol.lseries import (_EM_TERMS, FundamentalDiscriminant, PrecisionContext, _em_tail,
-                            bernoulli_fraction, kronecker_chi)
+from hypvol.lseries import _EM_TERMS, PrecisionContext, _em_tail, bernoulli_fraction, kronecker_chi
 from hypvol.prediction import RECOGNITION_MAX_NUMERATOR, _smooth_denominators
 from hypvol.surd import MultiSurd, prime_characters, prime_factors
 
 
-def dirichlet_L_direct(s: int, D: FundamentalDiscriminant, terms: int = 10**6) -> float:
+def dirichlet_L_direct(s: int, D: int, terms: int = 10**6) -> float:
     """Truncated character series sum chi(n)/n^s.
 
     The tail after N terms is below |D| * N^(-s) by Abel summation, far
     inside any tolerance this is used with.
     """
-    q = abs(D.D)
+    q = abs(D)
     table = np.array([kronecker_chi(D, n) for n in range(1, q + 1)], dtype=np.float64)
     n = np.arange(1, terms + 1, dtype=np.float64)
     chi = table[np.arange(terms) % q]

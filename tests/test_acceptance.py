@@ -60,7 +60,7 @@ def test_criterion_1_classification_5d():
     assert rep.classification is Classification.PROPERLY_QUASI_ARITHMETIC
     assert disc_class == -13
     assert rep.delta == 13                            # field Q(sqrt 13)
-    assert D.D == 13
+    assert D == 13
     assert elapsed < 1.0
     _report(1, elapsed, "5d polytope: K=Q, properly quasi-arithmetic, "
                         "disc -13, delta 13, D 13")
@@ -74,7 +74,7 @@ def test_criterion_2_classification_7d():
     elapsed = time.perf_counter() - t0
     assert rep.classification is Classification.PROPERLY_QUASI_ARITHMETIC
     assert rep.delta == -11
-    assert D.D == -11
+    assert D == -11
     assert elapsed < 1.0
     _report(2, elapsed, "7d polytope: delta -11, D -11, properly quasi-arithmetic")
 
@@ -91,7 +91,7 @@ def test_criterion_3_l_function_cross_checks():
         for s in (2, 3, 4):
             via_hurwitz = float(dirichlet_L(s, D, ctx))
             direct = dirichlet_L_direct(s, D, terms=10**6)
-            assert abs(via_hurwitz - direct) < 1e-5, (s, D.D)
+            assert abs(via_hurwitz - direct) < 1e-5, (s, D)
             checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

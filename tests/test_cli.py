@@ -168,7 +168,7 @@ def test_assume_volume_requires_assume_err(diagram_file, capsys):
     path = diagram_file(POLYTOPE_5D)
     code = main(["analyze", path, "--assume-volume", VOL_5D])
     assert code == EXIT_STAGE_ERROR
-    assert "--assume-err" in capsys.readouterr().err
+    assert "assume_volume and assume_err must be given together" in capsys.readouterr().err
 
 
 def test_unrecognized_json_is_strict(capsys):
@@ -208,7 +208,7 @@ def test_bad_target_err_is_stage_error(diagram_file, capsys, target):
     path = diagram_file(IDEAL_TRIANGLE)
     code = main(["analyze", path, f"--target-err={target}"])
     assert code == EXIT_STAGE_ERROR
-    assert "--target-err must be finite and positive" in capsys.readouterr().err
+    assert "error [BadOption]: target_rel_err must be finite and positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("volume", ["abc", "nan", "-1", "1e400", "1e-400"])
@@ -216,7 +216,7 @@ def test_bad_assumed_volume_is_stage_error(diagram_file, capsys, volume):
     path = diagram_file(POLYTOPE_5D)
     code = main(["analyze", path, f"--assume-volume={volume}", "--assume-err=1e-10"])
     assert code == EXIT_STAGE_ERROR
-    assert "--assume-volume must be a finite positive number" in capsys.readouterr().err
+    assert "error [BadOption]: assume_volume must be a finite positive number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("err", ["nan", "-1"])
@@ -224,22 +224,22 @@ def test_bad_assumed_error_is_stage_error(diagram_file, capsys, err):
     path = diagram_file(POLYTOPE_5D)
     code = main(["analyze", path, f"--assume-volume={VOL_5D}", f"--assume-err={err}"])
     assert code == EXIT_STAGE_ERROR
-    assert "--assume-err must be finite and positive" in capsys.readouterr().err
+    assert "error [BadOption]: assume_err must be finite and positive" in capsys.readouterr().err
 
 
 def test_defaults_come_from_the_integrator():
     args = build_parser().parse_args(["analyze", "poly.diagram"])
     assert args.max_samples == 2**integration.DEFAULT_MAX_LOG2
-    assert (inspect.signature(analyze).parameters["max_log2_samples"].default
-            == integration.DEFAULT_MAX_LOG2)
+    assert (inspect.signature(analyze).parameters["max_samples"].default
+            == 2**integration.DEFAULT_MAX_LOG2)
 
 
 @pytest.mark.parametrize("samples", ["0", "-5", str(2**30 + 1), str(2**40)])
-def test_max_samples_outside_the_sobol_sequence_is_stage_error(diagram_file, capsys, samples):
+def test_max_samples_outside_the_node_cap_range_is_stage_error(diagram_file, capsys, samples):
     path = diagram_file(IDEAL_TRIANGLE)
     code = main(["analyze", path, f"--max-samples={samples}"])
     assert code == EXIT_STAGE_ERROR
-    assert "--max-samples must lie between 1 and 2^30" in capsys.readouterr().err
+    assert "error [BadOption]: max_samples must be an integer from 1 to 2^30" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", ["1", "-1"])

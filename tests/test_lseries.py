@@ -25,12 +25,12 @@ CTX = PrecisionContext(256)
 
 
 def test_fundamental_discriminant():
-    assert fundamental_discriminant(13).D == 13
-    assert fundamental_discriminant(-11).D == -11
-    assert fundamental_discriminant(-1).D == -4
-    assert fundamental_discriminant(2).D == 8
-    assert fundamental_discriminant(-2).D == -8
-    assert fundamental_discriminant(5).D == 5
+    assert fundamental_discriminant(13) == 13
+    assert fundamental_discriminant(-11) == -11
+    assert fundamental_discriminant(-1) == -4
+    assert fundamental_discriminant(2) == 8
+    assert fundamental_discriminant(-2) == -8
+    assert fundamental_discriminant(5) == 5
 
 
 def test_fundamental_discriminant_rejects():
@@ -61,7 +61,7 @@ def test_kronecker_against_square_oracle():
     # for odd prime modulus, chi(n) must be +1 exactly on nonzero squares
     for delta in (13, 5, -11):
         D = fundamental_discriminant(delta)
-        p = abs(D.D)
+        p = abs(D)
         squares = {(k * k) % p for k in range(1, p)}
         for n in range(1, p):
             expected = 1 if n in squares else -1
@@ -80,7 +80,7 @@ def test_kronecker_completely_multiplicative():
 def test_kronecker_periodicity():
     for delta in (13, -11, -1):
         D = fundamental_discriminant(delta)
-        q = abs(D.D)
+        q = abs(D)
         for n in range(1, 3 * q):
             assert kronecker_chi(D, n) == kronecker_chi(D, n + q)
 
@@ -161,10 +161,8 @@ def test_L_hurwitz_vs_direct_grid():
 
 
 def test_L_rejects_trivial_character():
-    from hypvol.lseries import FundamentalDiscriminant
-
     with pytest.raises(ValueError):
-        dirichlet_L(3, FundamentalDiscriminant(1, 1), CTX)
+        dirichlet_L(3, 1, CTX)
 
 
 def test_monotone_precision():
@@ -220,7 +218,7 @@ GRID_D = (-4, -3, 5, -7, 8, -11, 12, 13, -20, 21, 24)
 def test_dirichlet_L_grid_against_mpmath(D):
     delta = D // 4 if D % 4 == 0 else D
     disc = fundamental_discriminant(delta)
-    assert disc.D == D
+    assert disc == D
     chi = [0] + [kronecker_chi(disc, n) for n in range(1, abs(D))]
     for s in range(2, 9):
         with mp.workprec(600):

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from hypvol import diagram, prediction
+from hypvol import cli, diagram, prediction
 from hypvol.arithmeticity import MAX_DISCRIMINANT
 from hypvol.diagram import eliminate, parse_diagram
-from hypvol.errors import (DisconnectedGraph, EvenDimension, HypvolError, NonConvergent,
-                           NotLorentzian, TooLarge)
+from hypvol.errors import (BadOption, DisconnectedGraph, EvenDimension, HypvolError,
+                           NonConvergent, NotLorentzian, TooLarge)
 from hypvol.lseries import PrecisionContext, dirichlet_L, fundamental_discriminant, riemann_zeta
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
 from hypvol.prediction import (
@@ -369,6 +369,64 @@ def test_analyze_rejects_bad_assumed_error_before_any_work(no_work, err):
         analyze(POLYTOPE_5D, assume_volume=VOL_5D, assume_err=err)
 
 
+# each invalid option: the keyword arguments of analyze, the same option on
+# the command line (None where argparse's types refuse it, or where the CLI
+# has no such flag), and the one message both routes give
+BAD_OPTIONS = {
+    "lone-assume-volume": ({"assume_volume": VOL_5D}, ["--assume-volume", VOL_5D],
+                           "assume_volume and assume_err must be given together"),
+    "lone-assume-err": ({"assume_err": 1e-9}, ["--assume-err=1e-9"],
+                        "assume_volume and assume_err must be given together"),
+    "target-nan": ({"target_rel_err": math.nan}, ["--target-err=nan"],
+                   "target_rel_err must be finite and positive, not nan"),
+    "target-negative": ({"target_rel_err": -1e-3}, ["--target-err=-1e-3"],
+                        "target_rel_err must be finite and positive, not -0.001"),
+    "target-zero": ({"target_rel_err": 0.0}, ["--target-err=0"],
+                    "target_rel_err must be finite and positive, not 0.0"),
+    "target-text": ({"target_rel_err": "x"}, None,
+                    "target_rel_err must be finite and positive, not 'x'"),
+    "seed-negative": ({"seed": -1}, None, "seed must be non-negative and an integer, not -1"),
+    "seed-text": ({"seed": "x"}, None, "seed must be non-negative and an integer, not 'x'"),
+    "cap-zero": ({"max_samples": 0}, ["--max-samples=0"],
+                 "max_samples must be an integer from 1 to 2^30, not 0"),
+    "cap-negative": ({"max_samples": -5}, ["--max-samples=-5"],
+                     "max_samples must be an integer from 1 to 2^30, not -5"),
+    "cap-past-2^30": ({"max_samples": 2**30 + 1}, [f"--max-samples={2**30 + 1}"],
+                      "max_samples must be an integer from 1 to 2^30, not 1073741825"),
+    "cap-fraction": ({"max_samples": 1.5}, None,
+                     "max_samples must be an integer from 1 to 2^30, not 1.5"),
+    "context-text": ({"lseries_context": "x"}, None,
+                     "lseries_context must be a PrecisionContext, not 'x'"),
+    "volume-text": ({"assume_volume": "abc", "assume_err": 1e-10},
+                    ["--assume-volume=abc", "--assume-err=1e-10"],
+                    "assume_volume must be a finite positive number in the float64 range, "
+                    "not 'abc'"),
+    "volume-past-float64": ({"assume_volume": "1e400", "assume_err": 1e-10},
+                            ["--assume-volume=1e400", "--assume-err=1e-10"],
+                            "assume_volume must be a finite positive number in the float64 "
+                            "range, not '1e400'"),
+    "error-nan": ({"assume_volume": VOL_5D, "assume_err": math.nan},
+                  ["--assume-volume", VOL_5D, "--assume-err=nan"],
+                  "assume_err must be finite and positive, not nan"),
+    "error-text": ({"assume_volume": VOL_5D, "assume_err": "x"}, None,
+                   "assume_err must be finite and positive, not 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_OPTIONS)
+def test_bad_option_is_one_message_from_library_and_cli(no_work, tmp_path, capsys, case):
+    kwargs, argv, message = BAD_OPTIONS[case]
+    if argv is not None:
+        path = tmp_path / "poly.diagram"
+        path.write_text(POLYTOPE_5D, encoding="utf-8")
+        assert cli.main(["analyze", str(path), *argv]) == cli.EXIT_STAGE_ERROR
+        assert capsys.readouterr().err == f"error [BadOption]: {message}\n"
+    with pytest.raises(BadOption) as exc:
+        analyze(POLYTOPE_5D, **kwargs)
+    assert isinstance(exc.value, HypvolError) and isinstance(exc.value, ValueError)
+    assert str(exc.value) == message
+
+
 def test_unreachable_lseries_target_is_typed():
     ctx = PrecisionContext(1024, Fraction(1, 10**250))
     with pytest.raises(NonConvergent):
@@ -454,10 +512,10 @@ def test_analyze_rejects_negative_seed():
         analyze(IDEAL_TRIANGLE, seed=-1)
 
 
-@pytest.mark.parametrize("log2", [-1, 31, 40])
-def test_analyze_rejects_sample_cap_past_the_sobol_sequence(log2):
-    with pytest.raises(ValueError, match="max_log2_samples must lie in"):
-        analyze(IDEAL_TRIANGLE, max_log2_samples=log2)
+@pytest.mark.parametrize("samples", [-1, 2**30 + 1, 2**40])
+def test_analyze_rejects_node_cap_out_of_range(samples):
+    with pytest.raises(ValueError, match=r"max_samples must be an integer from 1 to 2\^30"):
+        analyze(IDEAL_TRIANGLE, max_samples=samples)
 
 
 def test_analyze_quadratic_field_skips_prediction():
@@ -595,7 +653,7 @@ def analysis_texts(draw):
 @given(analysis_texts())
 def test_analyze_fuzz_yields_report_or_typed_error(text):
     try:
-        rep = analyze(text, target_rel_err=0.2, max_log2_samples=7)
+        rep = analyze(text, target_rel_err=0.2, max_samples=2**7)
     except HypvolError:
         return
     assert isinstance(rep, AnalysisReport)
@@ -637,7 +695,7 @@ def test_small_discriminant_keeps_the_prediction(monkeypatch, label, D):
 def test_capped_cubature_says_so():
     # 2^10 nodes per piece stop the 5D rule at order 5, a bar about 1e5 times
     # the target; the report flags it, and only such a report has the key
-    capped = analyze(POLYTOPE_5D, target_rel_err=1e-9, max_log2_samples=10)
+    capped = analyze(POLYTOPE_5D, target_rel_err=1e-9, max_samples=2**10)
     assert capped.volume.capped and capped.volume.rel_error > 1e4 * 1e-9
     assert capped.to_dict()["volume"]["capped"] is True
     assert (f"capped: the node cap stopped the cubature at relative error "
