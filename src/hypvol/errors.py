@@ -6,8 +6,9 @@ class HypvolError(Exception):
 
 
 class BadOption(HypvolError, ValueError):
-    """An option of ``analyze`` is of the wrong kind, out of range, or given
-    without its partner; a ValueError too, for callers that catch that."""
+    """An option of ``analyze`` or a field of ``PrecisionContext`` is of the
+    wrong kind, out of range, or given without its partner; a ValueError
+    too, for callers that catch that."""
 
 
 class DiagramSyntaxError(HypvolError):

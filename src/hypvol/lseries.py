@@ -14,7 +14,8 @@ The quadratic L-value is assembled from Hurwitz values,
 
 which converges geometrically in work rather than polynomially like the
 raw character series.  The residues' fixed-point values are added as
-integers, so an L-value becomes an mpf once.
+integers, so an L-value is one exact quotient.  Every value is returned as
+the exact Fraction its integer sum gives, with no floating-point layer.
 """
 
 from __future__ import annotations
@@ -23,28 +24,36 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, log2
+from operator import index
 
-import mpmath
-from mpmath import mp
-
-from .errors import DeltaIsSquare, NonConvergent
+from .errors import BadOption, DeltaIsSquare, NonConvergent
 from .surd import squarefree_decompose
 
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision in bits and a target absolute error."""
+    """Working precision in bits and a target absolute error; a bad field
+    raises BadOption."""
 
     precision: int = 256
     target_error: Fraction | float = Fraction(1, 10**30)
 
     def __post_init__(self):
-        if self.precision < 64:
-            raise ValueError("precision below 64 bits is not supported")
-        if not 0 < self.target_error < 1:
-            raise ValueError("target error must be in (0, 1)")
+        try:
+            supported = index(self.precision) >= 64
+        except TypeError:
+            supported = False
+        if not supported:
+            raise BadOption(f"precision must be an integer of at least 64 bits, "
+                            f"not {self.precision!r}")
+        try:
+            inside = 0 < self.target_error < 1
+        except (TypeError, ValueError, ArithmeticError):
+            inside = False
+        if not inside:
+            raise BadOption(f"target error must be in (0, 1), not {self.target_error!r}")
         if float(self.target_error) == 0:
-            raise ValueError("target error is below the float64 range")
+            raise BadOption("target error is below the float64 range")
 
     def workprec(self) -> int:
         # enough bits for the target plus room for summation rounding
@@ -160,7 +169,7 @@ def _hurwitz_fixed(s: int, p: int, q: int, wp: int, limit: float) -> int:
     return total + acc * q ** (s - 1) // X ** (s - 1)
 
 
-def hurwitz_zeta(s: int, a: Fraction | int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:
+def hurwitz_zeta(s: int, a: Fraction | int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Fraction:
     """zeta(s, a) for integer s >= 2 and rational a = p/q in (0, 1].
 
     The cutoff M doubles from 16 until the remainder bound is below half of
@@ -174,8 +183,8 @@ def hurwitz_zeta(s: int, a: Fraction | int, ctx: PrecisionContext = DEFAULT_CONT
     applied after it is at most 1, so no error grows: with J = 16 Bernoulli
     terms the M head terms, J + 2 coefficients, J + 1 Horner steps and the
     last product add less than (M + 2J + 4) 2^-wp, below 2^-22 of the target
-    for every M up to 2^24 since wp >= log2(1/target) + 47.  The integer
-    becomes an mpf by one exact shift.  The absolute error is thus below
+    for every M up to 2^24 since wp >= log2(1/target) + 47.  The value is
+    that integer over 2^wp, exactly.  The absolute error is thus below
     ctx.target_error.
     """
     if s < 2:
@@ -184,20 +193,20 @@ def hurwitz_zeta(s: int, a: Fraction | int, ctx: PrecisionContext = DEFAULT_CONT
     if not 0 < a <= 1:
         raise ValueError("a must lie in (0, 1]")
     wp = ctx.workprec()
-    return mpmath.ldexp(_hurwitz_fixed(s, a.numerator, a.denominator, wp,
-                                       float(ctx.target_error) / 2), -wp)
+    return Fraction(_hurwitz_fixed(s, a.numerator, a.denominator, wp,
+                                   float(ctx.target_error) / 2), 1 << wp)
 
 
-def riemann_zeta(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:
+def riemann_zeta(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Fraction:
     """zeta(s) for integer s >= 2, absolute error within ctx.target_error."""
     return hurwitz_zeta(s, Fraction(1), ctx)
 
 
-def dirichlet_L(s: int, D: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:
+def dirichlet_L(s: int, D: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Fraction:
     """L(s, chi_D) through the Hurwitz decomposition over residues mod |D|:
     the fixed-point Hurwitz sums of the residues prime to |D| are added as
-    integers at one working precision, then shifted and divided by |D|^s
-    once."""
+    integers at one working precision, and the value is their total over
+    |D|^s 2^wp, exactly."""
     if s < 2:
         raise ValueError("only integer s >= 2 is supported")
     q = abs(D)
@@ -213,5 +222,4 @@ def dirichlet_L(s: int, D: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpma
         if ch:
             # chi_D(a) != 0 iff gcd(a, |D|) = 1, so a/q is in lowest terms
             total += ch * _hurwitz_fixed(s, a, q, wp, limit)
-    with mp.workprec(wp):
-        return mpmath.ldexp(total, -wp) / mp.mpf(q) ** s
+    return Fraction(total, q ** s << wp)

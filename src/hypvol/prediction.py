@@ -16,15 +16,13 @@ identities are suggestions backed by numerics, never proofs.
 from __future__ import annotations
 
 import bisect
+import decimal
 import functools
 import math
 import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath
-from mpmath import mp
 
 from . import geometry, integration
 from .arithmeticity import (MAX_DISCRIMINANT, ArithmeticityReport, Classification,
@@ -43,7 +41,6 @@ from .surd import prime_factors
 RECOGNITION_SMOOTH_PRIMES = (2, 3, 5, 7)
 RECOGNITION_SMOOTH_QMAX = 10**9
 RECOGNITION_MAX_NUMERATOR = 16
-_WORKPREC = 256                 # bits for the assumed volume and recognition
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,7 @@ class VolumePrediction:
     dimension: int
     delta: int
     case: str                       # "rational-field" or "quadratic-field"
-    factor: mpmath.mpf
+    factor: Fraction                # a dyadic rational of at most ctx.workprec() bits
     factor_error: float
     discriminant: int | None = None
 
@@ -84,7 +81,15 @@ class RationalRecognition:
 def transcendental_factor(
     n: int, delta: int, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> VolumePrediction:
-    """The number-theoretic factor for dimension n and discriminant class delta."""
+    """The number-theoretic factor for dimension n and discriminant class delta.
+
+    For delta = 1 it is zeta(m) as ``riemann_zeta`` returns it.  Otherwise
+    T = |D|^((n-1)/2) sqrt(|D|) L(m, chi_D) is formed in integers, with
+    sqrt(|D|) to 2^-(w+16) from ``math.isqrt`` at w = ctx.workprec(), and
+    rounded once to the nearest w-bit dyadic.  Its error is within
+    2 |D|^(n/2) ctx.target_error, the bound of the L-value scaled by the
+    lead factor.
+    """
     if n % 2 == 0:
         raise EvenDimension(
             "even dimension: the covolume is a rational multiple of a sphere "
@@ -98,30 +103,41 @@ def transcendental_factor(
         return VolumePrediction(n, delta, "rational-field", value,
                                 float(ctx.target_error), None)
     D = fundamental_discriminant(delta)
-    with mp.workprec(ctx.workprec()):
-        L = dirichlet_L(m, D, ctx)
-        lead = mp.mpf(abs(D)) ** (mp.mpf(n) / 2)
-        value = +(lead * L)
-        err = float(lead) * float(ctx.target_error) * 2
+    L = dirichlet_L(m, D, ctx)
+    w = ctx.workprec()
+    k = w + 16
+    lead = abs(D) ** (n // 2) * math.isqrt(abs(D) << 2 * k)    # |D|^(n/2) 2^k
+    value = _nearest(lead * L.numerator, L.denominator << k, w)
+    err = lead / (1 << k) * float(ctx.target_error) * 2
     return VolumePrediction(n, delta, "quadratic-field", value, err, D)
 
 
-def _to_fraction(v) -> Fraction:
-    """Exact Fraction from int, float, Fraction, or mpmath mpf input."""
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(v)
-    if isinstance(v, mpmath.mpf):
-        sign, man, exp, _ = v._mpf_
-        man, exp = int(man), int(exp)  # the gmpy2 backend hands back mpz
-        if man == 0:
-            return Fraction(0)
-        frac = Fraction(man) * (Fraction(2) ** exp)
-        return -frac if sign else frac
-    raise TypeError(f"cannot convert {type(v).__name__} to an exact fraction")
+def _nearest(num: int, den: int, bits: int) -> Fraction:
+    """num/den > 0 rounded to the nearest dyadic of ``bits`` significant bits."""
+    # num 2^shift / den lies in (2^bits, 2^(bits+2)): its floor q has one or
+    # two bits more than wanted, and adding half of their weight before
+    # dropping them rounds the exact quotient, not only q
+    shift = bits + 1 - num.bit_length() + den.bit_length()
+    q = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    extra = q.bit_length() - bits
+    man, exp = (q + (1 << (extra - 1))) >> extra, extra - shift
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def _digits(x: Fraction, digits: int) -> str:
+    """x > 0 to ``digits`` significant digits, ties rounded up: positional
+    when the leading digit's exponent e has min(-(digits // 3), -5) < e <
+    digits, else one digit, a point and ``e+NN`` or ``e-NN``; trailing
+    zeros dropped, but a point always followed by a digit."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding = digits, decimal.ROUND_HALF_UP
+        d = decimal.Decimal(x.numerator) / x.denominator    # rounded once
+    mantissa, e = "".join(map(str, d.as_tuple().digits)).rstrip("0"), d.adjusted()
+    if not min(-(digits // 3), -5) < e < digits:
+        return f"{mantissa[0]}.{mantissa[1:] or '0'}e{e:+d}"
+    if e < 0:
+        return f"0.{'0' * (-e - 1)}{mantissa}"
+    return f"{mantissa[:e + 1].ljust(e + 1, '0')}.{mantissa[e + 1:] or '0'}"
 
 
 def _continued_fraction_convergents(x: Fraction):
@@ -194,10 +210,10 @@ def recognize_rational(x, err) -> RationalRecognition:
     and an infinite residual.  A recognized denominator too large for trial
     division is reported with an empty factorization.  A window that holds 0
     stays unrecognized as well: a multiplier is positive, and such a window
-    holds every small enough fraction.
+    holds every small enough fraction.  x and err are taken exactly, as
+    Fractions.
     """
-    x = _to_fraction(x)
-    err = _to_fraction(err)
+    x, err = Fraction(x), Fraction(err)
     if x <= 0 or err <= 0:
         raise ValueError("x and err must be positive")
     if x <= err:
@@ -285,7 +301,7 @@ class AnalysisReport:
                 "weight": self.prediction.weight,
                 "delta": self.prediction.delta,
                 "fundamental_discriminant": self.prediction.discriminant,
-                "factor": mpmath.nstr(self.prediction.factor, 30),
+                "factor": _digits(self.prediction.factor, 30),
                 "factor_error": self.prediction.factor_error,
             }
         if self.prediction_skipped:
@@ -328,7 +344,7 @@ def _option(name: str, value, convert, ok, need: str):
     try:
         out = convert(value)
         good = ok(out)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, ArithmeticError):
         good = False
     if not good:
         raise BadOption(f"{name} must be {need}, not {value!r}")
@@ -356,8 +372,10 @@ def analyze(
     numeric integrator is skipped and recognition runs at that accuracy;
     otherwise the volume is integrated and recognition runs at the
     integrator's accuracy, which limits how large a denominator can be
-    certified.  The assumed volume must parse to a finite positive number
-    in the float64 range and its error be finite and positive;
+    certified.  ``diagram_text`` must be a str.  The assumed volume must
+    parse as a decimal to a finite positive number in the float64 range,
+    checked before it becomes an exact Fraction, and its error be finite
+    and positive;
     ``target_rel_err`` must be finite and positive, ``seed`` a non-negative
     integer, and ``max_samples``, the cap on cubature nodes per piece and
     order, an integer from 1 to 2^30, rounded down to a power of two;
@@ -366,6 +384,8 @@ def analyze(
     deterministic: ``seed`` is validated and otherwise unused, kept only
     for callers that still pass one.
     """
+    if not isinstance(diagram_text, str):
+        raise BadOption(f"diagram_text must be a str, not {type(diagram_text).__name__}")
     if (assume_volume is None) != (assume_err is None):
         raise BadOption("assume_volume and assume_err must be given together")
     target_rel_err = _option("target_rel_err", target_rel_err, float, _finite_positive,
@@ -375,13 +395,13 @@ def analyze(
                        "an integer from 1 to 2^30").bit_length() - 1
     if not isinstance(lseries_context, PrecisionContext):
         raise BadOption(f"lseries_context must be a PrecisionContext, not {lseries_context!r}")
-    volume_value: mpmath.mpf | None = None
+    volume_value: Fraction | None = None
     volume_err: float | None = None
     if assume_volume is not None:
-        with mp.workprec(_WORKPREC):
-            volume_value = _option("assume_volume", assume_volume, mp.mpf,
-                                   lambda v: 0 < float(v) < math.inf,
-                                   "a finite positive number in the float64 range")
+        # the range check comes first: Fraction("1e999999999") is a billion-digit integer
+        volume_value = Fraction(_option("assume_volume", assume_volume, decimal.Decimal,
+                                        lambda v: v.is_finite() and 0 < float(v) < math.inf,
+                                        "a finite positive number in the float64 range"))
         volume_err = _option("assume_err", assume_err, float, _finite_positive,
                              "finite and positive")
     timings: dict[str, float] = {}
@@ -433,15 +453,14 @@ def analyze(
         report.volume = est
         report.volume_source = "integrated"
         report.target_rel_err = target_rel_err
-        volume_value = mp.mpf(est.value)
+        volume_value = Fraction(est.value)
         volume_err = est.abs_error
 
     if report.prediction is not None and volume_value is not None:
         t0 = time.perf_counter()
-        with mp.workprec(_WORKPREC):
-            T = report.prediction.factor
-            x = volume_value / T
-            err_x = (mp.mpf(volume_err) + abs(x) * report.prediction.factor_error) / T
+        T = report.prediction.factor
+        x = volume_value / T
+        err_x = (Fraction(volume_err) + abs(x) * Fraction(report.prediction.factor_error)) / T
         report.recognition = recognize_rational(x, err_x)
         timings["recognition"] = time.perf_counter() - t0
 
@@ -467,7 +486,7 @@ def render_text(report: AnalysisReport) -> str:
         else:
             tdesc = f"{abs(p.discriminant)}^({p.dimension}/2) * L({p.weight}, chi_{p.discriminant})"
         lines.append(f"covolume is a rational multiple of T = {tdesc}")
-        lines.append(f"T = {mpmath.nstr(p.factor, 25)}")
+        lines.append(f"T = {_digits(p.factor, 25)}")
     elif report.prediction_skipped:
         lines.append(f"no volume prediction: {report.prediction_skipped}")
     if report.vertex_counts:

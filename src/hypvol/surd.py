@@ -25,14 +25,13 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from mpmath import mp
-
 from .errors import TooLarge
 
 _Rat = int | Fraction
 TRIAL_DIVISION_LIMIT = 10**6   # largest trial divisor: cofactors up to 10^12 factor
 MAX_NESTING = 100              # parentheses a surd literal may nest
 MAX_LITERAL_DIGITS = 4300      # Python's default limit on int() of a decimal string
+_FLOAT_BITS = 80               # fixed-point bits of each square root in float()
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -293,26 +292,17 @@ class MultiSurd:
 
     # -- numeric evaluation ------------------------------------------------
 
-    def to_mpf(self, prec: int) -> mp.mpf:
-        """Floating approximation, accurate to roughly the working precision.
-
-        Each term's coefficient is reduced to lowest terms before its
-        numerator and denominator become mpfs, so the value rounded does
-        not depend on how large the shared denominator has grown.
-        """
-        with mp.workprec(prec + 16):
-            total = mp.mpf(0)
-            for r, c in sorted(self._nums.items()):
-                g = math.gcd(c, self._den)
-                t = mp.mpf(c // g) / mp.mpf(self._den // g)
-                if r != 1:
-                    t = t * mp.sqrt(r)
-                total += t
-            total = +total
-        return total
-
     def __float__(self) -> float:
-        return float(self.to_mpf(64))
+        """The nearest float to sum_r n_r isqrt(r 4^k) / (den 2^k), k = 80
+        bits: each square root is floored in integers, so a term's error is
+        below |n_r| / (den 2^80), under 2^-80 of the term itself, and one
+        division rounds the whole.  Past the float range it is +-inf."""
+        k = _FLOAT_BITS
+        total = sum(c * math.isqrt(r << 2 * k) for r, c in self._nums.items())
+        try:
+            return total / (self._den << k)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
 
     # -- sign --------------------------------------------------------------
 

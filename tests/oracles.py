@@ -11,7 +11,8 @@ rebuilt from its edges for the cycles, a scan of every smooth
 denominator for the recognition window, and a full elimination of every
 candidate's principal Gram submatrix for the face census.  Besides them:
 a GF(2) solver for field membership of square roots, facet relabeling of
-a diagram, and the points of a fan simplex.
+a diagram, the points of a fan simplex, and ``as_mpf``, which turns the
+pipeline's exact values into mpfs for the tests' mpmath comparisons.
 """
 
 import itertools
@@ -26,6 +27,17 @@ from hypvol.diagram import CoxeterDiagram, inertia
 from hypvol.lseries import _EM_TERMS, PrecisionContext, _em_tail, bernoulli_fraction, kronecker_chi
 from hypvol.prediction import RECOGNITION_MAX_NUMERATOR, _smooth_denominators
 from hypvol.surd import MultiSurd, prime_characters, prime_factors
+
+
+def as_mpf(x):
+    """x, an int, a Fraction or a MultiSurd, as an mpf at the working
+    precision; a MultiSurd term by term, each coefficient in lowest terms
+    times its square root."""
+    if isinstance(x, MultiSurd):
+        return mp.fsum(as_mpf(Fraction(c, x._den)) * mp.sqrt(r)
+                       for r, c in sorted(x._nums.items()))
+    x = Fraction(x)
+    return mp.mpf(x.numerator) / x.denominator
 
 
 def dirichlet_L_direct(s: int, D: int, terms: int = 10**6) -> float:

@@ -14,7 +14,7 @@ from hypvol.errors import HypvolError, NotLorentzian, NoVertices
 from hypvol.geometry import census, enumerate_vertices, realize, to_klein
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
 from hypvol.surd import MultiSurd
-from oracles import census_by_inertia, relabeled, simplex_points
+from oracles import as_mpf, census_by_inertia, relabeled, simplex_points
 
 
 # angles pi/4, pi/5, pi/2: the smallest compact triangle labels {3,4,5,6} allow
@@ -355,7 +355,7 @@ def reference_klein_gram(G):
     n, N = G.dimension, G.size
     faces, cusps = census(G)
     with mp.workprec(128):
-        eigvals, Q = mp.eigsy(mp.matrix([[G[i, j].to_mpf(128) for j in range(N)]
+        eigvals, Q = mp.eigsy(mp.matrix([[as_mpf(G[i, j]) for j in range(N)]
                                          for i in range(N)]))
         order = sorted(range(N), key=lambda k: eigvals[k])
         cols = [order[0]] + order[N - n:]

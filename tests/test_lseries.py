@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp
 
 from hypvol import lseries
-from hypvol.errors import DeltaIsSquare
+from hypvol.errors import BadOption, DeltaIsSquare
 from hypvol.lseries import (
     _EM_TERMS,
     PrecisionContext,
@@ -19,7 +19,7 @@ from hypvol.lseries import (
     kronecker_chi,
     riemann_zeta,
 )
-from oracles import dirichlet_L_direct, em_cutoff, hurwitz_zeta_mpf, hurwitz_zeta_termwise
+from oracles import as_mpf, dirichlet_L_direct, em_cutoff, hurwitz_zeta_mpf, hurwitz_zeta_termwise
 
 CTX = PrecisionContext(256)
 
@@ -87,8 +87,8 @@ def test_kronecker_periodicity():
 
 def test_zeta_closed_forms():
     with mp.workprec(300):
-        assert abs(riemann_zeta(2, CTX) - mp.pi ** 2 / 6) < mp.mpf('1e-25')
-        assert abs(riemann_zeta(4, CTX) - mp.pi ** 4 / 90) < mp.mpf('1e-25')
+        assert abs(as_mpf(riemann_zeta(2, CTX)) - mp.pi ** 2 / 6) < mp.mpf('1e-25')
+        assert abs(as_mpf(riemann_zeta(4, CTX)) - mp.pi ** 4 / 90) < mp.mpf('1e-25')
 
 
 def test_zeta3_against_direct_sum():
@@ -103,16 +103,17 @@ def test_zeta3_against_direct_sum():
 
 def test_hurwitz_at_one_is_zeta():
     with mp.workprec(300):
-        assert abs(hurwitz_zeta(3, 1, CTX) - riemann_zeta(3, CTX)) < mp.mpf('1e-30')
+        gap = as_mpf(hurwitz_zeta(3, 1, CTX)) - as_mpf(riemann_zeta(3, CTX))
+        assert abs(gap) < mp.mpf('1e-30')
 
 
 def test_hurwitz_duplication():
     # zeta(s, 1/2) = (2^s - 1) zeta(s); at s = 2 that is pi^2/2
     with mp.workprec(300):
-        assert abs(hurwitz_zeta(2, Fraction(1, 2), CTX) - mp.pi ** 2 / 2) < mp.mpf('1e-28')
+        assert abs(as_mpf(hurwitz_zeta(2, Fraction(1, 2), CTX)) - mp.pi ** 2 / 2) < mp.mpf('1e-28')
         for s in (3, 5):
-            lhs = hurwitz_zeta(s, Fraction(1, 2), CTX)
-            rhs = (mp.mpf(2) ** s - 1) * riemann_zeta(s, CTX)
+            lhs = as_mpf(hurwitz_zeta(s, Fraction(1, 2), CTX))
+            rhs = (mp.mpf(2) ** s - 1) * as_mpf(riemann_zeta(s, CTX))
             assert abs(lhs - rhs) < mp.mpf('1e-28')
 
 
@@ -131,8 +132,8 @@ def test_hurwitz_decomposition_identity():
     with mp.workprec(300):
         for q in range(2, 11):
             for s in (2, 3):
-                lhs = sum(hurwitz_zeta(s, Fraction(a, q), CTX) for a in range(1, q + 1))
-                rhs = mp.mpf(q) ** s * riemann_zeta(s, CTX)
+                lhs = sum(as_mpf(hurwitz_zeta(s, Fraction(a, q), CTX)) for a in range(1, q + 1))
+                rhs = mp.mpf(q) ** s * as_mpf(riemann_zeta(s, CTX))
                 assert abs(lhs - rhs) < mp.mpf('1e-27') * q
 
 
@@ -148,7 +149,7 @@ def test_L_catalan():
     val = float(dirichlet_L(2, D, CTX))
     assert abs(val - oracle) < 1e-12
     with mp.workprec(300):
-        assert abs(dirichlet_L(2, D, CTX) - mp.catalan) < mp.mpf('1e-28')
+        assert abs(as_mpf(dirichlet_L(2, D, CTX)) - mp.catalan) < mp.mpf('1e-28')
 
 
 def test_L_hurwitz_vs_direct_grid():
@@ -174,8 +175,8 @@ def test_monotone_precision():
         coarse_ctx = PrecisionContext(128, 1e-20)
         fine_ctx = PrecisionContext(256, 1e-35)
         with mp.workprec(400):
-            coarse = build(coarse_ctx)
-            fine = build(fine_ctx)
+            coarse = as_mpf(build(coarse_ctx))
+            fine = as_mpf(build(fine_ctx))
             assert abs(coarse - fine) <= mp.mpf('1e-20')
 
 
@@ -188,6 +189,17 @@ def test_precision_context_validation():
     with pytest.raises(ValueError, match="below the float64 range"):
         PrecisionContext(1024, Fraction(1, 10**400))
     assert PrecisionContext(64, 1e-40).workprec() >= 133
+
+
+@pytest.mark.parametrize("args, message", [
+    ((32,), "precision must be an integer of at least 64 bits, not 32"),
+    ((256, 0), "target error must be in (0, 1), not 0"),
+    (("x",), "precision must be an integer of at least 64 bits, not 'x'"),
+], ids=["32-bits", "zero-target", "text-precision"])
+def test_precision_context_raises_bad_option(args, message):
+    with pytest.raises(BadOption) as exc:
+        PrecisionContext(*args)
+    assert isinstance(exc.value, ValueError) and str(exc.value) == message
 
 
 GRID_DIGITS = (20, 30, 40, 60)  # targets 10^-digits
@@ -206,6 +218,7 @@ def test_hurwitz_grid_against_mpf_sum_and_mpmath(s):
             value = hurwitz_zeta(s, a, ctx)
             oracle = hurwitz_zeta_mpf(s, a, ctx)
             with mp.workprec(600):
+                value = as_mpf(value)
                 # the mpf sum rounds relative to its running total
                 assert abs(value - oracle) <= mp.mpf(2) ** (8 - ctx.workprec()) * max(1, abs(oracle)), (s, a, digits)
                 assert abs(value - reference) <= mp.mpf(10) ** -digits, (s, a, digits)
@@ -226,6 +239,7 @@ def test_dirichlet_L_grid_against_mpmath(D):
         for digits in GRID_DIGITS:
             value = dirichlet_L(s, disc, PrecisionContext(256, Fraction(1, 10**digits)))
             with mp.workprec(600):
+                value = as_mpf(value)
                 assert abs(value - reference) <= mp.mpf(10) ** -digits, (D, s, digits)
 
 
@@ -245,7 +259,7 @@ def test_hurwitz_horner_tail_against_termwise_tail(ctx):
         for a in GRID_A:
             M = em_cutoff(s, a, ctx)
             with mp.workprec(2 * wp):
-                gap = abs(hurwitz_zeta(s, a, ctx) - hurwitz_zeta_termwise(s, a, ctx))
+                gap = abs(as_mpf(hurwitz_zeta(s, a, ctx)) - hurwitz_zeta_termwise(s, a, ctx))
                 assert gap <= mp.ldexp(2 * M + 3 * _EM_TERMS + 6, -wp), (s, a)
 
 
@@ -262,29 +276,31 @@ def test_dirichlet_L_is_one_sum_of_hurwitz_values(D):
             sub = PrecisionContext(ctx.workprec(), per_term)
             wp = sub.workprec()
             with mp.workprec(4 * wp):
-                total = sum(kronecker_chi(disc, a) * hurwitz_zeta(s, Fraction(a, q), sub)
+                total = sum(kronecker_chi(disc, a) * as_mpf(hurwitz_zeta(s, Fraction(a, q), sub))
                             for a in range(1, q + 1))
                 reference = total / mp.mpf(q) ** s
-                assert abs(dirichlet_L(s, disc, ctx) - reference) <= mp.ldexp(abs(reference), -wp), (s, ctx)
+                value = as_mpf(dirichlet_L(s, disc, ctx))
+                assert abs(value - reference) <= mp.ldexp(abs(reference), -wp), (s, ctx)
 
 
 @pytest.mark.parametrize("D", (13, -11, 24))
 def test_dirichlet_L_converts_once_and_sums_one_kernel_per_residue(monkeypatch, D):
-    ldexp, kernel = mpmath.ldexp, lseries._hurwitz_fixed
-    conversions, residues = [], []
-
-    def counting_ldexp(x, n):
-        conversions.append(n)
-        return ldexp(x, n)
+    # the value is one quotient: the kernels' integers, weighted by the
+    # character and summed, over |D|^s 2^wp
+    kernel = lseries._hurwitz_fixed
+    residues, sums, precisions = [], [], set()
 
     def counting_kernel(s, p, q, wp, limit):
         residues.append((p, q))
-        return kernel(s, p, q, wp, limit)
+        precisions.add(wp)
+        sums.append(kernel(s, p, q, wp, limit))
+        return sums[-1]
 
-    monkeypatch.setattr(mpmath, "ldexp", counting_ldexp)
     monkeypatch.setattr(lseries, "_hurwitz_fixed", counting_kernel)
     disc = fundamental_discriminant(D // 4 if D % 4 == 0 else D)
     q = abs(D)
-    dirichlet_L(3, disc, CTX)
-    assert len(conversions) == 1
+    value = dirichlet_L(3, disc, CTX)
     assert residues == [(a, q) for a in range(1, q + 1) if math.gcd(a, q) == 1]
+    (wp,) = precisions
+    total = sum(kronecker_chi(disc, p) * v for (p, _), v in zip(residues, sums))
+    assert value == Fraction(total, q ** 3 << wp)

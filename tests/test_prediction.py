@@ -28,7 +28,7 @@ from hypvol.prediction import (
     render_text,
     transcendental_factor,
 )
-from oracles import relabeled, smooth_candidates_by_scan
+from oracles import as_mpf, relabeled, smooth_candidates_by_scan
 
 CTX = PrecisionContext(256)
 
@@ -42,8 +42,9 @@ def test_transcendental_factor_5d():
     assert pred.weight == 3
     assert pred.discriminant == 13
     with mp.workprec(300):
-        expected = mp.mpf(13) ** mp.mpf("2.5") * dirichlet_L(3, fundamental_discriminant(13), CTX)
-        assert abs(pred.factor - expected) < mp.mpf('1e-24')
+        L = as_mpf(dirichlet_L(3, fundamental_discriminant(13), CTX))
+        expected = mp.mpf(13) ** mp.mpf("2.5") * L
+        assert abs(as_mpf(pred.factor) - expected) < mp.mpf('1e-24')
 
 
 def test_transcendental_factor_7d():
@@ -52,8 +53,9 @@ def test_transcendental_factor_7d():
     assert pred.weight == 4
     assert pred.discriminant == -11
     with mp.workprec(300):
-        expected = mp.mpf(11) ** mp.mpf("3.5") * dirichlet_L(4, fundamental_discriminant(-11), CTX)
-        assert abs(pred.factor - expected) < mp.mpf('1e-24')
+        L = as_mpf(dirichlet_L(4, fundamental_discriminant(-11), CTX))
+        expected = mp.mpf(11) ** mp.mpf("3.5") * L
+        assert abs(as_mpf(pred.factor) - expected) < mp.mpf('1e-24')
 
 
 def test_transcendental_factor_rational_field():
@@ -80,7 +82,10 @@ FACTOR_LITERALS = {
 def test_transcendental_factor_report_literals(bits, n, delta):
     ctx = PrecisionContext(bits, Fraction(1, 10 ** (30 if bits == 256 else 40)))
     pred = transcendental_factor(n, delta, ctx)
-    assert (mp.nstr(pred.factor, 30), pred.factor_error) == FACTOR_LITERALS[bits, n, delta]
+    report = analyze(POLYTOPE_5D, assume_volume=VOL_5D, assume_err=1e-19)
+    report.prediction = pred
+    printed = report.to_dict()["prediction"]
+    assert (printed["factor"], printed["factor_error"]) == FACTOR_LITERALS[bits, n, delta]
 
 
 def test_transcendental_factor_rejects():
@@ -156,9 +161,8 @@ def test_recognition_round_trip_random_rationals():
 def test_recognize_5d_identity():
     """The 20-digit externally computed volume pins the multiplier 1/23040."""
     pred = transcendental_factor(5, 13, CTX)
-    with mp.workprec(300):
-        x = mp.mpf(VOL_5D) / pred.factor
-        err = (mp.mpf("1e-19") + x * pred.factor_error) / pred.factor
+    x = Fraction(VOL_5D) / pred.factor
+    err = (Fraction("1e-19") + x * Fraction(pred.factor_error)) / pred.factor
     rec = recognize_rational(x, err)
     assert rec.status == "recognized"
     assert rec.method == "continued-fraction"
@@ -171,9 +175,8 @@ def test_recognize_7d_identity_smooth_window():
     """Six digits cannot pin q ~ 2.3e7 by continued fractions; the smooth
     window has exactly one candidate and that is the answer."""
     pred = transcendental_factor(7, -11, CTX)
-    with mp.workprec(300):
-        x = mp.mpf(VOL_7D) / pred.factor
-        err = (mp.mpf("5e-9") + x * pred.factor_error) / pred.factor
+    x = Fraction(VOL_7D) / pred.factor
+    err = (Fraction("5e-9") + x * Fraction(pred.factor_error)) / pred.factor
     rec = recognize_rational(x, err)
     assert rec.status == "recognized"
     assert rec.method == "smooth-denominator"
@@ -348,6 +351,36 @@ def test_integration_loads_numpy_on_first_use():
     assert lazy[2]["volume"]["source"] == "integrated"
 
 
+MPMATH_FREE = f"""
+import json, sys
+{{first}}
+import hypvol
+from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D
+reports = [hypvol.analyze(POLYTOPE_5D, assume_volume={VOL_5D!r}, assume_err=1e-19).to_dict(),
+           hypvol.analyze(IDEAL_TRIANGLE, target_rel_err=1e-3).to_dict(),
+           hypvol.analyze(POLYTOPE_5D, target_rel_err=1e-3).to_dict()]
+for report in reports:
+    del report["timings"]
+print(json.dumps([sys.modules.get("mpmath") is not None, reports]))
+"""
+
+
+def test_analyses_run_without_mpmath():
+    # a fresh interpreter in which mpmath cannot be imported gives the same
+    # reports as one that has it loaded
+    src = Path(__file__).resolve().parents[1] / "src"
+    blocked, normal = (
+        json.loads(subprocess.run([sys.executable, "-c", MPMATH_FREE.format(first=first)],
+                                  env={**os.environ, "PYTHONPATH": str(src)},
+                                  capture_output=True, text=True, check=True).stdout)
+        for first in ('sys.modules["mpmath"] = None', "import mpmath"))
+    assert blocked[0] is False and normal[0] is True
+    assert json.dumps(blocked[1]) == json.dumps(normal[1])
+    assert [r["volume"]["source"] for r in blocked[1]] == ["assumed", "integrated", "integrated"]
+    recognized = [r["recognition"]["denominator"] for r in blocked[1] if "recognition" in r]
+    assert recognized == [23040, 23040]
+
+
 @pytest.fixture
 def no_work(monkeypatch):
     """Fail if analyze gets as far as parsing the diagram."""
@@ -361,6 +394,28 @@ def no_work(monkeypatch):
 def test_analyze_rejects_bad_assumed_volume_before_any_work(no_work, volume):
     with pytest.raises(ValueError, match="assume_volume must be a finite positive number"):
         analyze(POLYTOPE_5D, assume_volume=volume, assume_err=1e-10)
+
+
+@pytest.mark.parametrize("volume", ["1e999999999", "1e-999999999", "inf", "nan", "x"])
+def test_assumed_volume_range_is_checked_before_any_fraction(no_work, monkeypatch, volume):
+    # Fraction("1e999999999") would build a billion-digit integer
+    def fraction(*args):
+        raise AssertionError("an exact Fraction was made before the range check")
+
+    monkeypatch.setattr("hypvol.prediction.Fraction", fraction)
+    t0 = time.perf_counter()
+    with pytest.raises(BadOption) as exc:
+        analyze(POLYTOPE_5D, assume_volume=volume, assume_err=1e-10)
+    assert time.perf_counter() - t0 < 1.0
+    assert str(exc.value) == ("assume_volume must be a finite positive number in the float64 "
+                              f"range, not {volume!r}")
+
+
+@pytest.mark.parametrize("text", [POLYTOPE_5D.encode(), None, 5], ids=["bytes", "None", "int"])
+def test_diagram_that_is_not_text_is_a_bad_option(no_work, text):
+    with pytest.raises(BadOption) as exc:
+        analyze(text, assume_volume=VOL_5D, assume_err=1e-19)
+    assert str(exc.value) == f"diagram_text must be a str, not {type(text).__name__}"
 
 
 @pytest.mark.parametrize("err", [math.nan, math.inf, -1.0, 0.0])
