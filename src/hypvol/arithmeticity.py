@@ -185,8 +185,10 @@ def squarefree_class(x: Fraction) -> int:
 def discriminant_delta(F: QuadraticFormQ, n: int) -> int:
     """Signed squarefree class of (-1)^((n+1)/2) * det(F) for odd n.
 
-    Only defined over Q: a nonuniform lattice in dimension above 3 forces
-    the field of definition to be the rationals.
+    Only defined over Q.  Above n = 3 a nonuniform lattice forces the field
+    of definition to be the rationals; in n = 3 it need not (the nonuniform
+    [5,3,6] has field Q(sqrt 5)), and a group over Q may be cocompact.  In
+    n = 3, det(F) < 0, so delta is always negative.
     """
     if n % 2 == 0:
         raise ValueError("delta is defined for odd dimension only")

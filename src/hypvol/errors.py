@@ -30,9 +30,10 @@ class DisconnectedGraph(HypvolError):
 class TooLarge(HypvolError):
     """Input exceeds a fixed guard.
 
-    The facet count exceeds the exhaustive cycle enumeration's limit, or an
+    The facet count exceeds the exhaustive cycle enumeration's limit, an
     integer from the input has a cofactor too large to factor by trial
-    division.
+    division, or a Gram entry, such as a dashed weight of 10^400, exceeds
+    the float64 range of the geometry.
     """
 
 

@@ -17,11 +17,12 @@ centre, so the facets of one orbit have cones of equal volume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .diagram import GramMatrix, assert_lorentzian, bfs, schur_step
-from .errors import NoVertices, TriangulationFailure
+from .errors import NoVertices, TooLarge, TriangulationFailure
 
 FacetSet = tuple[int, ...]
 
@@ -102,12 +103,15 @@ def realize(G: GramMatrix) -> PolytopeRealization:
     The signature is checked exactly.  In the symmetric eigendecomposition
     of the float image, the most negative eigenmode becomes the timelike
     coordinate and the n largest the spacelike ones; the N - n - 1 zero
-    modes are dropped.  Each distinct entry is converted to float once.
+    modes are dropped.  Each distinct entry is converted to float once, and
+    one past the float64 range raises TooLarge.
     """
     import numpy as np
     assert_lorentzian(G)
     n, N = G.dimension, G.size
     image = {e: float(e) for e in {e for row in G.entries for e in row}}
+    if not all(map(math.isfinite, image.values())):
+        raise TooLarge("a Gram entry exceeds the float64 range")
     eigvals, Q = np.linalg.eigh([[image[e] for e in row] for row in G.entries])
     cols = [0, *range(N - n, N)]  # eigenvalues come in ascending order
     return PolytopeRealization(n, Q[:, cols] * np.sqrt(np.abs(eigvals[cols])), G)

@@ -1,12 +1,18 @@
 """Volume predictions, rational recognition, and the analysis pipeline.
 
-For a nonuniform quasi-arithmetic reflection group over Q in odd dimension
-n = 2m - 1, the covolume is a rational multiple of a single transcendental
-factor determined by the discriminant class delta of the rational form:
+For a quasi-arithmetic reflection group over Q in odd dimension
+n = 2m - 1 >= 3, the covolume is a rational multiple of a single
+transcendental factor determined by the discriminant class delta of the
+rational form:
 
   * delta a square:  T = zeta(m);
   * otherwise:       T = |D|^(n/2) * L(m, chi_D),
                      D the fundamental discriminant of Q(sqrt(delta)).
+
+From n = 5 on such a group is nonuniform.  In n = 3 it may also be
+cocompact, and delta is always negative, so T = |D|^(3/2) L(2, chi_D):
+Humbert's volume of the Bianchi groups up to a rational factor, and Borel's
+for the cocompact groups over Q.
 
 ``analyze`` runs diagram -> Gram -> classification -> prediction ->
 realization -> volume -> recognition and reports every stage.  Recognized
@@ -81,8 +87,9 @@ class RationalRecognition:
 def transcendental_factor(
     n: int, delta: int, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> VolumePrediction:
-    """The number-theoretic factor for dimension n and discriminant class delta.
+    """The number-theoretic factor for odd dimension n and discriminant class delta.
 
+    n = 1 gives weight 1, which the L-value refuses with a ValueError.
     For delta = 1 it is zeta(m) as ``riemann_zeta`` returns it.  Otherwise
     T = |D|^((n-1)/2) sqrt(|D|) L(m, chi_D) is formed in integers, with
     sqrt(|D|) to 2^-(w+16) from ``math.isqrt`` at w = ctx.workprec(), and
@@ -95,8 +102,6 @@ def transcendental_factor(
             "even dimension: the covolume is a rational multiple of a sphere "
             "volume by generalized Gauss-Bonnet; nothing to predict"
         )
-    if n < 5:
-        raise ValueError("prediction applies in odd dimension n >= 5")
     m = (n + 1) // 2
     if delta == 1:
         value = riemann_zeta(m, ctx)
@@ -184,13 +189,17 @@ def _smooth_candidates(x: Fraction, err: Fraction) -> list[Fraction]:
     return sorted(found)
 
 
-def _denominator_factors(q: int) -> dict[int, int]:
-    """The report's factorization of a recognized denominator, empty when
-    trial division cannot factor it: the fraction stands either way."""
+def _recognized(fraction: Fraction, x: Fraction, confidence: float,
+                method: str) -> RationalRecognition:
+    """fraction as the recognition of x.  Its denominator's factorization is
+    empty when trial division cannot factor it: the fraction stands either
+    way."""
     try:
-        return prime_factors(q)
+        factors = prime_factors(fraction.denominator)
     except TooLarge:
-        return {}
+        factors = {}
+    return RationalRecognition("recognized", fraction.numerator, fraction.denominator,
+                               float(abs(x - fraction)), confidence, method, factors)
 
 
 def recognize_rational(x, err) -> RationalRecognition:
@@ -198,8 +207,8 @@ def recognize_rational(x, err) -> RationalRecognition:
 
     Primary route: the first continued-fraction convergent p/q within err,
     guarded by q <= (4 err)^(-1/2) so that noise cannot masquerade as a
-    rational.  Confidence is the gap to the neighbouring convergent in
-    units of err.
+    rational; the convergents are walked only up to that guard.  Confidence
+    is the gap to the neighbouring convergent in units of err.
 
     When the guard rejects (the error window holds many fractions), a
     fallback looks for denominators with only small prime factors inside
@@ -216,48 +225,23 @@ def recognize_rational(x, err) -> RationalRecognition:
     x, err = Fraction(x), Fraction(err)
     if x <= 0 or err <= 0:
         raise ValueError("x and err must be positive")
-    if x <= err:
-        return RationalRecognition("unrecognized", None, None, math.inf, 0.0, "none")
-
-    guard = int(math.isqrt(int(1 / (4 * err))))
-    best: Fraction | None = None
-    prev_q = None
-    for conv in _continued_fraction_convergents(x):
-        if abs(x - conv) <= err:
-            best = conv
-            break
-        if conv.denominator > max(guard * 1000, 10**6):
-            break
-        prev_q = conv.denominator
-
-    if best is not None and best.denominator <= guard:
-        # the next convergent has denominator >= q + q_prev, so its distance
-        # is at least 1/(q*(q + q_prev)); a competing simple rational would
-        # have to live at least that far away
-        nxt_gap = 1.0 / (best.denominator * (prev_q or 1) + best.denominator ** 2)
-        return RationalRecognition(
-            status="recognized",
-            numerator=best.numerator,
-            denominator=best.denominator,
-            residual=float(abs(x - best)),
-            confidence=float(nxt_gap / float(err)) if err else math.inf,
-            method="continued-fraction",
-            q_factorization=_denominator_factors(best.denominator),
-        )
-
-    cands = _smooth_candidates(x, err)
-    if len(cands) == 1:
-        cand = cands[0]
-        return RationalRecognition(
-            status="recognized",
-            numerator=cand.numerator,
-            denominator=cand.denominator,
-            residual=float(abs(x - cand)),
-            confidence=1.0,
-            method="smooth-denominator",
-            q_factorization=_denominator_factors(cand.denominator),
-        )
-
+    if x > err:
+        guard = math.isqrt(int(1 / (4 * err)))
+        prev_q = 1
+        for conv in _continued_fraction_convergents(x):
+            q = conv.denominator
+            if q > guard:
+                break
+            if abs(x - conv) <= err:
+                # the next convergent has denominator >= q + q_prev, so its
+                # distance is at least 1/(q*(q + q_prev)); a competing simple
+                # rational would have to live at least that far away
+                nxt_gap = 1.0 / (q * prev_q + q ** 2)
+                return _recognized(conv, x, nxt_gap / float(err), "continued-fraction")
+            prev_q = q
+        cands = _smooth_candidates(x, err)
+        if len(cands) == 1:
+            return _recognized(cands[0], x, 1.0, "smooth-denominator")
     return RationalRecognition("unrecognized", None, None, math.inf, 0.0, "none")
 
 
@@ -425,8 +409,6 @@ def analyze(
         report.prediction_skipped = "group is not quasi-arithmetic"
     elif n % 2 == 0:
         report.prediction_skipped = "even dimension (Gauss-Bonnet case)"
-    elif n < 5:
-        report.prediction_skipped = "dimension below 5"
     elif arith.delta != 1 and (D := abs(fundamental_discriminant(arith.delta))) > MAX_DISCRIMINANT:
         report.prediction_skipped = (f"fundamental discriminant |D| = {D} exceeds "
                                      f"{MAX_DISCRIMINANT}, the largest whose L-value is evaluated")

@@ -268,14 +268,16 @@ STALLING_INPUTS = {
                                "edge 1 2 3\nedge 0 2 3\n"),
     "large-det": ("TooLarge", "n 3\nfacets 4\nedge 0 1 dashed 1000000007/1000\nedge 1 2 3\n"
                               "edge 2 3 3\nedge 0 3 3\n"),
+    "huge-weight": ("TooLarge", "n 2\nfacets 3\nedge 0 1 inf\nedge 1 2 inf\nedge 0 2 dashed 1"
+                                + "0" * 400 + "\n"),
 }
 
 
 @pytest.mark.parametrize("name", STALLING_INPUTS)
 def test_hostile_weights_end_in_a_typed_error_within_a_second(diagram_file, capsys, name):
-    # a weight nested past Python's recursion limit, and integers from the
-    # input too large to factor by trial division, are stage errors, found
-    # at once
+    # a weight nested past Python's recursion limit, integers from the input
+    # too large to factor by trial division, and a weight of 10^400, past
+    # the float64 range of the geometry, are stage errors, found at once
     error, text = STALLING_INPUTS[name]
     path = diagram_file(text)
     t0 = time.perf_counter()

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,8 @@ from hypvol.integration import (
     simplex_volume,
 )
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
-from oracles import relabeled, simplex_points
+from hypvol.prediction import transcendental_factor
+from oracles import as_mpf, relabeled, simplex_points
 
 
 def klein_polytope(text):
@@ -438,10 +440,39 @@ def triangle(p, q, r):
     return "\n".join(lines) + "\n"
 
 
+def chain(n, *labels):
+    """The linear diagram [labels] of an n-simplex."""
+    return f"n {n}\nfacets {n + 1}\n" + "".join(
+        f"edge {i} {i + 1} {m}\n" for i, m in enumerate(labels))
+
+
+# noncompact 5-simplices over Q with delta = 1, so T = zeta(3), and their
+# multipliers: the volumes 7 zeta(3) / q of Johnson, Kellerhals, Ratcliffe
+# and Tschantz (Transform. Groups 4, 1999)
+ZETA_SIMPLICES = {
+    "[3,3,3,4,3]": (chain(5, 3, 3, 3, 4, 3), Fraction(7, 46080)),
+    "[3,3,4,3,3]": (chain(5, 3, 3, 4, 3, 3), Fraction(7, 9216)),
+    "[3,4,3,3,4]": (chain(5, 3, 4, 3, 3, 4), Fraction(7, 4608)),
+}
+# tetrahedra over Q, where T = |D|^(3/2) L(2, chi_D), and their multipliers
+TETRAHEDRA = {
+    "[3,3,6]": (chain(3, 3, 3, 6), Fraction(1, 96)),
+    "[6,3,3]": (chain(3, 6, 3, 3), Fraction(1, 96)),
+    "[3,4,4]": (chain(3, 3, 4, 4), Fraction(1, 96)),
+    "[4,4,3]": (chain(3, 4, 4, 3), Fraction(1, 96)),
+    "[4,4,4]": (chain(3, 4, 4, 4), Fraction(1, 32)),
+    "[3,6,3]": (chain(3, 3, 6, 3), Fraction(1, 24)),
+    "[6,3,6]": (chain(3, 6, 3, 6), Fraction(1, 16)),
+    "[4,3,6]": (chain(3, 4, 3, 6), Fraction(5, 192)),
+    "ideal tetrahedron": (IDEAL_TETRAHEDRON, Fraction(1, 4)),
+}
+
+
 def exact_cases():
     """(name, diagram, exact volume, targets): the 44 hyperbolic triangles
     with labels 2-6 and inf (area pi (1 - 1/p - 1/q - 1/r)), [5,3,3,4], the
-    regular ideal tetrahedron (3 L(pi/3) = 3/2 Cl_2(2 pi/3)) and 5D."""
+    regular ideal tetrahedron (3 L(pi/3) = 3/2 Cl_2(2 pi/3)), the three
+    zeta(3) simplices and 5D."""
     def angle(m):
         return Fraction(0) if m == "inf" else Fraction(1, m)
 
@@ -455,6 +486,9 @@ def exact_cases():
     tetrahedron = float(3 * mpmath.clsin(2, 2 * mpmath.pi / 3) / 2)
     assert tetrahedron == pytest.approx(1.01494160640965, rel=1e-14)
     cases.append(("ideal tetrahedron", IDEAL_TETRAHEDRON, tetrahedron, (1e-3, 1e-6, 1e-10)))
+    for name, (text, multiplier) in ZETA_SIMPLICES.items():
+        exact = float(multiplier.numerator * mpmath.zeta(3) / multiplier.denominator)
+        cases.append((name, text, exact, (1e-3, 1e-6, 1e-10)))
     cases.append(("5D", POLYTOPE_5D, VOLUME_5D, (1e-4,)))
     return cases
 
@@ -471,6 +505,40 @@ def test_bars_cover_exact_volumes():
             ratio = est.abs_error / dev if dev else math.inf
             worst = min(worst, (ratio, f"{name} at {target:g}"))
     assert worst[0] >= 1, f"minimum bar/|dev| {worst[0]:.3g} on {worst[1]}"
+
+
+@pytest.mark.parametrize("name", ZETA_SIMPLICES)
+def test_zeta_simplices_recognize_their_multipliers(name):
+    # the zeta branch of T end to end, from the integrator's own volume
+    text, multiplier = ZETA_SIMPLICES[name]
+    report = analyze(text, target_rel_err=1e-10)
+    assert (report.prediction.case, report.prediction.delta) == ("rational-field", 1)
+    rec = report.recognition
+    assert (rec.fraction, rec.method) == (multiplier, "continued-fraction")
+
+
+@pytest.mark.parametrize("target", [1e-12, 1e-9, 1e-6, 1e-4, 1e-3])
+def test_tetrahedra_recognize_their_multipliers(target):
+    # T fits dimension 3: all nine multipliers by convergents, within a
+    # second; [5,3,6], over Q(sqrt 5), still has no prediction
+    t0 = time.perf_counter()
+    found = {name: analyze(text, target_rel_err=target).recognition
+             for name, (text, _) in TETRAHEDRA.items()}
+    assert time.perf_counter() - t0 < 1.0
+    assert {name: (rec.fraction, rec.method) for name, rec in found.items()} == {
+        name: (multiplier, "continued-fraction") for name, (_, multiplier) in TETRAHEDRA.items()}
+    skipped = analyze(chain(3, 5, 3, 6), target_rel_err=target)
+    assert (skipped.prediction, skipped.prediction_skipped) == (None, "field of definition is not Q")
+
+
+def test_ideal_tetrahedron_factor_is_the_clausen_value():
+    # 3 L(pi/3) = (3 sqrt 3 / 4) L(2, chi_-3) (Milnor, Bull. AMS 6, 1982), and
+    # 3 L(pi/3) = (3/2) Cl_2(2 pi/3): so T/4 = (3/2) Cl_2(2 pi/3)
+    pred = transcendental_factor(3, -3)
+    assert (pred.case, pred.discriminant) == ("quadratic-field", -3)
+    with mpmath.workdps(40):
+        clausen = 3 * mpmath.clsin(2, 2 * mpmath.pi / 3) / 2
+        assert abs(as_mpf(pred.factor) / 4 - clausen) < mpmath.mpf("1e-25")
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])

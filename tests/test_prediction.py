@@ -91,8 +91,10 @@ def test_transcendental_factor_report_literals(bits, n, delta):
 def test_transcendental_factor_rejects():
     with pytest.raises(EvenDimension):
         transcendental_factor(6, 13, CTX)
-    with pytest.raises(ValueError):
-        transcendental_factor(3, 13, CTX)
+    # weight 1: the zeta and L-values need s >= 2
+    for delta in (1, 13):
+        with pytest.raises(ValueError):
+            transcendental_factor(1, delta, CTX)
 
 
 def test_recognize_simple_half():
@@ -109,6 +111,14 @@ def test_recognize_pi_guard():
     rec = recognize_rational(math.pi, 1e-3)
     assert rec.status == "unrecognized"
     assert rec.numerator is None
+    # just past the guard: at err 1/40000 it is 100, and the first convergent
+    # inside the window of 1/q + 1/120000 is 1/q itself, q = 101 or 103; both
+    # fall through to the smooth search, which has one candidate for 101 and
+    # three for 103
+    err = Fraction(1, 40000)
+    found = [recognize_rational(Fraction(1, q) + Fraction(1, 120000), err) for q in (101, 103)]
+    assert [(rec.fraction, rec.method) for rec in found] == [
+        (Fraction(5, 504), "smooth-denominator"), (None, "none")]
 
 
 def test_recognize_exact_rational_input():
