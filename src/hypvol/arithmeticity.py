@@ -14,8 +14,8 @@ tree per component; ``diagram.rescaled_form`` builds and eliminates it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diagram import GramMatrix, rescaled_form
 from .errors import DisconnectedGraph, FieldNotQ, RankDeficient, TooLarge
@@ -31,9 +31,9 @@ MAX_CYCLES = 10_000
 MAX_DISCRIMINANT = 40_000
 
 
-@dataclass(frozen=True)
-class CyclicProduct:
-    """Product of doubled Gram entries along a closed walk of facets.
+class CyclicProduct(NamedTuple):
+    """Product of doubled Gram entries along a closed walk of facets; an
+    immutable tuple.
 
     ``cycle`` lists the distinct vertices; the closing edge back to the
     first vertex is implicit.  A 2-cycle is just a doubled entry squared.
@@ -43,9 +43,9 @@ class CyclicProduct:
     value: MultiSurd
 
 
-@dataclass(frozen=True)
-class QuadraticFormQ:
-    """Rescaled Gram restricted to a maximal-rank facet subset.
+class QuadraticFormQ(NamedTuple):
+    """Rescaled Gram restricted to a maximal-rank facet subset; an immutable
+    tuple.
 
     Entries lie in the field of definition; for the polytopes in scope that
     field is Q and the matrix is rational.  ``pivots`` come from the one
@@ -67,12 +67,13 @@ class Classification(enum.Enum):
     NOT_QUASI_ARITHMETIC = "not quasi-arithmetic"
 
 
-@dataclass(frozen=True)
-class ArithmeticityReport:
+class ArithmeticityReport(NamedTuple):
+    """What ``classify`` found; an immutable tuple."""
+
     field_generators: frozenset[int]
     delta: int | None
     classification: Classification
-    witnesses: tuple[str, ...] = field(default=())
+    witnesses: tuple[str, ...] = ()
 
     @property
     def field_is_rational(self) -> bool:

@@ -18,9 +18,8 @@ non-orthogonality graph ``GramMatrix.neighbours``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import BadWeight, DiagramSyntaxError, NotLorentzian, UnsupportedLabel
 from .surd import MultiSurd, parse_surd, product
@@ -34,33 +33,51 @@ _COS = {
 }
 
 
-@dataclass(frozen=True)
-class Finite:
+def _same_label(a, b) -> bool:
+    return type(a) is type(b) and tuple.__eq__(a, b)
+
+
+# Edge labels (see the module docstring) are immutable tuples that compare by
+# kind as well as value, so ``Finite(3)`` differs from ``Dashed(MultiSurd(3))``
+# although 3 == MultiSurd(3), and that are true even when empty, as
+# ``Infinity()`` is.
+_LABEL_METHODS = (_same_label, lambda a, b: not _same_label(a, b),
+                  lambda a: hash((type(a), *a)), lambda a: True)
+
+
+class Finite(NamedTuple):
     m: int
+    __eq__, __ne__, __hash__, __bool__ = _LABEL_METHODS
 
 
-@dataclass(frozen=True)
-class Infinity:
-    pass
+class Infinity(NamedTuple):
+    __eq__, __ne__, __hash__, __bool__ = _LABEL_METHODS
 
 
-@dataclass(frozen=True)
-class Dashed:
+class Dashed(NamedTuple):
     weight: MultiSurd
+    __eq__, __ne__, __hash__, __bool__ = _LABEL_METHODS
 
 
 EdgeLabel = Union[Finite, Infinity, Dashed]
 
 
-@dataclass(frozen=True)
-class CoxeterDiagram:
-    """Facet-adjacency data: dimension, facet count, labelled edges."""
-
+class _DiagramFields(NamedTuple):
     dimension: int
     facets: int
     edges: dict[tuple[int, int], EdgeLabel]
 
-    def __post_init__(self):
+
+class CoxeterDiagram(_DiagramFields):
+    """Facet-adjacency data: dimension, facet count, labelled edges.
+
+    An immutable tuple, checked whenever one is built (``_replace`` too): a
+    bad one raises ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.dimension < 2:
             raise ValueError("dimension must be at least 2")
         if self.facets < self.dimension + 1:
@@ -68,6 +85,9 @@ class CoxeterDiagram:
         for (i, j) in self.edges:
             if not (0 <= i < j < self.facets):
                 raise ValueError(f"bad edge indices ({i}, {j})")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class GramMatrix:

@@ -18,8 +18,8 @@ centre, so the facets of one orbit have cones of equal volume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .diagram import GramMatrix, assert_lorentzian, bfs, schur_step
 from .errors import NoVertices, TooLarge, TriangulationFailure
@@ -35,7 +35,6 @@ def _flip_time(X: np.ndarray) -> np.ndarray:
     return Y
 
 
-@dataclass
 class PolytopeRealization:
     """Unit facet normals in Minkowski space, plus the census vertices.
 
@@ -47,22 +46,21 @@ class PolytopeRealization:
     ``centring_boost``).
     """
 
-    dimension: int
-    normals: np.ndarray
-    gram: GramMatrix
-    finite_vertices: list[np.ndarray] = field(default_factory=list)
-    ideal_vertices: list[np.ndarray] = field(default_factory=list)
-    vertex_facets: list[frozenset[int]] = field(default_factory=list)
-    faces: set[frozenset[int]] = field(default_factory=set)
+    def __init__(self, dimension: int, normals: np.ndarray, gram: GramMatrix):
+        self.dimension, self.normals, self.gram = dimension, normals, gram
+        self.finite_vertices: list[np.ndarray] = []
+        self.ideal_vertices: list[np.ndarray] = []
+        self.vertex_facets: list[frozenset[int]] = []
+        self.faces: set[frozenset[int]] = set()
 
     @property
     def facet_count(self) -> int:
         return len(self.normals)
 
 
-@dataclass
-class KleinPolytope:
-    """Affine picture in the unit ball: vertices and a weighted triangulation.
+class KleinPolytope(NamedTuple):
+    """Affine picture in the unit ball: vertices and a weighted triangulation;
+    an immutable tuple.
 
     ``vertices`` is a (V, n) array whose rows carry an ideal flag (on the
     unit sphere).  Simplices index into its rows, with -1 denoting the

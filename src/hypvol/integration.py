@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NonConvergent
 from .geometry import KleinPolytope, centring_boost
@@ -51,9 +51,9 @@ _SERIES_BELOW = 0.3    # h(c) by its power series below this c
 _ROUNDING = 1e-14      # relative float64 error of the cubature: a floor under the bar
 
 
-@dataclass(frozen=True)
-class VolumeEstimate:
-    """Numeric volume with an honest absolute error estimate."""
+class VolumeEstimate(NamedTuple):
+    """Numeric volume with an honest absolute error estimate; an immutable
+    tuple."""
 
     value: float
     abs_error: float

@@ -20,25 +20,31 @@ the exact Fraction its integer sum gives, with no floating-point layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, log2
 from operator import index
+from typing import NamedTuple
 
 from .errors import BadOption, DeltaIsSquare, NonConvergent
 from .surd import squarefree_decompose
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
-    """Working precision in bits and a target absolute error; a bad field
-    raises BadOption."""
-
+class _ContextFields(NamedTuple):
     precision: int = 256
     target_error: Fraction | float = Fraction(1, 10**30)
 
-    def __post_init__(self):
+
+class PrecisionContext(_ContextFields):
+    """Working precision in bits and a target absolute error.
+
+    An immutable tuple, checked whenever one is built (``_replace`` too): a
+    bad field raises BadOption."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         try:
             supported = index(self.precision) >= 64
         except TypeError:
@@ -54,6 +60,9 @@ class PrecisionContext:
             raise BadOption(f"target error must be in (0, 1), not {self.target_error!r}")
         if float(self.target_error) == 0:
             raise BadOption("target error is below the float64 range")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def workprec(self) -> int:
         # enough bits for the target plus room for summation rounding

@@ -27,8 +27,8 @@ import functools
 import math
 import operator
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import geometry, integration
 from .arithmeticity import (MAX_DISCRIMINANT, ArithmeticityReport, Classification,
@@ -49,9 +49,9 @@ RECOGNITION_SMOOTH_QMAX = 10**9
 RECOGNITION_MAX_NUMERATOR = 16
 
 
-@dataclass(frozen=True)
-class VolumePrediction:
-    """Transcendental factor T such that the covolume is in T * Q."""
+class VolumePrediction(NamedTuple):
+    """Transcendental factor T such that the covolume is in T * Q; an
+    immutable tuple."""
 
     dimension: int
     delta: int
@@ -65,9 +65,10 @@ class VolumePrediction:
         return (self.dimension + 1) // 2
 
 
-@dataclass(frozen=True)
-class RationalRecognition:
-    """Outcome of recognizing x as a fraction within a stated error."""
+class RationalRecognition(NamedTuple):
+    """Outcome of recognizing x as a fraction within a stated error; an
+    immutable tuple.  Each result holds a dict of its own, empty when
+    unrecognized, in ``q_factorization``."""
 
     status: str                     # "recognized" or "unrecognized"
     numerator: int | None
@@ -75,7 +76,7 @@ class RationalRecognition:
     residual: float
     confidence: float
     method: str                     # "continued-fraction", "smooth-denominator", "none"
-    q_factorization: dict[int, int] = field(default_factory=dict)
+    q_factorization: dict[int, int]
 
     @property
     def fraction(self) -> Fraction | None:
@@ -242,16 +243,15 @@ def recognize_rational(x, err) -> RationalRecognition:
         cands = _smooth_candidates(x, err)
         if len(cands) == 1:
             return _recognized(cands[0], x, 1.0, "smooth-denominator")
-    return RationalRecognition("unrecognized", None, None, math.inf, 0.0, "none")
+    return RationalRecognition("unrecognized", None, None, math.inf, 0.0, "none", {})
 
 
-@dataclass
 class AnalysisReport:
-    """Everything the pipeline learned about one diagram."""
+    """Everything the pipeline learned about one diagram.
 
-    diagram: CoxeterDiagram
-    signature: tuple[int, int, int]
-    arithmeticity: ArithmeticityReport
+    Built from the diagram, its signature and classification; each later
+    stage sets what it found, and the class attributes stand for the rest."""
+
     prediction: VolumePrediction | None = None
     prediction_skipped: str | None = None
     volume: integration.VolumeEstimate | None = None
@@ -259,7 +259,11 @@ class AnalysisReport:
     target_rel_err: float | None = None     # the integrator's target, when it ran
     recognition: RationalRecognition | None = None
     vertex_counts: tuple[int, int] | None = None
-    timings: dict[str, float] = field(default_factory=dict)
+
+    def __init__(self, diagram: CoxeterDiagram, signature: tuple[int, int, int],
+                 arithmeticity: ArithmeticityReport, timings: dict[str, float] | None = None):
+        self.diagram, self.signature, self.arithmeticity = diagram, signature, arithmeticity
+        self.timings = {} if timings is None else timings
 
     def to_dict(self) -> dict:
         rep = {

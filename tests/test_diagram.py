@@ -306,6 +306,20 @@ def test_diagram_validation():
         CoxeterDiagram(2, 3, {(0, 5): Finite(3)})
 
 
+def test_labels_compare_by_kind_and_are_true():
+    # 3 == MultiSurd(3), so labels that compared as bare tuples would make a
+    # finite edge equal a dashed one of the same value
+    assert Finite(3) != Dashed(parse_surd("3"))
+    assert not Finite(3) == Dashed(parse_surd("3"))
+    assert Infinity() != () and Finite(3) != (3,)
+    assert Finite(3) == Finite(3) and hash(Finite(3)) == hash(Finite(3))
+    labels = ["3", "4", "5", "6", "inf", "dashed 3", "dashed sqrt(2)"]
+    parsed = [parse_diagram(f"n 2\nfacets 3\nedge 0 1 {label}").edges[0, 1] for label in labels]
+    assert all(parsed) and len(set(parsed)) == len(labels)
+    assert parse_diagram("n 2\nfacets 3\nedge 0 1 3") != parse_diagram(
+        "n 2\nfacets 3\nedge 0 1 dashed 3")
+
+
 @pytest.mark.parametrize("name, text", [
     ("ideal_triangle", IDEAL_TRIANGLE),
     ("polytope5d", POLYTOPE_5D),

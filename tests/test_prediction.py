@@ -150,6 +150,33 @@ def test_no_window_holding_zero_is_recognized(x, scale):
     assert recognize_rational(x, x * scale).status == "unrecognized"
 
 
+def test_unrecognized_results_do_not_share_a_factorization():
+    first, second = recognize_rational(math.pi, 1e-3), recognize_rational(math.e, 1e-3)
+    assert first.status == second.status == "unrecognized"
+    assert first.q_factorization == {} and first.q_factorization is not second.q_factorization
+
+
+def test_records_are_immutable():
+    # assigning a field raises, so a PrecisionContext or CoxeterDiagram stays
+    # as checked when it was built
+    ctx = PrecisionContext(256)
+    rep = analyze(POLYTOPE_5D, assume_volume=VOL_5D, assume_err=1e-20, lseries_context=ctx)
+    records = [(ctx, "precision"), (rep.diagram, "dimension"),
+               (rep.arithmeticity, "delta"), (rep.volume, "value"),
+               (rep.prediction, "factor"), (rep.recognition, "numerator")]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+def test_replace_checks_the_new_record():
+    assert PrecisionContext()._replace(precision=320) == PrecisionContext(320)
+    with pytest.raises(BadOption):
+        PrecisionContext()._replace(precision=32)
+    with pytest.raises(ValueError):
+        parse_diagram(POLYTOPE_5D)._replace(dimension=1)
+
+
 def test_assumed_volume_near_zero_is_unrecognized():
     # x = 0.0000434 / T is about 7.8e-8, inside its error of about 1.8e-7
     rec = analyze(POLYTOPE_5D, assume_volume="0.0000434", assume_err=1e-4).recognition
