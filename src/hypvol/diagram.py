@@ -10,21 +10,22 @@ where the label is one of `3`, `4`, `5`, `6`, `inf`, or `dashed <surd>`.
 An absent edge means the two hyperplanes are orthogonal.  A label m stands
 for dihedral angle pi/m, `inf` for parallel hyperplanes, and `dashed w` for
 diverging hyperplanes at Gram entry -w (the printed weight is the magnitude
-of the Gram entry).  Each header line appears once.  ``schur_step`` is the
-one kernel of exact elimination over surds: ``eliminate`` and the face
-census of ``geometry`` loop over it; ``bfs`` is the one search of the
+of the Gram entry).  Each header line appears once.  Integers are written
+in the ASCII digits 0-9 alone, with no sign or underscore.  ``schur_step``
+is the one kernel of exact elimination over surds: ``eliminate`` and the
+face census of ``geometry`` loop over it; ``bfs`` is the one search of the
 non-orthogonality graph ``GramMatrix.neighbours``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import BadWeight, DiagramSyntaxError, NotLorentzian, UnsupportedLabel
 from .surd import MultiSurd, parse_surd, product
 
-# Exact cosines of pi/m for the supported finite labels.
+# Exact cosines of pi/m; the keys are the supported finite labels.
 _COS = {
     3: MultiSurd(Fraction(1, 2)),
     4: MultiSurd.sqrt(2, Fraction(1, 2)),
@@ -33,43 +34,15 @@ _COS = {
 }
 
 
-def _same_label(a, b) -> bool:
-    return type(a) is type(b) and tuple.__eq__(a, b)
-
-
-# Edge labels (see the module docstring) are immutable tuples that compare by
-# kind as well as value, so ``Finite(3)`` differs from ``Dashed(MultiSurd(3))``
-# although 3 == MultiSurd(3), and that are true even when empty, as
-# ``Infinity()`` is.
-_LABEL_METHODS = (_same_label, lambda a, b: not _same_label(a, b),
-                  lambda a: hash((type(a), *a)), lambda a: True)
-
-
-class Finite(NamedTuple):
-    m: int
-    __eq__, __ne__, __hash__, __bool__ = _LABEL_METHODS
-
-
-class Infinity(NamedTuple):
-    __eq__, __ne__, __hash__, __bool__ = _LABEL_METHODS
-
-
-class Dashed(NamedTuple):
-    weight: MultiSurd
-    __eq__, __ne__, __hash__, __bool__ = _LABEL_METHODS
-
-
-EdgeLabel = Union[Finite, Infinity, Dashed]
-
-
 class _DiagramFields(NamedTuple):
     dimension: int
     facets: int
-    edges: dict[tuple[int, int], EdgeLabel]
+    edges: dict[tuple[int, int], MultiSurd]
 
 
 class CoxeterDiagram(_DiagramFields):
-    """Facet-adjacency data: dimension, facet count, labelled edges.
+    """Facet-adjacency data: dimension, facet count, and ``edges``, which maps
+    each edge (i, j), i < j, to its exact Gram entry (see ``_parse_label``).
 
     An immutable tuple, checked whenever one is built (``_replace`` too): a
     bad one raises ValueError."""
@@ -113,7 +86,7 @@ def parse_diagram(text: str) -> CoxeterDiagram:
     """Parse the line-oriented diagram format; see the module docstring."""
     dim = None
     facets = None
-    edges: dict[tuple[int, int], EdgeLabel] = {}
+    edges: dict[tuple[int, int], MultiSurd] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -125,16 +98,16 @@ def parse_diagram(text: str) -> CoxeterDiagram:
         if kind in ("n", "facets") and (dim if kind == "n" else facets) is not None:
             raise DiagramSyntaxError(f"line {lineno}: repeated {kind} header")
         if kind == "n":
-            dim = _parse_int(parts, 1, lineno, "dimension")
+            dim = _parse_int(parts, 1, lineno, "bad dimension")
         elif kind == "facets":
-            facets = _parse_int(parts, 1, lineno, "facet count")
+            facets = _parse_int(parts, 1, lineno, "bad facet count")
         elif kind == "edge":
             if dim is None or facets is None:
                 raise DiagramSyntaxError(f"line {lineno}: edge before n/facets header")
             if len(parts) < 4:
                 raise DiagramSyntaxError(f"line {lineno}: edge needs i, j and a label")
-            i = _parse_int(parts, 1, lineno, "facet index")
-            j = _parse_int(parts, 2, lineno, "facet index")
+            i = _parse_int(parts, 1, lineno, "bad facet index")
+            j = _parse_int(parts, 2, lineno, "bad facet index")
             if i == j:
                 raise DiagramSyntaxError(f"line {lineno}: self edge {i}")
             if not (0 <= i < facets and 0 <= j < facets):
@@ -153,19 +126,23 @@ def parse_diagram(text: str) -> CoxeterDiagram:
         raise DiagramSyntaxError(str(exc)) from exc
 
 
-def _parse_int(parts, k, lineno, what):
+def _parse_int(parts, k, lineno, message):
+    """parts[k] as an integer in ASCII digits; DiagramSyntaxError otherwise."""
     try:
-        return int(parts[k])
-    except (IndexError, ValueError):
-        raise DiagramSyntaxError(f"line {lineno}: bad {what}") from None
+        if parts[k].isascii() and parts[k].isdigit():
+            return int(parts[k])
+    except (IndexError, ValueError):  # no token, or past int()'s digit limit
+        pass
+    raise DiagramSyntaxError(f"line {lineno}: {message}")
 
 
-def _parse_label(parts: list[str], lineno: int) -> EdgeLabel:
+def _parse_label(parts: list[str], lineno: int) -> MultiSurd:
+    """The Gram entry of an edge label: -cos(pi/m), -1 for inf, -w for dashed w."""
     head, *rest = parts
     if rest and head != "dashed":
         raise DiagramSyntaxError(f"line {lineno}: trailing tokens {rest}")
     if head == "inf":
-        return Infinity()
+        return MultiSurd(-1)
     if head == "dashed":
         if len(parts) < 2:
             raise DiagramSyntaxError(f"line {lineno}: dashed edge needs a weight")
@@ -178,33 +155,24 @@ def _parse_label(parts: list[str], lineno: int) -> EdgeLabel:
                 f"line {lineno}: dashed weight must exceed 1 "
                 "(weight 1 means parallel hyperplanes; use inf)"
             )
-        return Dashed(w)
-    try:
-        m = int(head)
-    except ValueError:
-        raise DiagramSyntaxError(f"line {lineno}: unknown edge label {head!r}") from None
-    if m not in (3, 4, 5, 6):
+        return -w
+    m = _parse_int(parts, 0, lineno, f"unknown edge label {head!r}")
+    if m not in _COS:
         raise UnsupportedLabel(
             f"line {lineno}: finite label {m} not in {{3,4,5,6}}"
             + (" (drop the edge for a right angle)" if m == 2 else "")
         )
-    return Finite(m)
+    return -_COS[m]
 
 
 def gram_matrix(diagram: CoxeterDiagram) -> GramMatrix:
-    """Exact Gram matrix: 1 on the diagonal, -cos(pi/m) / -1 / -w off it."""
+    """Exact Gram matrix: 1 on the diagonal, each edge's entry off it."""
     N = diagram.facets
     one = MultiSurd(1)
     zero = MultiSurd(0)
     G = [[one if i == j else zero for j in range(N)] for i in range(N)]
-    for (i, j), lab in diagram.edges.items():
-        if isinstance(lab, Finite):
-            v = -_COS[lab.m]
-        elif isinstance(lab, Infinity):
-            v = MultiSurd(-1)
-        else:
-            v = -lab.weight
-        G[i][j] = G[j][i] = v
+    for (i, j), entry in diagram.edges.items():
+        G[i][j] = G[j][i] = entry
     return GramMatrix(diagram.dimension, G)
 
 

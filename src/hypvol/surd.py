@@ -363,6 +363,7 @@ def parse_surd(text: str) -> MultiSurd:
     """Parse a surd literal: `p/q`, `sqrt(D)`, `p/q*sqrt(D)`, and sums.
 
     Examples: ``sqrt(26)/4``, ``1/4 + 1/4*sqrt(5)``, ``3 - 2*sqrt(2)``.
+    Integers are written in the ASCII digits 0-9.
     """
     tokens = _tokenize(text)
     pos = [0]
@@ -431,9 +432,9 @@ def _tokenize(text: str):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             if j - i > MAX_LITERAL_DIGITS:
                 raise ValueError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits")

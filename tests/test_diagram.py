@@ -9,10 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypvol.diagram import (
     CoxeterDiagram,
-    Dashed,
-    Finite,
     GramMatrix,
-    Infinity,
     assert_lorentzian,
     eliminate,
     gram_matrix,
@@ -36,12 +33,11 @@ def test_parse_5d_polytope():
     d = parse_diagram(POLYTOPE_5D)
     assert d.dimension == 5
     assert d.facets == 8
-    labels = list(d.edges.values())
-    dashed = [l for l in labels if isinstance(l, Dashed)]
-    assert len(dashed) == 2
-    assert all(l.weight == parse_surd("sqrt(26)/4") for l in dashed)
-    assert sum(isinstance(l, Infinity) for l in labels) == 1
-    assert sum(isinstance(l, Finite) for l in labels) == 6
+    entries = list(d.edges.values())
+    assert len(entries) == 9
+    assert entries.count(-parse_surd("sqrt(26)/4")) == 2
+    assert entries.count(MultiSurd(-1)) == 1
+    assert entries.count(MultiSurd(Fraction(-1, 2))) == 6
 
 
 def test_parse_unsupported_label():
@@ -74,6 +70,10 @@ def test_parse_no_edges_is_valid():
     "n 2\n",                                  # missing facets
     "n 3\nfacets 4\nedge 0 1 3\nn 2\nfacets 3\n",  # repeated n, after a checked edge
     "n 2\nfacets 3\nfacets 4\n",              # repeated facets
+    "n +2\nfacets 3\n",                      # integers are ASCII digits alone:
+    "n 2\nfacets 0_3\n",                     # no sign, no underscore,
+    "n 2\nfacets 3\nedge \u0660 \u0661 inf\n",  # no Arabic-Indic digits
+    "n 2\nfacets 3\nedge 0 2 \uff13\n",       # and no fullwidth ones
 ])
 def test_parse_syntax_errors(text):
     with pytest.raises(DiagramSyntaxError):
@@ -96,11 +96,14 @@ def test_parse_bad_dashed_weights():
         parse_diagram("n 2\nfacets 3\nedge 0 1 dashed 1/2\n")
     with pytest.raises(BadWeight):
         parse_diagram("n 2\nfacets 3\nedge 0 1 dashed spam\n")
+    for weight in ("\u0663", "\u00b2"):  # Arabic-Indic three, superscript two
+        with pytest.raises(BadWeight, match="bad character"):
+            parse_diagram(f"n 2\nfacets 3\nedge 0 1 dashed {weight}\n")
 
 
 def test_comments_and_blank_lines():
     d = parse_diagram("# header\n\nn 2\nfacets 3\nedge 0 1 3  # angle pi/3\n")
-    assert d.edges[(0, 1)] == Finite(3)
+    assert d.edges[(0, 1)] == MultiSurd(Fraction(-1, 2))
 
 
 def test_gram_single_edge_label3():
@@ -112,11 +115,17 @@ def test_gram_single_edge_label3():
 
 
 def test_gram_exact_cosines():
-    d = parse_diagram("n 3\nfacets 4\nedge 0 1 4\nedge 1 2 5\nedge 2 3 6\n")
+    d = parse_diagram("n 3\nfacets 5\nedge 0 1 4\nedge 1 2 5\nedge 2 3 6\n"
+                      "edge 3 4 inf\nedge 0 4 dashed 3/2\n")
     G = gram_matrix(d)
     assert G[0, 1] == parse_surd("-sqrt(2)/2")
     assert G[1, 2] == parse_surd("-1/4 - 1/4*sqrt(5)")
     assert G[2, 3] == parse_surd("-sqrt(3)/2")
+    assert G[3, 4] == MultiSurd(-1)
+    assert G[0, 4] == MultiSurd(Fraction(-3, 2))
+    # a parsed diagram holds each edge's exact Gram entry
+    assert len(d.edges) == 5
+    assert all(d.edges[i, j] == G[i, j] for i, j in d.edges)
 
 
 def test_gram_5d_entries():
@@ -303,19 +312,17 @@ def test_diagram_validation():
     with pytest.raises(ValueError):
         CoxeterDiagram(2, 2, {})
     with pytest.raises(ValueError):
-        CoxeterDiagram(2, 3, {(0, 5): Finite(3)})
+        CoxeterDiagram(2, 3, {(0, 5): MultiSurd(Fraction(-1, 2))})
 
 
-def test_labels_compare_by_kind_and_are_true():
-    # 3 == MultiSurd(3), so labels that compared as bare tuples would make a
-    # finite edge equal a dashed one of the same value
-    assert Finite(3) != Dashed(parse_surd("3"))
-    assert not Finite(3) == Dashed(parse_surd("3"))
-    assert Infinity() != () and Finite(3) != (3,)
-    assert Finite(3) == Finite(3) and hash(Finite(3)) == hash(Finite(3))
+def test_labels_parse_to_distinct_entries():
+    # a finite label's entry lies in (-1, 0), inf's is -1 and a dashed one's
+    # below -1, so the entry alone tells the labels apart
     labels = ["3", "4", "5", "6", "inf", "dashed 3", "dashed sqrt(2)"]
     parsed = [parse_diagram(f"n 2\nfacets 3\nedge 0 1 {label}").edges[0, 1] for label in labels]
-    assert all(parsed) and len(set(parsed)) == len(labels)
+    assert len(set(parsed)) == len(labels)
+    assert all(-1 < float(e) < 0 for e in parsed[:4]) and parsed[4] == -1
+    assert all(float(e) < -1 for e in parsed[5:])
     assert parse_diagram("n 2\nfacets 3\nedge 0 1 3") != parse_diagram(
         "n 2\nfacets 3\nedge 0 1 dashed 3")
 

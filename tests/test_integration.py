@@ -26,7 +26,7 @@ from hypvol.integration import (
     simplex_volume,
 )
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
-from hypvol.prediction import transcendental_factor
+from hypvol.prediction import render_text, transcendental_factor
 from oracles import as_mpf, relabeled, simplex_points
 
 
@@ -515,6 +515,18 @@ def test_zeta_simplices_recognize_their_multipliers(name):
     assert (report.prediction.case, report.prediction.delta) == ("rational-field", 1)
     rec = report.recognition
     assert (rec.fraction, rec.method) == (multiplier, "continued-fraction")
+
+
+def test_zeta_simplex_text_report():
+    # render_text's rational-field lines, from an assumed 30-digit volume
+    text, multiplier = ZETA_SIMPLICES["[3,3,3,4,3]"]
+    with mpmath.workdps(40):
+        volume = mpmath.nstr(multiplier.numerator * mpmath.zeta(3) / multiplier.denominator, 30)
+        T = mpmath.nstr(mpmath.zeta(3), 25)
+    out = render_text(analyze(text, assume_volume=volume, assume_err=1e-28))
+    assert "covolume is a rational multiple of T = zeta(3)" in out
+    assert f"T = {T}" in out
+    assert "volume = 7/46080 * T" in out
 
 
 @pytest.mark.parametrize("target", [1e-12, 1e-9, 1e-6, 1e-4, 1e-3])

@@ -683,16 +683,11 @@ def test_analyze_relabel_invariance():
     d = parse_diagram(POLYTOPE_5D)
     perm = list(range(d.facets))
     rng.shuffle(perm)
+    label_of = {parse_diagram(f"n 2\nfacets 3\nedge 0 1 {lab}\n").edges[0, 1]: lab
+                for lab in ("3", "inf", "dashed sqrt(26)/4")}
     lines = ["n 5", "facets 8"]
-    for (i, j), lab in relabeled(d, perm).edges.items():
-        from hypvol.diagram import Dashed, Finite
-
-        if isinstance(lab, Finite):
-            lines.append(f"edge {i} {j} {lab.m}")
-        elif isinstance(lab, Dashed):
-            lines.append(f"edge {i} {j} dashed sqrt(26)/4")
-        else:
-            lines.append(f"edge {i} {j} inf")
+    for (i, j), entry in relabeled(d, perm).edges.items():
+        lines.append(f"edge {i} {j} {label_of[entry]}")
     rep = analyze("\n".join(lines), assume_volume=VOL_5D, assume_err=1e-19)
     assert rep.arithmeticity.delta == 13
     assert (rep.recognition.numerator, rep.recognition.denominator) == (1, 23040)

@@ -388,7 +388,8 @@ def test_parse_surd():
     assert parse_surd("-sqrt(2)") == MultiSurd.sqrt(2, -1)
 
 
-@pytest.mark.parametrize("bad", ["sqrt(-2)", "sqrt 2", "2 +", "x", "sqrt(2)!", "()"])
+@pytest.mark.parametrize("bad", ["sqrt(-2)", "sqrt 2", "2 +", "x", "sqrt(2)!", "()",
+                                 "\u0663", "\u00b2", "sqrt(\u0662)", "1/\uff14"])
 def test_parse_surd_rejects(bad):
     with pytest.raises(ValueError):
         parse_surd(bad)
