@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BadWeight, DiagramSyntaxError, NotLorentzian, UnsupportedLabel
+from .errors import BadWeight, DiagramSyntaxError, NotLorentzian, UnsupportedLabel, excerpt
 from .surd import MultiSurd, parse_surd, product
 
 # Exact cosines of pi/m; the keys are the supported finite labels.
@@ -94,7 +94,7 @@ def parse_diagram(text: str) -> CoxeterDiagram:
         parts = line.split()
         kind = parts[0]
         if kind in ("n", "facets") and len(parts) > 2:
-            raise DiagramSyntaxError(f"line {lineno}: trailing tokens {parts[2:]}")
+            raise DiagramSyntaxError(f"line {lineno}: trailing tokens {excerpt(parts[2:])}")
         if kind in ("n", "facets") and (dim if kind == "n" else facets) is not None:
             raise DiagramSyntaxError(f"line {lineno}: repeated {kind} header")
         if kind == "n":
@@ -109,15 +109,15 @@ def parse_diagram(text: str) -> CoxeterDiagram:
             i = _parse_int(parts, 1, lineno, "bad facet index")
             j = _parse_int(parts, 2, lineno, "bad facet index")
             if i == j:
-                raise DiagramSyntaxError(f"line {lineno}: self edge {i}")
+                raise DiagramSyntaxError(f"line {lineno}: self edge {excerpt(i)}")
             if not (0 <= i < facets and 0 <= j < facets):
                 raise DiagramSyntaxError(f"line {lineno}: facet index out of range")
             key = (min(i, j), max(i, j))
             if key in edges:
-                raise DiagramSyntaxError(f"line {lineno}: duplicate edge {key}")
+                raise DiagramSyntaxError(f"line {lineno}: duplicate edge {excerpt(key)}")
             edges[key] = _parse_label(parts[3:], lineno)
         else:
-            raise DiagramSyntaxError(f"line {lineno}: unknown directive {kind!r}")
+            raise DiagramSyntaxError(f"line {lineno}: unknown directive {excerpt(kind)}")
     if dim is None or facets is None:
         raise DiagramSyntaxError("missing n or facets header")
     try:
@@ -140,7 +140,7 @@ def _parse_label(parts: list[str], lineno: int) -> MultiSurd:
     """The Gram entry of an edge label: -cos(pi/m), -1 for inf, -w for dashed w."""
     head, *rest = parts
     if rest and head != "dashed":
-        raise DiagramSyntaxError(f"line {lineno}: trailing tokens {rest}")
+        raise DiagramSyntaxError(f"line {lineno}: trailing tokens {excerpt(rest)}")
     if head == "inf":
         return MultiSurd(-1)
     if head == "dashed":
@@ -156,7 +156,7 @@ def _parse_label(parts: list[str], lineno: int) -> MultiSurd:
                 "(weight 1 means parallel hyperplanes; use inf)"
             )
         return -w
-    m = _parse_int(parts, 0, lineno, f"unknown edge label {head!r}")
+    m = _parse_int(parts, 0, lineno, f"unknown edge label {excerpt(head)}")
     if m not in _COS:
         raise UnsupportedLabel(
             f"line {lineno}: finite label {m} not in {{3,4,5,6}}"

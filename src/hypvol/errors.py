@@ -1,5 +1,16 @@
 """Exception types shared across the pipeline."""
 
+EXCERPT_LIMIT = 40     # characters of input a message echoes
+
+
+def excerpt(value) -> str:
+    """repr(value) for a message that echoes input: at most EXCERPT_LIMIT
+    characters of it, and a mark saying how many more were cut."""
+    text = repr(value)
+    if len(text) <= EXCERPT_LIMIT:
+        return text
+    return f"{text[:EXCERPT_LIMIT]}... [{len(text) - EXCERPT_LIMIT} more characters]"
+
 
 class HypvolError(Exception):
     """Base class for all errors raised by this package."""

@@ -32,38 +32,25 @@ cusp pieces and their a likewise, with one stacked determinant per kind,
 and each order's rule runs over a whole stack at once, in blocks of at
 most _BATCH (piece, node) pairs, so that neither the order nor the number
 of pieces grows the memory of a block.  numpy is imported by the functions
-that use it, so that only an integrated analysis loads it.
+that use it, so that only an integrated analysis loads it.  ``analyze``
+imports this module only when it integrates, so the result's record,
+``VolumeEstimate``, lives in ``hypvol.prediction``, which builds one for an
+assumed volume too.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from typing import NamedTuple
 
 from .errors import NonConvergent
 from .geometry import KleinPolytope, centring_boost
+from .prediction import VolumeEstimate
 
 DEFAULT_MAX_LOG2 = 19  # default cap of 2^19 nodes per piece and order
 _IDEAL_NORM_TOL = 1e-9
 _BATCH = 1 << 14       # (piece, node) pairs per evaluation block
 _SERIES_BELOW = 0.3    # h(c) by its power series below this c
 _ROUNDING = 1e-14      # relative float64 error of the cubature: a floor under the bar
-
-
-class VolumeEstimate(NamedTuple):
-    """Numeric volume with an honest absolute error estimate; an immutable
-    tuple."""
-
-    value: float
-    abs_error: float
-    samples: int
-    strategy: str = "gauss-jacobi"
-    capped: bool = False    # the node cap stopped the rule before the bar met the budget
-
-    @property
-    def rel_error(self) -> float:
-        return self.abs_error / self.value if self.value else math.inf
 
 
 @functools.lru_cache(maxsize=1024)

@@ -26,7 +26,7 @@ from math import comb, factorial, log2
 from operator import index
 from typing import NamedTuple
 
-from .errors import BadOption, DeltaIsSquare, NonConvergent
+from .errors import BadOption, DeltaIsSquare, NonConvergent, excerpt
 from .surd import squarefree_decompose
 
 
@@ -51,13 +51,13 @@ class PrecisionContext(_ContextFields):
             supported = False
         if not supported:
             raise BadOption(f"precision must be an integer of at least 64 bits, "
-                            f"not {self.precision!r}")
+                            f"not {excerpt(self.precision)}")
         try:
             inside = 0 < self.target_error < 1
         except (TypeError, ValueError, ArithmeticError):
             inside = False
         if not inside:
-            raise BadOption(f"target error must be in (0, 1), not {self.target_error!r}")
+            raise BadOption(f"target error must be in (0, 1), not {excerpt(self.target_error)}")
         if float(self.target_error) == 0:
             raise BadOption("target error is below the float64 range")
         return self

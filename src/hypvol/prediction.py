@@ -17,6 +17,10 @@ for the cocompact groups over Q.
 ``analyze`` runs diagram -> Gram -> classification -> prediction ->
 realization -> volume -> recognition and reports every stage.  Recognized
 identities are suggestions backed by numerics, never proofs.
+
+``analyze`` imports ``hypvol.geometry`` and ``hypvol.integration`` only
+when it integrates, so ``import hypvol`` compiles only the exact layers;
+``VolumeEstimate`` lives here, as an assumed volume needs one without them.
 """
 
 from __future__ import annotations
@@ -30,11 +34,10 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import geometry, integration
 from .arithmeticity import (MAX_DISCRIMINANT, ArithmeticityReport, Classification,
                             check_facet_count, classify)
 from .diagram import CoxeterDiagram, assert_lorentzian, gram_matrix, parse_diagram
-from .errors import BadOption, EvenDimension, TooLarge
+from .errors import BadOption, EvenDimension, TooLarge, excerpt
 from .lseries import (
     DEFAULT_CONTEXT,
     PrecisionContext,
@@ -47,6 +50,21 @@ from .surd import prime_factors
 RECOGNITION_SMOOTH_PRIMES = (2, 3, 5, 7)
 RECOGNITION_SMOOTH_QMAX = 10**9
 RECOGNITION_MAX_NUMERATOR = 16
+
+
+class VolumeEstimate(NamedTuple):
+    """Numeric volume with an honest absolute error estimate; an immutable
+    tuple."""
+
+    value: float
+    abs_error: float
+    samples: int
+    strategy: str = "gauss-jacobi"
+    capped: bool = False    # the node cap stopped the rule before the bar met the budget
+
+    @property
+    def rel_error(self) -> float:
+        return self.abs_error / self.value if self.value else math.inf
 
 
 class VolumePrediction(NamedTuple):
@@ -254,7 +272,7 @@ class AnalysisReport:
 
     prediction: VolumePrediction | None = None
     prediction_skipped: str | None = None
-    volume: integration.VolumeEstimate | None = None
+    volume: VolumeEstimate | None = None
     volume_source: str = "none"      # "integrated", "assumed", "none"
     target_rel_err: float | None = None     # the integrator's target, when it ran
     recognition: RationalRecognition | None = None
@@ -328,14 +346,14 @@ class AnalysisReport:
 
 def _option(name: str, value, convert, ok, need: str):
     """convert(value), if that succeeds and passes ok; otherwise BadOption,
-    naming the parameter, what it must be and the value given."""
+    naming the parameter, what it must be and an excerpt of the value given."""
     try:
         out = convert(value)
         good = ok(out)
     except (TypeError, ValueError, ArithmeticError):
         good = False
     if not good:
-        raise BadOption(f"{name} must be {need}, not {value!r}")
+        raise BadOption(f"{name} must be {need}, not {excerpt(value)}")
     return out
 
 
@@ -351,7 +369,7 @@ def analyze(
     assume_volume: str | float | None = None,
     assume_err: float | None = None,
     lseries_context: PrecisionContext = DEFAULT_CONTEXT,
-    max_samples: int = 2**integration.DEFAULT_MAX_LOG2,
+    max_samples: int = 2**19,  # 2**integration.DEFAULT_MAX_LOG2
 ) -> AnalysisReport:
     """Full pipeline on a diagram file's text.
 
@@ -382,7 +400,8 @@ def analyze(
     max_log2 = _option("max_samples", max_samples, operator.index, lambda c: 1 <= c <= 2**30,
                        "an integer from 1 to 2^30").bit_length() - 1
     if not isinstance(lseries_context, PrecisionContext):
-        raise BadOption(f"lseries_context must be a PrecisionContext, not {lseries_context!r}")
+        raise BadOption("lseries_context must be a PrecisionContext, "
+                        f"not {excerpt(lseries_context)}")
     volume_value: Fraction | None = None
     volume_err: float | None = None
     if assume_volume is not None:
@@ -422,9 +441,10 @@ def analyze(
         timings["prediction"] = time.perf_counter() - t0
 
     if assume_volume is not None:
-        report.volume = integration.VolumeEstimate(float(volume_value), volume_err, 0, "assumed")
+        report.volume = VolumeEstimate(float(volume_value), volume_err, 0, "assumed")
         report.volume_source = "assumed"
     else:
+        from . import geometry, integration
         t0 = time.perf_counter()
         realization = geometry.realize(G)
         geometry.enumerate_vertices(realization)

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import TooLarge
+from .errors import TooLarge, excerpt
 
 _Rat = int | Fraction
 TRIAL_DIVISION_LIMIT = 10**6   # largest trial divisor: cofactors up to 10^12 factor
@@ -148,6 +148,10 @@ class MultiSurd:
 
     def is_zero(self) -> bool:
         return not self._nums
+
+    def __bool__(self) -> bool:
+        """False for zero alone, as for int and Fraction."""
+        return bool(self._nums)
 
     def is_rational(self) -> bool:
         nums = self._nums
@@ -379,26 +383,26 @@ def parse_surd(text: str) -> MultiSurd:
     def factor(depth: int) -> MultiSurd:
         tok = take()
         if tok is None:
-            raise ValueError(f"unexpected end of surd literal {text!r}")
+            raise ValueError(f"unexpected end of surd literal {excerpt(text)}")
         if tok == "(":
             if depth == MAX_NESTING:
                 raise ValueError(f"surd literal nests parentheses deeper than {MAX_NESTING}")
             v = expr(depth + 1)
             if take() != ")":
-                raise ValueError(f"unbalanced parentheses in {text!r}")
+                raise ValueError(f"unbalanced parentheses in {excerpt(text)}")
             return v
         if tok == "sqrt":
             if take() != "(":
-                raise ValueError(f"sqrt needs parentheses in {text!r}")
+                raise ValueError(f"sqrt needs parentheses in {excerpt(text)}")
             arg = take()
             if not isinstance(arg, int) or arg <= 0:
-                raise ValueError(f"sqrt argument must be a positive integer in {text!r}")
+                raise ValueError(f"sqrt argument must be a positive integer in {excerpt(text)}")
             if take() != ")":
-                raise ValueError(f"unbalanced parentheses in {text!r}")
+                raise ValueError(f"unbalanced parentheses in {excerpt(text)}")
             return MultiSurd.sqrt(arg)
         if isinstance(tok, int):
             return MultiSurd(tok)
-        raise ValueError(f"unexpected token {tok!r} in {text!r}")
+        raise ValueError(f"unexpected token {tok!r} in {excerpt(text)}")
 
     def term(depth: int) -> MultiSurd:
         v = factor(depth)
@@ -421,7 +425,7 @@ def parse_surd(text: str) -> MultiSurd:
 
     value = expr(0)
     if pos[0] != len(tokens):
-        raise ValueError(f"trailing tokens in surd literal {text!r}")
+        raise ValueError(f"trailing tokens in surd literal {excerpt(text)}")
     return value
 
 
@@ -447,5 +451,5 @@ def _tokenize(text: str):
             out.append(ch)
             i += 1
         else:
-            raise ValueError(f"bad character {ch!r} in surd literal {text!r}")
+            raise ValueError(f"bad character {ch!r} in surd literal {excerpt(text)}")
     return out

@@ -89,6 +89,30 @@ def test_parse_rejects_trailing_tokens(text, line):
         parse_diagram(text)
 
 
+_LONG = "7" * 4300      # as many digits as int() takes
+
+
+@pytest.mark.parametrize("line3, error, message", [
+    (f"edge 0 1 x{_LONG}", DiagramSyntaxError, "unknown edge label"),
+    (f"edge 0 1 3 {_LONG}", DiagramSyntaxError, "trailing tokens"),
+    (f"facets 3 {_LONG}", DiagramSyntaxError, "trailing tokens"),
+    (f"x{_LONG} 0 1 3", DiagramSyntaxError, "unknown directive"),
+    (f"edge {_LONG} {_LONG} 3", DiagramSyntaxError, "self edge"),
+    (f"edge 0 1 dashed {_LONG}x", BadWeight, "bad character"),
+    (f"edge 0 1 dashed {_LONG} {_LONG}", BadWeight, "trailing tokens in surd literal"),
+    (f"edge 0 1 dashed {_LONG}+", BadWeight, "unexpected end of surd literal"),
+    (f"edge 0 1 dashed ({_LONG}", BadWeight, "unbalanced parentheses"),
+    (f"edge 0 1 dashed sqrt {_LONG}", BadWeight, "sqrt needs parentheses"),
+    (f"edge 0 1 dashed sqrt(-{_LONG})", BadWeight, "sqrt argument must be a positive"),
+    (f"edge 0 1 dashed {_LONG}*)", BadWeight, "unexpected token"),
+])
+def test_messages_echo_a_bounded_excerpt_of_the_input(line3, error, message):
+    with pytest.raises(error, match=f"^line 3: .*{message}") as info:
+        parse_diagram(f"n 2\nfacets 3\n{line3}\n")
+    assert len(str(info.value)) < 200
+    assert "more characters]" in str(info.value)
+
+
 def test_parse_bad_dashed_weights():
     with pytest.raises(BadWeight):
         parse_diagram("n 2\nfacets 3\nedge 0 1 dashed 1\n")

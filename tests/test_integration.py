@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -654,3 +655,39 @@ def test_import_leaves_scipy_stats_unloaded():
                          env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+EXACT_LAYERS_ONLY = """
+import json, sys
+import hypvol
+from hypvol.polytopes import POLYTOPE_5D
+
+def loaded():
+    return sorted({'hypvol.geometry', 'hypvol.integration'} & set(sys.modules))
+
+seen = [loaded()]
+rec = hypvol.analyze(POLYTOPE_5D, assume_volume="0.0241330687945822699990",
+                     assume_err=1e-19).recognition
+seen.append([rec.denominator, loaded()])
+rec = hypvol.analyze(POLYTOPE_5D, target_rel_err=1e-4).recognition
+seen.append([rec.numerator, rec.denominator, loaded()])
+print(json.dumps(seen))
+"""
+
+
+def test_import_compiles_only_the_exact_layers():
+    # geometry and integration load at the first integrated analysis, not
+    # with the package nor with an analysis of an assumed volume
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", EXACT_LAYERS_ONLY], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    both = ["hypvol.geometry", "hypvol.integration"]
+    assert json.loads(out) == [[], [23040, []], [1, 23040, both]]
+    # the CLI still imports integration for its --max-samples default, and so
+    # geometry: the benchmark's tracer looks both modules up in sys.modules
+    # right after importing hypvol.cli
+    code = "import sys, hypvol.cli; print(sorted(m for m in sys.modules if m in %r))" % both
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == str(both)

@@ -195,7 +195,8 @@ def test_precision_context_validation():
     ((32,), "precision must be an integer of at least 64 bits, not 32"),
     ((256, 0), "target error must be in (0, 1), not 0"),
     (("x",), "precision must be an integer of at least 64 bits, not 'x'"),
-], ids=["32-bits", "zero-target", "text-precision"])
+    ((256, "x" * 5000), f"target error must be in (0, 1), not '{'x' * 39}... [4962 more characters]"),
+], ids=["32-bits", "zero-target", "text-precision", "long-target"])
 def test_precision_context_raises_bad_option(args, message):
     with pytest.raises(BadOption) as exc:
         PrecisionContext(*args)

@@ -489,6 +489,9 @@ BAD_OPTIONS = {
                      "max_samples must be an integer from 1 to 2^30, not 1.5"),
     "context-text": ({"lseries_context": "x"}, None,
                      "lseries_context must be a PrecisionContext, not 'x'"),
+    "context-long": ({"lseries_context": "x" * 5000}, None,
+                     f"lseries_context must be a PrecisionContext, not '{'x' * 39}... "
+                     "[4962 more characters]"),
     "volume-text": ({"assume_volume": "abc", "assume_err": 1e-10},
                     ["--assume-volume=abc", "--assume-err=1e-10"],
                     "assume_volume must be a finite positive number in the float64 range, "
@@ -497,6 +500,10 @@ BAD_OPTIONS = {
                             ["--assume-volume=1e400", "--assume-err=1e-10"],
                             "assume_volume must be a finite positive number in the float64 "
                             "range, not '1e400'"),
+    "volume-long": ({"assume_volume": "7" * 5000, "assume_err": 1e-10},
+                    ["--assume-volume=" + "7" * 5000, "--assume-err=1e-10"],
+                    "assume_volume must be a finite positive number in the float64 range, "
+                    f"not '{'7' * 39}... [4962 more characters]"),
     "error-nan": ({"assume_volume": VOL_5D, "assume_err": math.nan},
                   ["--assume-volume", VOL_5D, "--assume-err=nan"],
                   "assume_err must be finite and positive, not nan"),

@@ -81,6 +81,14 @@ def test_product_multiplies_by_no_unit(factors):
     assert MultiSurd(1) not in {x for pair in seen for x in pair}
 
 
+def test_zero_alone_is_false():
+    assert not MultiSurd(0)
+    assert not (MultiSurd(1) - 1)
+    assert MultiSurd(1)
+    assert MultiSurd.sqrt(2)
+    assert MultiSurd.sqrt(2) - MultiSurd.sqrt(3)
+
+
 def test_sign_basics():
     assert MultiSurd(0).sign() == 0
     assert (MultiSurd.sqrt(26, Fraction(1, 4)) - 1).sign() == 1
