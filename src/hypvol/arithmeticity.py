@@ -8,7 +8,7 @@ conjugate of the form is definite, and arithmetic when additionally every
 cyclic product is an algebraic integer.  Witnesses for each failed
 condition are collected in the report.  The form is the Gram matrix
 rescaled along a BFS spanning forest of the non-orthogonality graph, one
-tree per component; ``diagram.rescaled_form`` builds and eliminates it.
+tree per component; ``diagram.GramMatrix`` builds and eliminates it.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .diagram import GramMatrix, rescaled_form
-from .errors import DisconnectedGraph, FieldNotQ, RankDeficient, TooLarge
+from .diagram import GramMatrix
+from .errors import DisconnectedGraph, TooLarge
 from .surd import MultiSurd, prime_characters, product, squarefree_decompose
 
 MAX_FACETS_FOR_CYCLES = 12
@@ -26,6 +26,10 @@ MAX_FACETS_FOR_CYCLES = 12
 # millions; the densest one in the tests has 197 of length >= 3, and the
 # complete graph on 8 facets 8,046 with its 2-cycles
 MAX_CYCLES = 10_000
+# simple paths the cycle search extends before ``TooLarge``: a facet joined
+# to a dense part by one edge starts millions of paths that never close, all
+# uncounted by ``MAX_CYCLES``; the complete graph on 8 facets extends 16,064
+MAX_EXTENSIONS = 100_000
 # largest |D| whose L-value the prediction evaluates: its cost grows linearly
 # in |D|, and at this bound it takes about 1 s at the default context
 MAX_DISCRIMINANT = 40_000
@@ -88,10 +92,9 @@ class ArithmeticityReport(NamedTuple):
 
 def _check_connected(G: GramMatrix) -> None:
     """Raise DisconnectedGraph unless the rescaling forest is a single tree."""
-    forest = rescaled_form(G)[0]
-    roots = [k for k, u in enumerate(forest.values()) if u < 0]
+    roots = [k for k, u in enumerate(G.forest.values()) if u < 0]
     if len(roots) > 1:  # BFS order: facet 0's tree comes first
-        missing = sorted(list(forest)[roots[1]:])
+        missing = sorted(list(G.forest)[roots[1]:])
         raise DisconnectedGraph(f"facets {missing} are orthogonal to the rest")
 
 
@@ -105,10 +108,11 @@ def check_facet_count(N: int) -> None:
 def enumerate_cycles(G: GramMatrix) -> list[CyclicProduct]:
     """All simple cycles of the non-orthogonality graph, with their values.
 
-    Exhaustive enumeration; guarded by the facet-count limit and by
-    ``MAX_CYCLES``, past which it raises ``TooLarge``, because the cycle
-    count is exponential.  Length-2 cycles (edge there and back) are
-    included, so the output is nonempty for any connected graph.
+    Exhaustive enumeration; guarded by the facet-count limit, by
+    ``MAX_CYCLES`` and by ``MAX_EXTENSIONS`` on the search's simple paths,
+    past which it raises ``TooLarge``, because both counts are exponential.
+    Length-2 cycles (edge there and back) are included, so the output is
+    nonempty for any connected graph.
     """
     N = G.size
     check_facet_count(N)
@@ -124,10 +128,12 @@ def enumerate_cycles(G: GramMatrix) -> list[CyclicProduct]:
     # simple cycles of length >= 3, canonical: start at the smallest vertex,
     # orient so the second vertex is smaller than the last; the path's
     # product rides along the DFS, from its first edge's doubled entry
+    extensions = 0
     for start in range(N):
         path = [start]
 
         def dfs(u, value):
+            nonlocal extensions
             for w in adj[u]:
                 if w == start and len(path) >= 3:
                     if path[1] < path[-1]:
@@ -136,6 +142,10 @@ def enumerate_cycles(G: GramMatrix) -> list[CyclicProduct]:
                             raise TooLarge(f"the non-orthogonality graph has more than "
                                            f"{MAX_CYCLES} simple cycles")
                 elif w > start and w not in path:
+                    extensions += 1
+                    if extensions > MAX_EXTENSIONS:
+                        raise TooLarge(f"the cycle search extended more than "
+                                       f"{MAX_EXTENSIONS} simple paths")
                     path.append(w)
                     dfs(w, product(value, doubled[u, w]))
                     path.pop()
@@ -154,29 +164,24 @@ def field_of_definition(cycles: list[CyclicProduct]) -> frozenset[int]:
 
 
 def rational_form(G: GramMatrix) -> QuadraticFormQ:
-    """The rescaled form of a connected G (``diagram.rescaled_form``) on a
-    basis of its span.
+    """The rescaled form ``G.rescaled`` of a connected G on a basis of its span.
 
-    The rescaled form has rank n + 1 (Vinberg); the returned form is its
-    nonsingular principal submatrix on the facets its one exact elimination
-    pivots on, with that run's pivots, which are its own: no other facet is
-    a pivot or enters the basis' Schur complements.  Any two such bases of
-    the span differ by a change of basis over K, so the discriminant class
-    and the conjugate signatures do not depend on it.
+    The returned form is its nonsingular principal submatrix on the facets
+    its one exact elimination pivots on, with that run's pivots, which are
+    its own: no other facet is a pivot or enters the basis' Schur
+    complements.  For a Lorentzian G it has rank n + 1, read off the
+    signature.  Any two such bases of the span differ by a change of basis
+    over K, so the discriminant class and the conjugate signatures do not
+    depend on it.
     """
     _check_connected(G)
-    _, F, eliminated, pivots = rescaled_form(G)
-    basis = sorted(eliminated)
-    if len(basis) != G.dimension + 1:
-        raise RankDeficient(f"rescaled form has rank {len(basis)}, expected "
-                            f"{G.dimension + 1} for a Lorentzian Gram matrix")
-    return QuadraticFormQ([[F[i][j] for j in basis] for i in basis], tuple(basis), pivots)
+    basis = sorted(G.eliminated)
+    return QuadraticFormQ([[G.rescaled[i][j] for j in basis] for i in basis], tuple(basis),
+                          G.pivots)
 
 
 def squarefree_class(x: Fraction) -> int:
-    """Signed squarefree representative of x modulo nonzero squares."""
-    if x == 0:
-        raise ValueError("zero has no square class")
+    """Signed squarefree representative of nonzero x modulo squares."""
     v = x.numerator * x.denominator
     sign = 1 if v > 0 else -1
     s, _ = squarefree_decompose(abs(v))
@@ -186,18 +191,13 @@ def squarefree_class(x: Fraction) -> int:
 def discriminant_delta(F: QuadraticFormQ, n: int) -> int:
     """Signed squarefree class of (-1)^((n+1)/2) * det(F) for odd n.
 
-    Only defined over Q.  Above n = 3 a nonuniform lattice forces the field
-    of definition to be the rationals; in n = 3 it need not (the nonuniform
-    [5,3,6] has field Q(sqrt 5)), and a group over Q may be cocompact.  In
-    n = 3, det(F) < 0, so delta is always negative.
+    Only defined over Q, where F is rational.  Above n = 3 a nonuniform
+    lattice forces the field of definition to be the rationals; in n = 3 it
+    need not (the nonuniform [5,3,6] has field Q(sqrt 5)), and a group over
+    Q may be cocompact.  In n = 3, det(F) < 0, so delta is always negative.
     """
-    if n % 2 == 0:
-        raise ValueError("delta is defined for odd dimension only")
-    d = F.det
-    if not d.is_rational():
-        raise FieldNotQ("discriminant class requires a rational form")
     m = (n + 1) // 2
-    return squarefree_class(Fraction((-1) ** m) * d.as_rational())
+    return squarefree_class(Fraction((-1) ** m) * F.det.as_rational())
 
 
 def _field_automorphisms(gens: frozenset[int]) -> list[tuple[frozenset[int], list[int]]]:

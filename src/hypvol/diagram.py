@@ -64,19 +64,41 @@ class CoxeterDiagram(_DiagramFields):
 
 
 class GramMatrix:
-    """Symmetric matrix of exact Minkowski products of unit facet normals.
+    """Symmetric matrix of exact Minkowski products of unit facet normals,
+    with all that its one exact elimination settles, found when it is built.
 
     ``neighbours`` is its non-orthogonality graph, each facet's neighbours
-    ascending, from one pass of zero tests.  ``rescaled_form`` eliminates it
-    once, when first asked."""
+    ascending, from one pass of zero tests.  ``forest`` maps each facet to
+    its parent (-1 at a root) in BFS order: ``bfs`` roots each component at
+    its least facet.  ``rescaled`` is Vinberg's form F = L G L: a root keeps
+    scale 1, any other facet takes its parent's times the doubled Gram entry
+    between them, so every rescaled pairing is a product of cyclic products.
+    The scaling is diagonal and invertible, so ``eliminate(F)``'s
+    ``eliminated`` indices and ``pivots`` give G's exact ``signature``
+    (positive, negative, zero)."""
 
     def __init__(self, dimension: int, entries: list[list[MultiSurd]]):
         self.dimension = dimension
         self.entries = entries
-        self.size = len(entries)
+        self.size = N = len(entries)
         self.neighbours = [[j for j, e in enumerate(row) if j != i and not e.is_zero()]
                            for i, row in enumerate(entries)]
-        self._rescaled: tuple | None = None
+        self.forest: dict[int, int] = {}
+        for root in range(N):
+            if root not in self.forest:
+                self.forest |= bfs(self.neighbours, root, range(N))
+        lam = [MultiSurd(1)] * N
+        for v, u in self.forest.items():
+            if u >= 0:
+                lam[v] = product(lam[u], entries[u][v] * 2)
+        F = self.rescaled = [[MultiSurd(0)] * N for _ in range(N)]
+        for i in range(N):
+            for j in range(i, N):
+                if not entries[i][j].is_zero():
+                    F[i][j] = F[j][i] = product(lam[i], lam[j], entries[i][j])
+        self.eliminated, self.pivots = eliminate(F)
+        pos = sum(p.sign() > 0 for p in self.pivots)
+        self.signature = (pos, len(self.pivots) - pos, N - len(self.pivots))
 
     def __getitem__(self, ij: tuple[int, int]) -> MultiSurd:
         return self.entries[ij[0]][ij[1]]
@@ -264,51 +286,12 @@ def bfs(neighbours: list[list[int]], start: int, members) -> dict[int, int]:
     return parent
 
 
-def rescaled_form(G: GramMatrix) -> tuple[dict[int, int], list[list[MultiSurd]],
-                                         list[int], list[MultiSurd]]:
-    """Vinberg's rescaled form F = L G L, built and eliminated once per G.
-
-    ``bfs`` over ``G.neighbours`` roots each component of the
-    non-orthogonality graph at its least facet; a root keeps scale 1, any
-    other facet takes its parent's times the doubled Gram entry between
-    them, so every rescaled pairing is a product of cyclic products.  The
-    scaling is diagonal and invertible: F has the signature of G.  Returns
-    the forest (facet -> parent, -1 at a root, in BFS order), F and
-    ``eliminate(F)``'s eliminated indices and pivots.
-    """
-    if G._rescaled is None:
-        N = G.size
-        forest: dict[int, int] = {}
-        for root in range(N):
-            if root not in forest:
-                forest |= bfs(G.neighbours, root, range(N))
-        lam = [MultiSurd(1)] * N
-        for v, u in forest.items():
-            if u >= 0:
-                lam[v] = product(lam[u], G[u, v] * 2)
-        F = [[MultiSurd(0)] * N for _ in range(N)]
-        for i in range(N):
-            for j in range(i, N):
-                if not G[i, j].is_zero():
-                    F[i][j] = F[j][i] = product(lam[i], lam[j], G[i, j])
-        G._rescaled = (forest, F, *eliminate(F))
-    return G._rescaled
-
-
-def signature(G: GramMatrix) -> tuple[int, int, int]:
-    """Exact signature (positive, negative, zero), from F's pivots."""
-    *_, pivots = rescaled_form(G)
-    pos = sum(p.sign() > 0 for p in pivots)
-    return pos, len(pivots) - pos, G.size - len(pivots)
-
-
 def assert_lorentzian(G: GramMatrix) -> tuple[int, int, int]:
     """Check signature (n, 1, N - n - 1); raise NotLorentzian otherwise."""
-    sig = signature(G)
     n, N = G.dimension, G.size
-    if sig != (n, 1, N - n - 1):
+    if G.signature != (n, 1, N - n - 1):
         raise NotLorentzian(
-            f"signature {sig}, expected ({n}, 1, {N - n - 1}) for a "
+            f"signature {G.signature}, expected ({n}, 1, {N - n - 1}) for a "
             f"{n}-dimensional hyperbolic polytope with {N} facets"
         )
-    return sig
+    return G.signature

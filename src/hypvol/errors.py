@@ -41,30 +41,12 @@ class DisconnectedGraph(HypvolError):
 class TooLarge(HypvolError):
     """Input exceeds a fixed guard.
 
-    The facet count exceeds the exhaustive cycle enumeration's limit, an
+    The facet count exceeds the exhaustive cycle enumeration's limit, the
+    enumeration finds more than ``MAX_CYCLES`` simple cycles or extends more
+    than ``MAX_EXTENSIONS`` simple paths (both in ``arithmeticity``), an
     integer from the input has a cofactor too large to factor by trial
     division, or a Gram entry, such as a dashed weight of 10^400, exceeds
     the float64 range of the geometry.
-    """
-
-
-class RankDeficient(HypvolError):
-    """The rescaled Gram form does not have rank n + 1 over the field of definition."""
-
-
-class FieldNotQ(HypvolError):
-    """Operation requires the field of definition to be the rationals."""
-
-
-class DeltaIsSquare(HypvolError):
-    """The discriminant class is trivial, so the quadratic field degenerates."""
-
-
-class EvenDimension(HypvolError):
-    """Volume predictions are only implemented for odd dimensions.
-
-    For even n the covolume is already pinned down by the generalized
-    Gauss-Bonnet theorem, so there is nothing to predict here.
     """
 
 

@@ -26,7 +26,7 @@ from math import comb, factorial, log2
 from operator import index
 from typing import NamedTuple
 
-from .errors import BadOption, DeltaIsSquare, NonConvergent, excerpt
+from .errors import BadOption, NonConvergent, excerpt
 from .surd import squarefree_decompose
 
 
@@ -73,15 +73,13 @@ DEFAULT_CONTEXT = PrecisionContext()
 
 
 def fundamental_discriminant(delta: int) -> int:
-    """Fundamental discriminant of Q(sqrt(delta)) for squarefree delta != 1."""
+    """Fundamental discriminant of Q(sqrt(delta)) for squarefree delta; 1, the
+    class of Q, gives 1, the discriminant of Q."""
     if delta == 0:
         raise ValueError("delta must be nonzero")
     s, f = squarefree_decompose(abs(delta))
     if f != 1:
         raise ValueError(f"delta {delta} is not squarefree")
-    if delta == 1:
-        raise DeltaIsSquare("delta = 1 gives the rational field; "
-                            "use the zeta branch of the volume prediction")
     return delta if delta % 4 == 1 else 4 * delta
 
 

@@ -34,10 +34,9 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arithmeticity import (MAX_DISCRIMINANT, ArithmeticityReport, Classification,
-                            check_facet_count, classify)
+from .arithmeticity import MAX_DISCRIMINANT, ArithmeticityReport, check_facet_count, classify
 from .diagram import CoxeterDiagram, assert_lorentzian, gram_matrix, parse_diagram
-from .errors import BadOption, EvenDimension, TooLarge, excerpt
+from .errors import BadOption, TooLarge, excerpt
 from .lseries import (
     DEFAULT_CONTEXT,
     PrecisionContext,
@@ -116,11 +115,6 @@ def transcendental_factor(
     2 |D|^(n/2) ctx.target_error, the bound of the L-value scaled by the
     lead factor.
     """
-    if n % 2 == 0:
-        raise EvenDimension(
-            "even dimension: the covolume is a rational multiple of a sphere "
-            "volume by generalized Gauss-Bonnet; nothing to predict"
-        )
     m = (n + 1) // 2
     if delta == 1:
         value = riemann_zeta(m, ctx)
@@ -428,8 +422,6 @@ def analyze(
     n = diagram.dimension
     if not arith.field_is_rational:
         report.prediction_skipped = "field of definition is not Q"
-    elif arith.classification == Classification.NOT_QUASI_ARITHMETIC:
-        report.prediction_skipped = "group is not quasi-arithmetic"
     elif n % 2 == 0:
         report.prediction_skipped = "even dimension (Gauss-Bonnet case)"
     elif arith.delta != 1 and (D := abs(fundamental_discriminant(arith.delta))) > MAX_DISCRIMINANT:

@@ -212,10 +212,6 @@ class MultiSurd:
     def __sub__(self, other) -> "MultiSurd":
         return self._plus(other, -1)
 
-    def __rsub__(self, other) -> "MultiSurd":
-        other = _coerce(other)
-        return NotImplemented if other is NotImplemented else other._plus(self, -1)
-
     def __neg__(self) -> "MultiSurd":
         return MultiSurd._reduced({r: -c for r, c in self._nums.items()}, self._den)
 
@@ -264,12 +260,6 @@ class MultiSurd:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)

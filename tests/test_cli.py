@@ -270,6 +270,9 @@ STALLING_INPUTS = {
                               "edge 2 3 3\nedge 0 3 3\n"),
     "huge-weight": ("TooLarge", "n 2\nfacets 3\nedge 0 1 inf\nedge 1 2 inf\nedge 0 2 dashed 1"
                                 + "0" * 400 + "\n"),
+    "pendant-clique": ("TooLarge", "n 11\nfacets 12\nedge 0 1 3\n"
+                                   + "".join(f"edge {i} {j} 3\n" for i in range(1, 12)
+                                             for j in range(i + 1, 12))),
 }
 
 
@@ -277,7 +280,9 @@ STALLING_INPUTS = {
 def test_hostile_weights_end_in_a_typed_error_within_a_second(diagram_file, capsys, name):
     # a weight nested past Python's recursion limit, integers from the input
     # too large to factor by trial division, and a weight of 10^400, past
-    # the float64 range of the geometry, are stage errors, found at once
+    # the float64 range of the geometry, are stage errors, found at once; so
+    # is a Lorentzian facet hung by one edge on a clique of 11, from which the
+    # cycle search would walk about 10^7 simple paths that never close
     error, text = STALLING_INPUTS[name]
     path = diagram_file(text)
     t0 = time.perf_counter()

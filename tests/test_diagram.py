@@ -15,8 +15,6 @@ from hypvol.diagram import (
     gram_matrix,
     inertia,
     parse_diagram,
-    rescaled_form,
-    signature,
 )
 from hypvol.errors import (
     BadWeight,
@@ -74,6 +72,9 @@ def test_parse_no_edges_is_valid():
     "n 2\nfacets 0_3\n",                     # no sign, no underscore,
     "n 2\nfacets 3\nedge \u0660 \u0661 inf\n",  # no Arabic-Indic digits
     "n 2\nfacets 3\nedge 0 2 \uff13\n",       # and no fullwidth ones
+    "n 1\nfacets 2\n",                        # dimension below 2
+    "n 3\nfacets 3\n",                        # fewer than n + 1 facets
+    "n 2\nfacets 3\nedge 0 1 dashed\n",       # dashed edge with no weight
 ])
 def test_parse_syntax_errors(text):
     with pytest.raises(DiagramSyntaxError):
@@ -171,12 +172,12 @@ def test_gram_is_label_local():
 
 def test_signature_identity():
     d = parse_diagram("n 2\nfacets 3\n")
-    assert signature(gram_matrix(d)) == (3, 0, 0)
+    assert gram_matrix(d).signature == (3, 0, 0)
 
 
 def test_signature_diag_plus_minus():
     G = GramMatrix(1, [[MultiSurd(1), MultiSurd(0)], [MultiSurd(0), MultiSurd(-1)]])
-    assert signature(G) == (1, 1, 0)
+    assert G.signature == (1, 1, 0)
 
 
 def test_inertia_hyperbolic_pair():
@@ -268,7 +269,7 @@ def test_hyperbolic_pivots_after_a_pivot():
 
 def test_signature_5d_with_float_oracle():
     G = gram_matrix(parse_diagram(POLYTOPE_5D))
-    exact = signature(G)
+    exact = G.signature
     eig = np.linalg.eigvalsh(np.array([[float(G[i, j]) for j in range(8)] for i in range(8)]))
     oracle = (int((eig > 1e-9).sum()), int((eig < -1e-9).sum()),
               int((np.abs(eig) <= 1e-9).sum()))
@@ -277,7 +278,7 @@ def test_signature_5d_with_float_oracle():
 
 def test_signature_7d():
     G = gram_matrix(parse_diagram(POLYTOPE_7D))
-    assert signature(G) == (7, 1, 2)
+    assert G.signature == (7, 1, 2)
     assert_lorentzian(G)
 
 
@@ -287,7 +288,7 @@ def test_signature_permutation_invariance():
     for _ in range(5):
         perm = list(range(8))
         rng.shuffle(perm)
-        assert signature(gram_matrix(relabeled(d, perm))) == (5, 1, 2)
+        assert gram_matrix(relabeled(d, perm)).signature == (5, 1, 2)
 
 
 def test_relabeled_diagram_same_signature():
@@ -295,7 +296,7 @@ def test_relabeled_diagram_same_signature():
     rng = random.Random(11)
     perm = list(range(d.facets))
     rng.shuffle(perm)
-    assert signature(gram_matrix(relabeled(d, perm))) == (7, 1, 2)
+    assert gram_matrix(relabeled(d, perm)).signature == (7, 1, 2)
 
 
 _SURD_LABELS = [None, None, None, None, "3", "4", "5", "6", "inf", "dashed 3/2",
@@ -315,9 +316,9 @@ def test_signature_of_the_rescaled_form_matches_the_gram_inertia():
         lines += [f"edge {i} {j} {label}" for i in range(facets) for j in range(i + 1, facets)
                   if (label := rng.choice(_SURD_LABELS)) is not None]
         G = gram_matrix(parse_diagram("\n".join(lines)))
-        sig = signature(G)
+        sig = G.signature
         assert sig == inertia(G.entries), lines
-        forest = rescaled_form(G)[0]
+        forest = G.forest
         disconnected += sum(u < 0 for u in forest.values()) > 1
         non_lorentzian += sig[1] != 1
         seen.add(sig)

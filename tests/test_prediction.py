@@ -15,7 +15,7 @@ from mpmath import mp
 from hypvol import cli, diagram, prediction
 from hypvol.arithmeticity import MAX_DISCRIMINANT
 from hypvol.diagram import eliminate, parse_diagram
-from hypvol.errors import (BadOption, DisconnectedGraph, EvenDimension, HypvolError,
+from hypvol.errors import (BadOption, DisconnectedGraph, HypvolError,
                            NonConvergent, NotLorentzian, TooLarge)
 from hypvol.lseries import PrecisionContext, dirichlet_L, fundamental_discriminant, riemann_zeta
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
@@ -89,8 +89,6 @@ def test_transcendental_factor_report_literals(bits, n, delta):
 
 
 def test_transcendental_factor_rejects():
-    with pytest.raises(EvenDimension):
-        transcendental_factor(6, 13, CTX)
     # weight 1: the zeta and L-values need s >= 2
     for delta in (1, 13):
         with pytest.raises(ValueError):
@@ -179,8 +177,12 @@ def test_replace_checks_the_new_record():
 
 def test_assumed_volume_near_zero_is_unrecognized():
     # x = 0.0000434 / T is about 7.8e-8, inside its error of about 1.8e-7
-    rec = analyze(POLYTOPE_5D, assume_volume="0.0000434", assume_err=1e-4).recognition
+    rep = analyze(POLYTOPE_5D, assume_volume="0.0000434", assume_err=1e-4)
+    rec = rep.recognition
     assert (rec.status, rec.numerator, rec.method) == ("unrecognized", None, "none")
+    text = render_text(rep)
+    assert text.endswith("\nno rational multiplier recognized at this accuracy")
+    assert "suggested identity" not in text
 
 
 def test_recognition_round_trip_random_rationals():
