@@ -13,8 +13,8 @@ diverging hyperplanes at Gram entry -w (the printed weight is the magnitude
 of the Gram entry).  Each header line appears once.  Integers are written
 in the ASCII digits 0-9 alone, with no sign or underscore.  ``schur_step``
 is the one kernel of exact elimination over surds: ``eliminate`` and the
-face census of ``geometry`` loop over it; ``bfs`` is the one search of the
-non-orthogonality graph ``GramMatrix.neighbours``.
+face census of ``geometry`` loop over it; ``bfs`` spans the
+non-orthogonality graph ``GramMatrix.neighbours`` with the rescaling forest.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class GramMatrix:
         self.forest: dict[int, int] = {}
         for root in range(N):
             if root not in self.forest:
-                self.forest |= bfs(self.neighbours, root, range(N))
+                self.forest |= bfs(self.neighbours, root)
         lam = [MultiSurd(1)] * N
         for v, u in self.forest.items():
             if u >= 0:
@@ -273,14 +273,14 @@ def inertia(entries: list[list[MultiSurd]]) -> tuple[int, int, int]:
     return pos, len(pivots) - pos, len(entries) - len(pivots)
 
 
-def bfs(neighbours: list[list[int]], start: int, members) -> dict[int, int]:
-    """The members joined to ``start`` through members, each mapped to its
-    parent in the BFS tree (-1 at ``start``), in BFS order; each facet's
-    neighbours are visited in list order."""
+def bfs(neighbours: list[list[int]], start: int) -> dict[int, int]:
+    """The facets joined to ``start``, each mapped to its parent in the BFS
+    tree (-1 at ``start``), in BFS order; each facet's neighbours are
+    visited in list order."""
     parent, order = {start: -1}, [start]
     for u in order:
         for v in neighbours[u]:
-            if v not in parent and v in members:
+            if v not in parent:
                 parent[v] = u
                 order.append(v)
     return parent

@@ -18,13 +18,36 @@ centre, so the facets of one orbit have cones of equal volume.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import combinations
 from typing import NamedTuple
 
-from .diagram import GramMatrix, assert_lorentzian, bfs, schur_step
+from .diagram import GramMatrix, assert_lorentzian, schur_step
 from .errors import NoVertices, TooLarge, TriangulationFailure
 
-FacetSet = tuple[int, ...]
+FacetSet = int    # a set of facets as a bitmask: bit j is facet j
+
+
+def _facets(S: FacetSet) -> list[int]:
+    """The facets of S, ascending."""
+    return [j for j in range(S.bit_length()) if S >> j & 1]
+
+
+def _component(near: list[FacetSet], start: int, members: FacetSet) -> tuple[FacetSet, int]:
+    """The component of facet ``start`` in ``members``, facet j's neighbours
+    the mask near[j], grown one BFS layer at a time, and the last layer's
+    greatest facet: a leaf of every BFS tree, whose removal keeps it connected."""
+    seen = layer = 1 << start
+    while True:
+        grown, rest = 0, layer
+        while rest:
+            low = rest & -rest
+            grown |= near[low.bit_length() - 1]
+            rest ^= low
+        grown &= members & ~seen
+        if not grown:
+            return seen, layer.bit_length() - 1
+        seen, layer = seen | grown, grown
 
 
 def _flip_time(X: np.ndarray) -> np.ndarray:
@@ -35,14 +58,21 @@ def _flip_time(X: np.ndarray) -> np.ndarray:
     return Y
 
 
+def _on_hyperboloid(X: np.ndarray) -> np.ndarray:
+    """The timelike rows x of X scaled to <x, x> = -1."""
+    import numpy as np
+    return X / np.sqrt(-np.einsum("ij,ij->i", _flip_time(X), X))[:, None]
+
+
 class PolytopeRealization:
     """Unit facet normals in Minkowski space, plus the census vertices.
 
     ``normals`` is an (N, n+1) array.  Finite vertices are normalized to
     <x, x> = -1 with x0 > 0; ideal vertices are light-cone rays normalized
-    to x0 = 1.  ``vertex_facets`` holds the facet set of each finite, then
-    each ideal vertex, and ``faces`` every elliptic facet set, i.e. every
-    face not at infinity.  Enumerating the vertices centres the frame (see
+    to x0 = 1; both are lists of rows.  ``vertex_facets`` holds the facet
+    set of each finite, then each ideal vertex, and ``faces`` every
+    elliptic facet set, i.e. every face not at infinity, each set a
+    bitmask as in ``census``.  Enumerating the vertices centres the frame (see
     ``centring_boost``).
     """
 
@@ -50,8 +80,8 @@ class PolytopeRealization:
         self.dimension, self.normals, self.gram = dimension, normals, gram
         self.finite_vertices: list[np.ndarray] = []
         self.ideal_vertices: list[np.ndarray] = []
-        self.vertex_facets: list[frozenset[int]] = []
-        self.faces: set[frozenset[int]] = set()
+        self.vertex_facets: list[FacetSet] = []
+        self.faces: set[FacetSet] = set()
 
     @property
     def facet_count(self) -> int:
@@ -118,28 +148,29 @@ def realize(G: GramMatrix) -> PolytopeRealization:
 def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, FacetSet]]]:
     """Exact face census of the polytope with Gram matrix G.
 
-    Returns the elliptic facet sets by size, entry k listing the k-sets in
-    lexicographic order (entry 0 is the polytope itself), and per ideal
-    vertex its first n-set of inertia (n - 1, 0, 1) together with its
-    parabolic set, the facets through it.  For a finite-volume polytope the
-    elliptic k-sets are its faces of codimension k, the elliptic n-sets its
-    finite vertices.
+    Every facet set is a bitmask, bit j facet j (``FacetSet``).  Returns
+    the elliptic facet sets by size, entry k listing the k-sets in
+    lexicographic order of their ascending facets (entry 0 is the polytope
+    itself, the empty set 0), and per ideal vertex its first n-set of
+    inertia (n - 1, 0, 1) together with its parabolic set, the facets
+    through it.  For a finite-volume polytope the elliptic k-sets are its
+    faces of codimension k, the elliptic n-sets its finite vertices.
 
-    A candidate k-set U = S + j, S elliptic, first passes the subset test:
-    every (k-1)-subset of U is elliptic.  If U is disconnected in the
-    non-orthogonality graph, G[U] is block diagonal and each block, a proper
-    subset of U, lies in an elliptic (k-1)-subset; so U is elliptic with no
-    arithmetic.  When S keeps a factor it is connected, so U is connected
-    iff j meets S, and no BFS runs.  A connected U costs one
-    ``diagram.schur_step`` on the LDL' factor G[R] = L D L' of R = U - i,
-    where i is j if S keeps a factor, else the last vertex of a BFS of U, a
-    leaf of its BFS tree; either way R is connected and elliptic, so it
-    keeps a factor.  G[R] is positive definite, so G[U] has its inertia
-    plus the sign of the complement c = G_ii - y D^-1 y', where
-    L y = G[R, i]: U is elliptic iff c > 0, and connected parabolic (every
-    proper subset elliptic, G[U] singular) iff c = 0.  Only connected
-    elliptic sets below n facets keep a factor, and a pivot is inverted
-    when its factor first serves as a basis.
+    A candidate k-set U = S + j, j above the facets of S and S elliptic,
+    first passes the subset test: U minus each facet of S is elliptic.  If U
+    is disconnected in the non-orthogonality graph, G[U] is block diagonal
+    and each block, a proper subset of U, lies in an elliptic (k-1)-subset;
+    so U is elliptic with no arithmetic.  When S keeps a factor it is
+    connected, so U is connected iff j's neighbour mask meets S, and no
+    search runs.  A connected U costs one ``diagram.schur_step`` on the LDL'
+    factor G[R] = L D L' of R = U - i, where i is j if S keeps a factor,
+    else the leaf that ``_component`` returns from U's least facet; either
+    way R is connected and elliptic, so it keeps a factor.  G[R] is
+    positive definite, so G[U] has its inertia plus the sign of the
+    complement c = G_ii - y D^-1 y', where L y = G[R, i]: U is elliptic iff
+    c > 0, and connected parabolic (every proper subset elliptic, G[U]
+    singular) iff c = 0.  Only connected elliptic sets below n facets keep a
+    factor, and a pivot is inverted when its factor first serves as a basis.
 
     A positive semidefinite matrix of rank n - 1 has an elliptic
     (n-1)-subset, and an n-set T on an elliptic ridge T - d has inertia
@@ -153,10 +184,11 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
     T is no ideal vertex.  No matrix is eliminated in full.
     """
     n, N = G.dimension, G.size
-    A, near = G.entries, G.neighbours
+    A = G.entries
+    near = [sum(1 << j for j in row) for row in G.neighbours]
     # connected elliptic R below n facets -> (R in pivot order, multiplier rows,
     # inverse pivots, the last pivot while it is not yet inverted) of G[R]
-    factors = {(): ((), [], [], None)}
+    factors = {0: ((), [], [], None)}
     parabolic = set()    # connected parabolic sets
 
     def factor(R: FacetSet):
@@ -166,24 +198,29 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
             factors[R] = basis, rows, inverses, None
         return basis, rows, inverses
 
-    faces: list[list[FacetSet]] = [[()]]
+    faces: list[list[FacetSet]] = [[0]]
     for k in range(1, n + 1):
         below = set(faces[-1])
         level = []
         for S in faces[-1]:
-            for j in range(S[-1] + 1 if S else 0, N):
-                U = S + (j,)
-                if not all(S[:i] + S[i + 1:] + (j,) in below for i in range(k - 1)):
+            lows, rest = [], S
+            while rest:
+                lows.append(rest & -rest)
+                rest ^= lows[-1]
+            kept = S in factors
+            for j in range(S.bit_length(), N):
+                U = S | 1 << j
+                if not all(U ^ low in below for low in lows):
                     continue
-                if S in factors:
-                    connected, i = not S or not set(near[j]).isdisjoint(S), j
+                if kept:
+                    connected, i = not S or near[j] & S, j
                 else:
-                    tree = bfs(near, U[0], U)
-                    connected, i = len(tree) == k, next(reversed(tree))
+                    K, i = _component(near, (U & -U).bit_length() - 1, U)
+                    connected = K == U
                 if not connected:
                     level.append(U)
                     continue
-                basis, rows, inverses = factor(tuple(u for u in U if u != i))
+                basis, rows, inverses = factor(U ^ 1 << i)
                 c, _, row = schur_step(A, basis, rows, inverses, i)
                 if c.sign() > 0:
                     level.append(U)
@@ -194,16 +231,16 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
         faces.append(level)
     finite, ridges = set(faces[n]), set(faces[n - 1])
     cusps: list[tuple[FacetSet, FacetSet]] = []
-    for T in combinations(range(N), n):
-        if T in finite or any(set(T) <= set(P) for _, P in cusps):
+    for T in map(sum, combinations([1 << j for j in range(N)], n)):
+        if T in finite or any(T & P == T for _, P in cusps):
             continue
-        d = next((d for i, d in enumerate(T) if T[:i] + T[i + 1:] in ridges), None)
+        d = next((d for d in _facets(T) if T ^ 1 << d in ridges), None)
         if d is None:
             continue
-        K = bfs(near, d, T).keys()
-        if tuple(sorted(K)) in parabolic:
-            P = tuple(j for j in range(N) if j in K or K.isdisjoint(near[j]))
-            if len(P) < N:    # else K is a component of the graph, and v = 0
+        K, _ = _component(near, d, T)
+        if K in parabolic:
+            P = K | sum(1 << j for j in range(N) if not near[j] & K)
+            if P != (1 << N) - 1:    # else K is a component of the graph, and v = 0
                 cusps.append((T, P))
     return faces, cusps
 
@@ -215,57 +252,59 @@ def enumerate_vertices(realization: PolytopeRealization) -> PolytopeRealization:
     SVD, and the time orientation of the frame is fixed by the first vertex:
     if it violates a facet inequality, every normal is flipped.  Every
     vertex must then lie strictly inside each facet half-space not through
-    it, and every edge must have two ends, as in a finite-volume polytope.
-    Last, normals and vertices move to the centred frame of
-    ``centring_boost``, whose centre every isometry of the polytope fixes,
-    whatever the frame of the normals.
+    it (the first that does not is named), and every edge must have two
+    ends, as in a finite-volume polytope.  Last, normals and vertices move
+    to the centred frame of ``centring_boost``, whose centre every isometry
+    of the polytope fixes, whatever the frame of the normals.  Each step
+    runs once over the (V, n+1) stack of vertices.
     """
     import numpy as np
     n, N = realization.dimension, realization.facet_count
     faces, cusps = census(realization.gram)
-    sets = [frozenset(T) for T in faces[n]] + [frozenset(P) for _, P in cusps]
+    sets = faces[n] + [P for _, P in cusps]
     if not sets:
         raise NoVertices("no facet n-subset meets the ball closure; "
                          "polytope is unbounded or the input is invalid")
     for edge in faces[n - 1]:
-        ends = sum(1 for S in sets if S.issuperset(edge))
+        ends = sum(S & edge == edge for S in sets)
         if ends != 2:
-            raise NoVertices(f"edge on facets {list(edge)} has {ends} end(s); "
+            raise NoVertices(f"edge on facets {_facets(edge)} has {ends} end(s); "
                              "the polytope has infinite volume or the input is invalid")
     normals = realization.normals
     # each vertex's line is the last right-singular vector of the n x (n+1)
     # system <e_i, x> = 0 on its first n-set, which must have rank n
-    subsets = faces[n] + [T for T, _ in cusps]
-    _, s, Vt = np.linalg.svd(_flip_time(normals[np.array(subsets)]))
+    subsets = np.array([_facets(T) for T in faces[n] + [T for T, _ in cusps]])
+    _, s, Vt = np.linalg.svd(_flip_time(normals[subsets]))
     flat = s[:, -1] <= s[:, 0] * (n + 1) * np.finfo(np.float64).eps
     if flat.any():
-        raise NoVertices(f"facets {list(subsets[flat.argmax()])} do not meet in a line; "
+        raise NoVertices(f"facets {subsets[flat.argmax()].tolist()} do not meet in a line; "
                          "the input is invalid")
-    lines = [-x if x[0] < 0 else x for x in Vt[:, -1]]    # pointing to the future
-    finite = [x / np.sqrt(-(_flip_time(x) @ x)) for x in lines[:len(faces[n])]]
-    ideal = [x / x[0] for x in lines[len(faces[n]):]]
-    pairings = np.array(finite + ideal) @ _flip_time(normals).T    # [vertex, facet]
-    off = np.array([[j not in S for j in range(N)] for S in sets])
+    lines = Vt[:, -1]
+    lines = np.where(lines[:, :1] < 0, -lines, lines)    # pointing to the future
+    finite, ideal = _on_hyperboloid(lines[:len(faces[n])]), lines[len(faces[n]):]
+    ideal = ideal / ideal[:, :1]
+    pairings = np.concatenate([finite, ideal]) @ _flip_time(normals).T    # [vertex, facet]
+    off = np.array([[not S >> j & 1 for j in range(N)] for S in sets])
     if (pairings[0, off[0]] > 0).any():
         normals = realization.normals = -normals
         pairings = -pairings
-    for row, out, S in zip(pairings, off, sets):
-        if (row[out] >= 0).any():
-            raise NoVertices(f"the vertex on facets {sorted(S)} violates a facet "
-                             "inequality; the input is not a polytope")
-    if not finite:
+    outside = ((pairings >= 0) & off).any(axis=1)
+    if outside.any():
+        raise NoVertices(f"the vertex on facets {_facets(sets[outside.argmax()])} violates "
+                         "a facet inequality; the input is not a polytope")
+    if not len(finite):
         # scale the rays by |<x, t>| for the Gram matrix's own time axis
         # t = sum_i q_i e_i, q its negative eigenvector, which every isometry
         # of the polytope fixes in any frame; in that of ``realize`` t is e0
         t = np.linalg.eigh(normals @ _flip_time(normals).T)[1][:, 0] @ normals
-        ideal = [x / abs(_flip_time(x) @ t) for x in ideal]
+        ideal = ideal / np.abs(_flip_time(ideal) @ t)[:, None]
     B = centring_boost(finite, ideal)
     realization.normals = normals @ B.T
-    finite = [x / np.sqrt(-(_flip_time(x) @ x)) for x in (B @ x for x in finite)]
-    realization.finite_vertices = finite
-    realization.ideal_vertices = [x / x[0] for x in (B @ x for x in ideal)]
+    finite, ideal = finite @ B.T, ideal @ B.T
+    realization.finite_vertices = list(_on_hyperboloid(finite))
+    realization.ideal_vertices = list(ideal / ideal[:, :1])
     realization.vertex_facets = sets
-    realization.faces = {frozenset(S) for level in faces for S in level}
+    realization.faces = {S for level in faces for S in level}
     return realization
 
 
@@ -344,8 +383,9 @@ def to_klein(realization: PolytopeRealization) -> KleinPolytope:
     finite, ideal = realization.finite_vertices, realization.ideal_vertices
     if len(finite) + len(ideal) < n + 1:
         raise NoVertices("fewer than n+1 vertices; cannot triangulate")
-    verts = np.array([x[1:] / x[0] for x in finite]
-                     + [x[1:] / np.linalg.norm(x[1:]) for x in ideal])
+    X = np.array(finite + ideal)
+    verts = X[:, 1:] / X[:, :1]
+    verts[len(finite):] /= np.linalg.norm(verts[len(finite):], axis=1)[:, None]
     flags = [False] * len(finite) + [True] * len(ideal)
     return KleinPolytope(n, verts, flags, *_fan_triangulation(n, realization))
 
@@ -353,8 +393,9 @@ def to_klein(realization: PolytopeRealization) -> KleinPolytope:
 def _fan_triangulation(n, realization: PolytopeRealization) -> tuple[list[list[int]], list[int]]:
     """Fan from the origin over one facet per orbit, each face recursively
     fanned from its best vertex, and each simplex's weight, its orbit's
-    size.  A face is its elliptic facet set S, its vertices are those whose
-    facet set contains S, and its ridges are the faces S + j.  A convex face
+    size.  A face is its elliptic facet set S, a bitmask, its vertices are
+    those whose facet set F contains S (F & S == S), and its ridges are the
+    faces S | 1 << j.  A convex face
     is the union of the cones from any of its vertices over its ridges; a
     ridge through that apex spans a flat cone, so only the ridges that miss
     the apex are coned.  The apex is the vertex on the most ridges, ties to
@@ -363,19 +404,19 @@ def _fan_triangulation(n, realization: PolytopeRealization) -> tuple[list[list[i
     vertex_facets, faces = realization.vertex_facets, realization.faces
     N = realization.facet_count
 
-    def triangulate_face(S: frozenset[int], d: int) -> list[list[int]]:
-        ids = [k for k, F in enumerate(vertex_facets) if S <= F]
+    def triangulate_face(S: FacetSet, d: int) -> list[list[int]]:
+        ids = [k for k, F in enumerate(vertex_facets) if F & S == S]
         if len(ids) < d + 1:
             raise TriangulationFailure(f"face {sorted(ids)} has too few vertices for dim {d}")
         if len(ids) == d + 1:
             return [ids]
-        ridges = [S | {j} for j in range(N) if j not in S and S | {j} in faces]
-        apex = max(ids, key=lambda k: sum(ridge <= vertex_facets[k] for ridge in ridges))
+        ridges = [R for R in (S | 1 << j for j in range(N)) if R != S and R in faces]
+        apex = max(ids, key=lambda k: sum(R & vertex_facets[k] == R for R in ridges))
         pieces = []
-        for ridge in ridges:
-            if ridge <= vertex_facets[apex]:
+        for R in ridges:
+            if R & vertex_facets[apex] == R:
                 continue
-            for s in triangulate_face(ridge, d - 1):
+            for s in triangulate_face(R, d - 1):
                 pieces.append(s + [apex])
         if not pieces:
             raise TriangulationFailure(f"face {sorted(ids)} has no usable sub-facets")
@@ -383,11 +424,11 @@ def _fan_triangulation(n, realization: PolytopeRealization) -> tuple[list[list[i
 
     # the centre lies on the facets through every vertex it is the centre of
     centred = vertex_facets[:len(realization.finite_vertices)] or vertex_facets
-    through_centre = frozenset.intersection(*centred)
+    through_centre = reduce(int.__and__, centred)
     simplices, weights = [], []
     for orbit in facet_orbits(realization.gram):
-        if orbit[0] not in through_centre:
-            cone = triangulate_face(frozenset(orbit[:1]), n - 1)
+        if not through_centre >> orbit[0] & 1:
+            cone = triangulate_face(1 << orbit[0], n - 1)
             simplices += [s + [-1] for s in cone]
             weights += [len(orbit)] * len(cone)
     return simplices, weights

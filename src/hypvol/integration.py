@@ -75,7 +75,23 @@ def _gauss_jacobi(p: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
 def _simplex_rule(d: int, p: int):
     """The p^d-node rule on the standard d-simplex, in blocks of _BATCH
     nodes: (T, w), T the (d + 1, m) barycentric coordinates of m nodes and w
-    their weights, which sum to 1/d! over all blocks."""
+    their weights, which sum to 1/d! over all blocks; a rule of one block
+    is built once (``_one_block_rule``)."""
+    return [_one_block_rule(d, p)] if p ** d <= _BATCH else _rule_blocks(d, p)
+
+
+@functools.lru_cache(maxsize=32)
+def _one_block_rule(d: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The p^d-node rule for p^d <= _BATCH, read-only.  The cache keeps 32
+    rules of (d + 2) p^d <= 16 _BATCH float64s (2^d <= _BATCH): at most
+    64 MiB, and 1.3 MiB for the 5D and 7D polytopes at 1e-4."""
+    (T, w), = _rule_blocks(d, p)
+    T.flags.writeable = w.flags.writeable = False
+    return T, w
+
+
+def _rule_blocks(d: int, p: int):
+    """The blocks of ``_simplex_rule``, each built afresh."""
     import numpy as np
     rules = [_gauss_jacobi(p, d - 1 - i) for i in range(d)]
     for start in range(0, p ** d, _BATCH):

@@ -268,7 +268,12 @@ class MultiSurd:
         return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash((self._den, frozenset(self._nums.items())))
+        """A rational value hashes as the equal int or Fraction, since it
+        compares equal to them."""
+        nums, den = self._nums, self._den
+        if len(nums) != (1 in nums):    # irrational
+            return hash((den, frozenset(nums.items())))
+        return hash(nums.get(1, 0) if den == 1 else Fraction(nums[1], den))
 
     # -- conjugation -------------------------------------------------------
 

@@ -11,8 +11,10 @@ rebuilt from its edges for the cycles, a scan of every smooth
 denominator for the recognition window, and a full elimination of every
 candidate's principal Gram submatrix for the face census.  Besides them:
 a GF(2) solver for field membership of square roots, facet relabeling of
-a diagram, the points of a fan simplex, and ``as_mpf``, which turns the
-pipeline's exact values into mpfs for the tests' mpmath comparisons.
+a diagram, the points of a fan simplex, ``facet_tuple`` and
+``census_tuples``, which spell the geometry's bitmask facet sets as
+ascending tuples, and ``as_mpf``, which turns the pipeline's exact values
+into mpfs for the tests' mpmath comparisons.
 """
 
 import itertools
@@ -24,6 +26,7 @@ from mpmath import mp
 
 from hypvol.arithmeticity import CyclicProduct, QuadraticFormQ, _field_automorphisms
 from hypvol.diagram import CoxeterDiagram, inertia
+from hypvol.geometry import census
 from hypvol.lseries import _EM_TERMS, PrecisionContext, _em_tail, bernoulli_fraction, kronecker_chi
 from hypvol.prediction import RECOGNITION_MAX_NUMERATOR, _smooth_denominators
 from hypvol.surd import MultiSurd, prime_characters, prime_factors
@@ -271,6 +274,19 @@ def census_by_inertia(G):
         else:
             cusps.append((T, T))
     return faces, cusps
+
+
+def facet_tuple(S: int) -> tuple[int, ...]:
+    """The facets of the bitmask facet set S (bit j is facet j), ascending."""
+    return tuple(j for j in range(S.bit_length()) if S >> j & 1)
+
+
+def census_tuples(G):
+    """``geometry.census`` with every facet set an ascending tuple, the
+    form ``census_by_inertia`` returns."""
+    faces, cusps = census(G)
+    return ([[facet_tuple(S) for S in level] for level in faces],
+            [(facet_tuple(T), facet_tuple(P)) for T, P in cusps])
 
 
 def relabeled(diagram: CoxeterDiagram, perm: list[int]) -> CoxeterDiagram:

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from hypvol.errors import HypvolError, NotLorentzian, NoVertices
 from hypvol.geometry import census, enumerate_vertices, realize, to_klein
 from hypvol.polytopes import IDEAL_TRIANGLE, POLYTOPE_5D, POLYTOPE_7D
 from hypvol.surd import MultiSurd
-from oracles import as_mpf, census_by_inertia, relabeled, simplex_points
+from oracles import (as_mpf, census_by_inertia, census_tuples, facet_tuple, relabeled,
+                     simplex_points)
 
 
 # angles pi/4, pi/5, pi/2: the smallest compact triangle labels {3,4,5,6} allow
@@ -224,19 +226,21 @@ def test_fan_pieces_do_not_depend_on_the_labeling(text, pieces):
         r = enumerate_vertices(realize(gram_matrix(relabeled(d, perm))))
         kp = to_klein(r)
         assert len(kp.simplices) == pieces, relabeling
+        vertex_facets = [frozenset(facet_tuple(F)) for F in r.vertex_facets]
+        faces = {frozenset(facet_tuple(S)) for S in r.faces}
         apexes, coned = {}, {}
         for s in kp.simplices:
-            spans = [frozenset.intersection(*(r.vertex_facets[w] for w in s[:k + 1]))
+            spans = [frozenset.intersection(*(vertex_facets[w] for w in s[:k + 1]))
                      for k in range(len(s) - 1)]
             for k in range(1, len(s) - 1):
                 apexes.setdefault(spans[k], set()).add(s[k])
                 coned.setdefault(spans[k], set()).add(spans[k - 1])
         for face, (apex,) in apexes.items():
-            ridges = {face | {j} for j in range(d.facets)} & r.faces - {face}
-            on = {ridge for ridge in ridges if ridge <= r.vertex_facets[apex]}
+            ridges = {face | {j} for j in range(d.facets)} & faces - {face}
+            on = {ridge for ridge in ridges if ridge <= vertex_facets[apex]}
             assert ridges - coned[face] == on, (relabeling, sorted(face))
             assert all(sum(ridge <= F for ridge in ridges) <= len(on)
-                       for F in r.vertex_facets if face <= F)
+                       for F in vertex_facets if face <= F)
 
 
 IDEAL_TETRAHEDRON = "n 3\nfacets 4\n" + "".join(
@@ -325,7 +329,7 @@ def test_vertex_enumeration_solves_each_subset_once(monkeypatch):
 
     G = gram_matrix(parse_diagram(POLYTOPE_5D))
     r = realize(G)
-    faces, cusps = census(G)
+    faces, cusps = census_tuples(G)
     subsets = faces[5] + [T for T, _ in cusps]
     expected = r.normals[np.array(subsets)] * np.r_[-1.0, np.ones(5)]
     monkeypatch.setattr(np.linalg, "svd", counted)
@@ -345,6 +349,22 @@ def test_dependent_normals_raise_a_typed_error():
         enumerate_vertices(r)
 
 
+@pytest.mark.parametrize("text, first", [(POLYTOPE_5D, [1, 2, 3, 4, 6]),
+                                         (POLYTOPE_7D, [1, 2, 3, 4, 5, 7, 8])], ids=["5d", "7d"])
+def test_vertex_outside_a_facet_raises_a_typed_error(text, first):
+    # facet 0's normal reversed: every vertex off facet 0 now lies outside
+    # it, and the check names the first of them in census order; the first
+    # vertex lies on facet 0, so the time orientation is kept
+    G = gram_matrix(parse_diagram(text))
+    faces, cusps = census_tuples(G)
+    off = [S for S in faces[G.dimension] + [P for _, P in cusps] if 0 not in S]
+    assert 0 in faces[G.dimension][0] and len(off) > 1 and list(off[0]) == first
+    r = realize(G)
+    r.normals[0] = -r.normals[0]
+    with pytest.raises(NoVertices, match=rf"the vertex on facets {re.escape(str(first))} violates"):
+        enumerate_vertices(r)
+
+
 def reference_klein_gram(G):
     """Gram matrix of the census vertices in the centred Klein ball at 128
     bits: the frame from mp.eigsy as in ``realize``, one mp.lu_solve per
@@ -353,7 +373,7 @@ def reference_klein_gram(G):
     Klein images in the frame whose time axis is the unit centre c: the
     normalized sum of the finite vertices, or of the ideal ones."""
     n, N = G.dimension, G.size
-    faces, cusps = census(G)
+    faces, cusps = census_tuples(G)
     with mp.workprec(128):
         eigvals, Q = mp.eigsy(mp.matrix([[as_mpf(G[i, j]) for j in range(N)]
                                          for i in range(N)]))
@@ -386,7 +406,7 @@ def test_float_geometry_matches_128_bit_reference(text):
     # leaves the Gram matrix of the Klein vertices unchanged
     assert np.abs(V @ V.T - reference_klein_gram(G)).max() < 1e-13
     for x, S in zip(r.finite_vertices + r.ideal_vertices, r.vertex_facets):
-        for j in S:
+        for j in facet_tuple(S):
             assert abs(mink(x, r.normals[j])) < 1e-13
 
 
@@ -440,7 +460,7 @@ def test_census_matches_full_eliminations(text):
         if relabeling:
             rng.shuffle(perm)
         G = gram_matrix(relabeled(d, perm))
-        assert census(G) == census_by_inertia(G)
+        assert census_tuples(G) == census_by_inertia(G)
 
 
 _CENSUS_LABELS = [None, None, "3", "4", "5", "6", "inf", "dashed 2", "dashed 3/2"]
@@ -472,7 +492,7 @@ def random_lorentzian_grams(count, seed):
 def test_census_matches_full_eliminations_on_random_diagrams():
     for seed in (18, 19, 20, 21):
         grams = random_lorentzian_grams(500, seed=seed)
-        found = [census(G) for G in grams]
+        found = [census_tuples(G) for G in grams]
         assert sum(bool(cusps) for _, cusps in found) >= 50   # some have ideal vertices
         for G, got in zip(grams, found):
             assert got == census_by_inertia(G), G.entries
@@ -488,8 +508,8 @@ def test_census_steps_only_on_connected_sets(text, most_steps, most_inverses, mo
     # Schur step extends a connected set, and an ideal vertex's n-set takes
     # none: its component of the dropped facet is a recorded parabolic set;
     # the step and inverse counts are pinned on the bundled labelings, and
-    # so is the count of BFS runs, which skip the candidates whose elliptic
-    # part keeps a factor
+    # so is the count of component searches, which skip the candidates whose
+    # elliptic part keeps a factor
     d = parse_diagram(text)
     rng = random.Random(23)
     for relabeling in range(6):
@@ -511,16 +531,16 @@ def test_census_steps_only_on_connected_sets(text, most_steps, most_inverses, mo
             counts["inverses"] += 1
             return inverse(self)
 
-        def bfs(*args, bfs=geometry.bfs):
+        def component(*args, component=geometry._component):
             counts["searches"] += 1
-            return bfs(*args)
+            return component(*args)
 
         with monkeypatch.context() as m:
             m.setattr(geometry, "schur_step", step)
             m.setattr(MultiSurd, "inverse", inverse)
-            m.setattr(geometry, "bfs", bfs)
-            faces, cusps = census(G)
-        assert (faces, cusps) == census_by_inertia(G)
+            m.setattr(geometry, "_component", component)
+            found = census_tuples(G)
+        assert found == census_by_inertia(G)
         if not relabeling:
             assert counts["steps"] <= most_steps and counts["inverses"] <= most_inverses, counts
             assert counts["searches"] <= most_searches, counts
@@ -538,7 +558,7 @@ def test_census_eliminates_nothing(text, monkeypatch):
     expected = census_by_inertia(G)
     monkeypatch.setattr(diagram, "eliminate", eliminate)
     monkeypatch.setattr(diagram, "inertia", eliminate)
-    assert census(G) == expected
+    assert census_tuples(G) == expected
 
 
 def test_parabolic_component_of_a_disconnected_graph_is_no_ideal_vertex():

@@ -276,7 +276,9 @@ def test_simplex_volume_draws_each_point_once(pts, pieces, monkeypatch):
 def count_builds(monkeypatch):
     """(events, builds): in order, ("pieces", K) for every stacked build of
     K pieces and ("rule", order, alpha) for every Gauss-Jacobi rule built
-    while the test runs, and the stacks of each build."""
+    while the test runs, and the stacks of each build.  The one-block rules
+    cached by earlier runs are cleared first, so that every order builds."""
+    integration._one_block_rule.cache_clear()
     events, builds = [], []
     make, gauss = integration._pieces, integration._gauss_jacobi
 

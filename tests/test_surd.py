@@ -310,6 +310,15 @@ def test_equal_values_by_different_routes_are_equal_and_hash_equal():
         for a, b in pairs:
             assert_canonical(a)
             assert a == b and hash(a) == hash(b)
+    # a rational surd equals its int or Fraction, so it hashes as they do,
+    # and either finds the other in a set or dict
+    randoms = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(100)]
+    for value in [0, 1, -1, 7, 2 ** 70, Fraction(1, 2), Fraction(-3, 4), Fraction(10 ** 30, 7),
+                  *randoms]:
+        x = MultiSurd(value)
+        assert x == value and hash(x) == hash(value)
+        assert value in {x} and x in {value}
+        assert MultiSurd({1: value, 2: 1}) - MultiSurd.sqrt(2) in {value}
 
 
 def per_term_mpf(x: MultiSurd, prec: int):
