@@ -112,7 +112,8 @@ def enumerate_cycles(G: GramMatrix) -> list[CyclicProduct]:
     ``MAX_CYCLES`` and by ``MAX_EXTENSIONS`` on the search's simple paths,
     past which it raises ``TooLarge``, because both counts are exponential.
     Length-2 cycles (edge there and back) are included, so the output is
-    nonempty for any connected graph.
+    nonempty for any connected graph.  A path's product is formed only when
+    a cycle closes through it, so paths that never close multiply nothing.
     """
     N = G.size
     check_facet_count(N)
@@ -126,18 +127,22 @@ def enumerate_cycles(G: GramMatrix) -> list[CyclicProduct]:
                 v = doubled[i, j] = doubled[j, i] = G[i, j] * 2
                 out.append(CyclicProduct((i, j), v * v))
     # simple cycles of length >= 3, canonical: start at the smallest vertex,
-    # orient so the second vertex is smaller than the last; the path's
-    # product rides along the DFS, from its first edge's doubled entry
+    # orient so the second vertex is smaller than the last; values[k] is the
+    # product along the path's first k + 1 edges, from its first edge's
+    # doubled entry, formed only when a cycle closes and kept while it lasts
     extensions = 0
     for start in range(N):
-        path = [start]
+        path, values = [start], []
 
-        def dfs(u, value):
+        def dfs(u):
             nonlocal extensions
             for w in adj[u]:
                 if w == start and len(path) >= 3:
                     if path[1] < path[-1]:
-                        out.append(CyclicProduct(tuple(path), product(value, doubled[u, start])))
+                        for k in range(len(values), len(path) - 1):
+                            edge = doubled[path[k], path[k + 1]]
+                            values.append(product(values[-1], edge) if k else edge)
+                        out.append(CyclicProduct(tuple(path), product(values[-1], doubled[u, start])))
                         if len(out) > MAX_CYCLES:
                             raise TooLarge(f"the non-orthogonality graph has more than "
                                            f"{MAX_CYCLES} simple cycles")
@@ -147,10 +152,11 @@ def enumerate_cycles(G: GramMatrix) -> list[CyclicProduct]:
                         raise TooLarge(f"the cycle search extended more than "
                                        f"{MAX_EXTENSIONS} simple paths")
                     path.append(w)
-                    dfs(w, product(value, doubled[u, w]))
+                    dfs(w)
                     path.pop()
+                    del values[len(path) - 1:]
 
-        dfs(start, MultiSurd(1))
+        dfs(start)
     out.sort(key=lambda c: (len(c.cycle), c.cycle))
     return out
 

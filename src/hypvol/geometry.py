@@ -33,23 +33,6 @@ def _facets(S: FacetSet) -> list[int]:
     return [j for j in range(S.bit_length()) if S >> j & 1]
 
 
-def _component(near: list[FacetSet], start: int, members: FacetSet) -> tuple[FacetSet, int]:
-    """The component of facet ``start`` in ``members``, facet j's neighbours
-    the mask near[j], grown one BFS layer at a time, and the last layer's
-    greatest facet: a leaf of every BFS tree, whose removal keeps it connected."""
-    seen = layer = 1 << start
-    while True:
-        grown, rest = 0, layer
-        while rest:
-            low = rest & -rest
-            grown |= near[low.bit_length() - 1]
-            rest ^= low
-        grown &= members & ~seen
-        if not grown:
-            return seen, layer.bit_length() - 1
-        seen, layer = seen | grown, grown
-
-
 def _flip_time(X: np.ndarray) -> np.ndarray:
     """X with its timelike column negated, so that X' @ y is <x, y> per row x."""
     import numpy as np
@@ -131,16 +114,25 @@ def realize(G: GramMatrix) -> PolytopeRealization:
     The signature is checked exactly.  In the symmetric eigendecomposition
     of the float image, the most negative eigenmode becomes the timelike
     coordinate and the n largest the spacelike ones; the N - n - 1 zero
-    modes are dropped.  Each distinct entry is converted to float once, and
-    one past the float64 range raises TooLarge.
+    modes are dropped.  The image is built from the graph's edges, with 1.0
+    on the diagonal and 0.0 off the edges; each distinct edge entry is
+    converted to float once, and one past the float64 range raises TooLarge.
     """
     import numpy as np
     assert_lorentzian(G)
     n, N = G.dimension, G.size
-    image = {e: float(e) for e in {e for row in G.entries for e in row}}
-    if not all(map(math.isfinite, image.values())):
+    image, floats = np.eye(N), {}
+    for i, row in enumerate(G.neighbours):
+        for j in row:
+            if j > i:
+                e = G.entries[i][j]
+                x = floats.get(e)
+                if x is None:
+                    x = floats[e] = float(e)
+                image[i, j] = image[j, i] = x
+    if not all(map(math.isfinite, floats.values())):
         raise TooLarge("a Gram entry exceeds the float64 range")
-    eigvals, Q = np.linalg.eigh([[image[e] for e in row] for row in G.entries])
+    eigvals, Q = np.linalg.eigh(image)
     cols = [0, *range(N - n, N)]  # eigenvalues come in ascending order
     return PolytopeRealization(n, Q[:, cols] * np.sqrt(np.abs(eigvals[cols])), G)
 
@@ -160,28 +152,33 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
     first passes the subset test: U minus each facet of S is elliptic.  If U
     is disconnected in the non-orthogonality graph, G[U] is block diagonal
     and each block, a proper subset of U, lies in an elliptic (k-1)-subset;
-    so U is elliptic with no arithmetic.  When S keeps a factor it is
-    connected, so U is connected iff j's neighbour mask meets S, and no
-    search runs.  A connected U costs one ``diagram.schur_step`` on the LDL'
-    factor G[R] = L D L' of R = U - i, where i is j if S keeps a factor,
-    else the leaf that ``_component`` returns from U's least facet; either
-    way R is connected and elliptic, so it keeps a factor.  G[R] is
-    positive definite, so G[U] has its inertia plus the sign of the
-    complement c = G_ii - y D^-1 y', where L y = G[R, i]: U is elliptic iff
-    c > 0, and connected parabolic (every proper subset elliptic, G[U]
-    singular) iff c = 0.  Only connected elliptic sets below n facets keep a
-    factor, and a pivot is inverted when its factor first serves as a basis.
+    so U is elliptic with no arithmetic.  Only connected elliptic sets below
+    n facets keep a factor, so no search decides connectivity: when S keeps
+    a factor, U is connected iff j's neighbour mask meets S, and i = j; else
+    S is disconnected, and U is connected iff some facet i of S meets
+    U - i, an elliptic set that keeps a factor, the least such i tested in
+    the loop of the subset test.  A connected U costs one
+    ``diagram.schur_step`` on the LDL' factor G[R] = L D L' of R = U - i.
+    G[R] is positive definite, so G[U] has its inertia plus the sign of the
+    complement c = G_ii - y D^-1 y', where L y = G[R, i], a sign that no
+    choice of i changes: U is elliptic iff c > 0, and connected parabolic
+    (every proper subset elliptic, G[U] singular) iff c = 0.  A pivot is
+    inverted when its factor first serves as a basis.
 
-    A positive semidefinite matrix of rank n - 1 has an elliptic
-    (n-1)-subset, and an n-set T on an elliptic ridge T - d has inertia
-    (n - 1, 0, 1) iff K, the component of d in T, is connected parabolic,
-    as the other components lie in T - d: a lookup among the recorded sets.
-    The vertex is v = sum k_i e_i over K, k > 0 the Perron kernel vector of
-    G[K].  Off-diagonal Gram entries are nonpositive, so <v, e_j> =
-    sum k_i G_ij is zero iff G_ij = 0 for every i in K: the parabolic set
+    Each recorded connected parabolic K spans v = sum k_i e_i, k > 0 the
+    Perron kernel vector of G[K], and <v, v> = 0.  Off-diagonal Gram
+    entries are nonpositive, so <v, e_j> = sum k_i G_ij is zero iff
+    G_ij = 0 for every i in K: the parabolic set P, the facets through v,
     is K plus the facets that meet no facet of K.  The normals span, so
-    v = 0 iff that is every facet, when K is a component of the graph, and
-    T is no ideal vertex.  No matrix is eliminated in full.
+    v = 0 iff P is every facet, when K is a component of the graph.  Else
+    v^perp is positive semidefinite, so G[T] is for each T in P, and an
+    n-set T in P on an elliptic ridge T - d has inertia (n - 1, 0, 1), its
+    one non-elliptic component K' the component of d.  Its normals are
+    independent iff K' spans v' != 0, when they span v^perp, so that T lies
+    in no other parabolic set and P(K') = P.  Each ideal vertex is thus
+    named by the first n-set of its P, in lexicographic order, that holds a
+    K with that P and an elliptic ridge, with no walk over all n-sets.  No
+    matrix is eliminated in full.
     """
     n, N = G.dimension, G.size
     A = G.entries
@@ -210,38 +207,40 @@ def census(G: GramMatrix) -> tuple[list[list[FacetSet]], list[tuple[FacetSet, Fa
             kept = S in factors
             for j in range(S.bit_length(), N):
                 U = S | 1 << j
-                if not all(U ^ low in below for low in lows):
-                    continue
-                if kept:
-                    connected, i = not S or near[j] & S, j
+                i = j if kept and (not S or near[j] & S) else None
+                for low in lows:
+                    R = U ^ low
+                    if R not in below:
+                        break
+                    if i is None and not kept and R in factors and near[low.bit_length() - 1] & R:
+                        i = low.bit_length() - 1
                 else:
-                    K, i = _component(near, (U & -U).bit_length() - 1, U)
-                    connected = K == U
-                if not connected:
-                    level.append(U)
-                    continue
-                basis, rows, inverses = factor(U ^ 1 << i)
-                c, _, row = schur_step(A, basis, rows, inverses, i)
-                if c.sign() > 0:
-                    level.append(U)
-                    if k < n:
-                        factors[U] = basis + (i,), rows + [row], inverses, c
-                elif c.is_zero():
-                    parabolic.add(U)
+                    if i is None:    # disconnected
+                        level.append(U)
+                        continue
+                    basis, rows, inverses = factor(U ^ 1 << i)
+                    c, _, row = schur_step(A, basis, rows, inverses, i)
+                    if c.sign() > 0:
+                        level.append(U)
+                        if k < n:
+                            factors[U] = basis + (i,), rows + [row], inverses, c
+                    elif c.is_zero():
+                        parabolic.add(U)
         faces.append(level)
-    finite, ridges = set(faces[n]), set(faces[n - 1])
+    ridges = set(faces[n - 1])
+    groups: dict[FacetSet, list[FacetSet]] = {}    # parabolic set -> its K
+    for K in parabolic:
+        P = K | sum(1 << j for j in range(N) if not near[j] & K)
+        if P != (1 << N) - 1:    # else K is a component of the graph, and v = 0
+            groups.setdefault(P, []).append(K)
     cusps: list[tuple[FacetSet, FacetSet]] = []
-    for T in map(sum, combinations([1 << j for j in range(N)], n)):
-        if T in finite or any(T & P == T for _, P in cusps):
-            continue
-        d = next((d for d in _facets(T) if T ^ 1 << d in ridges), None)
-        if d is None:
-            continue
-        K, _ = _component(near, d, T)
-        if K in parabolic:
-            P = K | sum(1 << j for j in range(N) if not near[j] & K)
-            if P != (1 << N) - 1:    # else K is a component of the graph, and v = 0
+    for P, Ks in groups.items():
+        for ts in combinations(_facets(P), n):
+            T = sum(1 << d for d in ts)
+            if any(T & K == K for K in Ks) and any(T ^ 1 << d in ridges for d in ts):
                 cusps.append((T, P))
+                break
+    cusps.sort(key=lambda cusp: _facets(cusp[0]))
     return faces, cusps
 
 
@@ -400,7 +399,8 @@ def _fan_triangulation(n, realization: PolytopeRealization) -> tuple[list[list[i
     ridge through that apex spans a flat cone, so only the ridges that miss
     the apex are coned.  The apex is the vertex on the most ridges, ties to
     the least index, so that the fewest ridges are fanned (a pulling
-    triangulation)."""
+    triangulation); a vertex F is on ridge S | 1 << j iff j is in F, so
+    its count is the popcount of F and the ridges' facets j."""
     vertex_facets, faces = realization.vertex_facets, realization.faces
     N = realization.facet_count
 
@@ -411,7 +411,8 @@ def _fan_triangulation(n, realization: PolytopeRealization) -> tuple[list[list[i
         if len(ids) == d + 1:
             return [ids]
         ridges = [R for R in (S | 1 << j for j in range(N)) if R != S and R in faces]
-        apex = max(ids, key=lambda k: sum(R & vertex_facets[k] == R for R in ridges))
+        on = reduce(int.__or__, ridges, S) ^ S    # the facets j of the ridges S + j
+        apex = max(ids, key=lambda k: (vertex_facets[k] & on).bit_count())
         pieces = []
         for R in ridges:
             if R & vertex_facets[apex] == R:

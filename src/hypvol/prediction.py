@@ -190,16 +190,24 @@ def _smooth_candidates(x: Fraction, err: Fraction) -> list[Fraction]:
     """Every p/q within err of x with q smooth, 1 <= p <= the numerator cap
     and p the nearest integer to x*q.  For each p, |x - p/q| <= err is the q
     range [p/(x + err), p/(x - err)], open at the top when x <= err; an
-    integer q lies in it iff ceil(p/(x + err)) <= q <= floor(p/(x - err))."""
+    integer q lies in it iff ceil(p/(x + err)) <= q <= floor(p/(x - err)).
+    In integers, with x = a/b and t = 2(a q - p b), p is the nearest iff
+    |t| < b, or |t| = b (a tie) and p is even, as ``round`` breaks ties.
+    Pairs are kept in lowest terms, and only the result is made Fractions."""
     table = _smooth_denominators()
     up, down = x + err, x - err
+    a, b = x.numerator, x.denominator
     found = set()
     for p in range(1, RECOGNITION_MAX_NUMERATOR + 1):
         lo = bisect.bisect_left(table, -(-p * up.denominator // up.numerator))
         hi = (bisect.bisect_right(table, p * down.denominator // down.numerator)
               if down > 0 else len(table))
-        found.update(Fraction(p, q) for q in table[lo:hi] if round(x * q) == p)
-    return sorted(found)
+        for q in table[lo:hi]:
+            t = abs(a * q - p * b) * 2
+            if t < b or t == b and p % 2 == 0:
+                g = math.gcd(p, q)
+                found.add((p // g, q // g))
+    return sorted(Fraction(p, q) for p, q in found)
 
 
 def _recognized(fraction: Fraction, x: Fraction, confidence: float,

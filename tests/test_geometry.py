@@ -82,7 +82,10 @@ def test_realize_converts_each_distinct_entry_once(text, monkeypatch):
     monkeypatch.setattr(MultiSurd, "__float__", lambda e: conversions.append(e) or to_float(e))
     r = realize(G)
     assert np.array_equal(r.normals, expected)
-    assert len(conversions) == len({G[i, j] for i in range(N) for j in range(N)})
+    # no entry is converted twice, and only edge entries are converted: the
+    # unit diagonal and the zeros off the edges are written as floats
+    assert len(conversions) == len(set(conversions))
+    assert set(conversions) == {G[i, j] for i in range(N) for j in G.neighbours[i]}
 
 
 def test_vertices_237_compact():
@@ -498,18 +501,19 @@ def test_census_matches_full_eliminations_on_random_diagrams():
             assert got == census_by_inertia(G), G.entries
 
 
-@pytest.mark.parametrize("text, most_steps, most_inverses, most_searches", [
-    (POLYTOPE_5D, 35, 19, 103),
-    (POLYTOPE_7D, 58, 33, 474),
+@pytest.mark.parametrize("text, most_steps, most_inverses, most_n_sets", [
+    (POLYTOPE_5D, 35, 19, 1),
+    (POLYTOPE_7D, 58, 33, 1),
 ], ids=["5d", "7d"])
-def test_census_steps_only_on_connected_sets(text, most_steps, most_inverses, most_searches,
+def test_census_steps_only_on_connected_sets(text, most_steps, most_inverses, most_n_sets,
                                              monkeypatch):
     # a disconnected candidate is elliptic by the subset test alone, so each
     # Schur step extends a connected set, and an ideal vertex's n-set takes
-    # none: its component of the dropped facet is a recorded parabolic set;
-    # the step and inverse counts are pinned on the bundled labelings, and
-    # so is the count of component searches, which skip the candidates whose
-    # elliptic part keeps a factor
+    # none: it is read off a recorded connected parabolic set; the step and
+    # inverse counts are pinned on the bundled labelings, and so is the
+    # count of n-sets the cusp search tries, the first ones of each cusp's
+    # parabolic set rather than all C(N, n) (56 and 120 in that walk);
+    # connectivity is read off the kept factors, so no graph search runs
     d = parse_diagram(text)
     rng = random.Random(23)
     for relabeling in range(6):
@@ -517,7 +521,7 @@ def test_census_steps_only_on_connected_sets(text, most_steps, most_inverses, mo
         if relabeling:
             rng.shuffle(perm)
         G = gram_matrix(relabeled(d, perm))
-        counts = {"steps": 0, "inverses": 0, "searches": 0}
+        counts = {"steps": 0, "inverses": 0, "n-sets": 0}
 
         def step(A, basis, rows, inverses, j, schur_step=geometry.schur_step):
             reached, members = [j], {*basis, j}
@@ -531,19 +535,51 @@ def test_census_steps_only_on_connected_sets(text, most_steps, most_inverses, mo
             counts["inverses"] += 1
             return inverse(self)
 
-        def component(*args, component=geometry._component):
-            counts["searches"] += 1
-            return component(*args)
+        def combinations(*args):
+            for subset in itertools.combinations(*args):
+                counts["n-sets"] += 1
+                yield subset
 
         with monkeypatch.context() as m:
             m.setattr(geometry, "schur_step", step)
             m.setattr(MultiSurd, "inverse", inverse)
-            m.setattr(geometry, "_component", component)
+            m.setattr(geometry, "combinations", combinations)
             found = census_tuples(G)
         assert found == census_by_inertia(G)
         if not relabeling:
             assert counts["steps"] <= most_steps and counts["inverses"] <= most_inverses, counts
-            assert counts["searches"] <= most_searches, counts
+            assert counts["n-sets"] <= most_n_sets, counts
+
+
+# the three sides of an ideal triangle, all joined by inf, cut by two ends
+# orthogonal to them and parallel to each other: a prism whose ends meet at
+# infinity, so each of its three cusps has the rectangle cusp group
+# A~1 x A~1, a parabolic set of two components
+IDEAL_PRISM = ("n 3\nfacets 5\nedge 0 1 inf\nedge 2 3 inf\nedge 2 4 inf\n"
+               "edge 3 4 inf\n")
+
+
+@pytest.mark.parametrize("text, cusps", [
+    (IDEAL_TRIANGLE, [((0, 1), (0, 1)), ((0, 2), (0, 2)), ((1, 2), (1, 2))]),
+    (IDEAL_PRISM, [((0, 2, 3), (0, 1, 2, 3)), ((0, 2, 4), (0, 1, 2, 4)),
+                   ((0, 3, 4), (0, 1, 3, 4))]),
+], ids=["ideal-triangle", "ideal-prism"])
+def test_census_names_every_cusp_from_its_parabolic_sets(text, cusps):
+    # several cusps, found from the recorded parabolic sets in the order of
+    # a walk over every n-set; on the prism each cusp's parabolic set holds
+    # two recorded ones, and either names it
+    d = parse_diagram(text)
+    rng = random.Random(29)
+    for relabeling in range(13):
+        perm = list(range(d.facets))
+        if relabeling:
+            rng.shuffle(perm)
+        G = gram_matrix(relabeled(d, perm))
+        found = census_tuples(G)
+        assert found == census_by_inertia(G)
+        if not relabeling:
+            assert found[1] == cusps
+    assert len(realized_polytope(text).ideal_vertices) == len(cusps)
 
 
 @pytest.mark.parametrize("text", [POLYTOPE_5D, POLYTOPE_7D, IDEAL_TRIANGLE],

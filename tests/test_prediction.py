@@ -237,6 +237,11 @@ def test_smooth_window_matches_a_scan_of_every_denominator():
         else:
             x = Fraction(rng.getrandbits(64) + 1, 2 ** rng.randint(40, 80))
         pairs.append((x, x * rel))
+    # exact ties, x q = p + 1/2 = (p + 1) - 1/2, in windows that reach both
+    # p/q and (p + 1)/q: round, and so the window, takes the even numerator
+    for q in (2, 9, 35, 720, 23040):
+        for p in (1, 2, 7, 12):
+            pairs.append((Fraction(2 * p + 1, 2 * q), Fraction(1, 2 * q)))
     sizes = []
     for x, err in pairs:
         cands = _smooth_candidates(x, err)
